@@ -35,21 +35,24 @@ from repro.core.footprint import (
 )
 from repro.h323.h225 import H225_PORT, H225Error, H225Message, looks_like_h225
 from repro.h323.ras import RAS_PORT
-from repro.net.addr import Endpoint, MacAddress
+from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import Reassembler
 from repro.net.packet import (
     ETHERTYPE_IPV4,
+    IP_FRAGMENT_MASK,
     IPPROTO_UDP,
-    EthernetFrame,
     PacketError,
     IPv4Packet,
-    UdpDatagram,
+    parse_ipv4_header,
+    parse_udp,
 )
-from repro.rtp.packet import RtpError, RtpPacket, looks_like_rtp
+from repro.rtp.packet import RtpError, decode_header, looks_like_rtp
 from repro.rtp.rtcp import RtcpError, decode_compound, looks_like_rtcp
 from repro.sip.message import SipParseError, looks_like_sip, parse_message
 
 ACCOUNTING_PORT = 9090
+
+_ETH_HEADER_LEN = 14  # dst MAC, src MAC, ethertype
 
 # Returned by a decoder that consumed the datagram without producing a
 # footprint: the chain stops, the frame counts as ignored.
@@ -63,11 +66,12 @@ Decoder = Callable[["Distiller", bytes, dict[str, Any]], object]
 
 def decode_sip(distiller: "Distiller", payload: bytes, common: dict[str, Any]):
     """SIP: content sniff wins, the configured ports force a decode."""
-    on_sip_port = (
-        common["src"].port in distiller.sip_ports
-        or common["dst"].port in distiller.sip_ports
-    )
-    if not (looks_like_sip(payload) or on_sip_port):
+    sip_ports = distiller.sip_ports
+    if not (
+        common["dst"].port in sip_ports
+        or common["src"].port in sip_ports
+        or looks_like_sip(payload)
+    ):
         return None
     try:
         return SipFootprint(message=parse_message(payload), **common)
@@ -77,15 +81,15 @@ def decode_sip(distiller: "Distiller", payload: bytes, common: dict[str, Any]):
 
 def decode_h323(distiller: "Distiller", payload: bytes, common: dict[str, Any]):
     """H.225 call signalling, plus RAS consumed without a footprint."""
-    on_h225_port = common["src"].port == H225_PORT or common["dst"].port == H225_PORT
-    if looks_like_h225(payload) or on_h225_port:
+    src_port, dst_port = common["src"].port, common["dst"].port
+    if src_port == H225_PORT or dst_port == H225_PORT or looks_like_h225(payload):
         try:
             return H225Footprint(message=H225Message.decode(payload), **common)
         except H225Error as exc:
             return MalformedFootprint(
                 claimed_protocol=Protocol.H225, reason=str(exc), **common
             )
-    if common["src"].port == RAS_PORT or common["dst"].port == RAS_PORT:
+    if src_port == RAS_PORT or dst_port == RAS_PORT:
         # H.225 RAS (gatekeeper registration/admission).  Not used by
         # any rule; claimed here so its ephemeral-port replies are not
         # mistaken for garbage on a media port.
@@ -121,18 +125,30 @@ def decode_rtcp(distiller: "Distiller", payload: bytes, common: dict[str, Any]):
 
 def decode_rtp(distiller: "Distiller", payload: bytes, common: dict[str, Any]):
     """RTP, with the media-port garbage fallback — runs last."""
+    src, dst = common["src"], common["dst"]
     if looks_like_rtp(payload):
+        # Header fields only: the footprint is filled from the validated
+        # header, no RtpPacket (or copy of the media payload) in between.
         try:
-            packet = RtpPacket.decode(payload)
+            _b0, b1, sequence, rtp_timestamp, ssrc, start, end = decode_header(payload)
         except RtpError as exc:
             return MalformedFootprint(
                 claimed_protocol=Protocol.RTP, reason=str(exc), **common
             )
-        return RtpFootprint.from_packet(
-            packet, common["timestamp"], common["src"], common["dst"],
-            common["src_mac"], common["dst_mac"], common["wire_bytes"],
+        return RtpFootprint(
+            common["timestamp"],
+            src,
+            dst,
+            common["src_mac"],
+            common["dst_mac"],
+            common["wire_bytes"],
+            ssrc,
+            sequence,
+            rtp_timestamp,
+            b1 & 0x7F,
+            end - start,
+            bool(b1 & 0x80),
         )
-    src, dst = common["src"], common["dst"]
     if (
         distiller.rtp_port_min <= dst.port <= distiller.rtp_port_max
         or distiller.rtp_port_min <= src.port <= distiller.rtp_port_max
@@ -204,48 +220,69 @@ class Distiller:
     firewall: object | None = None
 
     def distill(self, frame: bytes, timestamp: float) -> AnyFootprint | None:
-        """Decode one captured frame into a Footprint (or None for non-VoIP)."""
-        self.stats.frames += 1
-        try:
-            eth = EthernetFrame.decode(frame)
-        except PacketError:
-            self.stats.ignored += 1
+        """Decode one captured frame into a Footprint (or None for non-VoIP).
+
+        The headers are read in place — the ethertype at its offset,
+        IPv4 and UDP through the validating parsers the public codecs are
+        built on — and the only objects made are the ones the footprint
+        keeps.  A fragment (or any datagram while partials are pending,
+        so their expiry clock runs) detours through an ``IPv4Packet`` and
+        the ``Reassembler`` and rejoins the same code below.
+        """
+        stats = self.stats
+        stats.frames += 1
+        if len(frame) < _ETH_HEADER_LEN:
+            stats.ignored += 1
             return None
-        if eth.ethertype != ETHERTYPE_IPV4:
-            self.stats.non_ip += 1
-            return None
-        try:
-            packet = IPv4Packet.decode(eth.payload)
-        except PacketError:
-            self.stats.ignored += 1
-            return None
-        whole = self._reassembler.push(packet, timestamp)
-        if whole is None:
-            self.stats.fragments_held += 1
-            return None
-        if whole.protocol != IPPROTO_UDP:
-            self.stats.non_udp += 1
+        if frame[12] << 8 | frame[13] != ETHERTYPE_IPV4:
+            stats.non_ip += 1
             return None
         try:
-            udp = UdpDatagram.decode(whole.payload, whole.src, whole.dst)
+            header = parse_ipv4_header(frame, _ETH_HEADER_LEN)
         except PacketError:
-            self.stats.ignored += 1
+            stats.ignored += 1
+            return None
+        ihl, total_length, _tos, _ident, flags_frag, _ttl, protocol, src_raw, dst_raw = header
+        datagram = frame
+        start = _ETH_HEADER_LEN + ihl
+        end = _ETH_HEADER_LEN + total_length
+        if flags_frag & IP_FRAGMENT_MASK or self._reassembler.pending:
+            whole = self._reassembler.push(
+                IPv4Packet.from_header(header, frame[start:end]), timestamp
+            )
+            if whole is None:
+                stats.fragments_held += 1
+                return None
+            datagram, start, end = whole.payload, 0, len(whole.payload)
+            protocol, src_ip, dst_ip = whole.protocol, whole.src, whole.dst
+        elif protocol == IPPROTO_UDP:
+            src_ip = IPv4Address.from_bytes(src_raw)
+            dst_ip = IPv4Address.from_bytes(dst_raw)
+        if protocol != IPPROTO_UDP:
+            stats.non_udp += 1
+            return None
+        try:
+            src_port, dst_port, _checksum, payload = parse_udp(
+                datagram, start, end, src_ip, dst_ip
+            )
+        except PacketError:
+            stats.ignored += 1
             return None
         footprint = self._classify(
-            udp.payload,
-            timestamp=timestamp,
-            src=Endpoint(whole.src, udp.src_port),
-            dst=Endpoint(whole.dst, udp.dst_port),
-            src_mac=eth.src,
-            dst_mac=eth.dst,
-            wire_bytes=len(frame),
+            payload,
+            timestamp,
+            Endpoint(src_ip, src_port),
+            Endpoint(dst_ip, dst_port),
+            MacAddress.from_bytes(frame[6:12]),
+            MacAddress.from_bytes(frame[0:6]),
+            len(frame),
         )
         if footprint is None:
-            self.stats.ignored += 1
+            stats.ignored += 1
             return None
         if isinstance(footprint, MalformedFootprint):
-            self.stats.malformed += 1
-        self.stats.footprints += 1
+            stats.malformed += 1
+        stats.footprints += 1
         return footprint
 
     # -- classification -----------------------------------------------------
@@ -260,14 +297,14 @@ class Distiller:
         dst_mac: MacAddress,
         wire_bytes: int,
     ) -> AnyFootprint | None:
-        common = dict(
-            timestamp=timestamp,
-            src=src,
-            dst=dst,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            wire_bytes=wire_bytes,
-        )
+        common = {
+            "timestamp": timestamp,
+            "src": src,
+            "dst": dst,
+            "src_mac": src_mac,
+            "dst_mac": dst_mac,
+            "wire_bytes": wire_bytes,
+        }
         for decoder in self.decoders:
             try:
                 result = decoder(self, payload, common)

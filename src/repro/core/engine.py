@@ -442,14 +442,7 @@ class ScidiveEngine:
             hook.trail_pushed(_time.perf_counter() - t0, frame_no, ts)
         alerts: list[Alert] = []
         events_produced = 0
-        # Locals hoisted off `self`: this loop runs per footprint per
-        # generator and attribute chases add up at flood rates.
         ctx = self._ctx
-        event_log_append = self.event_log.append
-        event_subscribers = self.event_subscribers
-        ruleset_match = self.ruleset.match
-        trails = self.trails
-        alert_log = self.alert_log
         # ``timed`` folds "a hook is attached AND it sampled this
         # footprint" into one local bool so the generator loop tests a
         # single flag per touch-point.  Per-generator attribution is
@@ -494,15 +487,14 @@ class ScidiveEngine:
                 continue
             events_produced += len(events)
             for event in events:
-                event_log_append(event)
+                self.event_log.append(event)
                 if hook is not None:
                     hook.event_seen(event.name)
-                if event_subscribers:
-                    for subscriber in event_subscribers:
-                        subscriber(self.name, event)
+                for subscriber in self.event_subscribers:
+                    subscriber(self.name, event)
                 if hook is not None:
                     m0 = perf()
-                alerts.extend(ruleset_match(event, trails, alert_log))
+                alerts.extend(self.ruleset.match(event, self.trails, self.alert_log))
                 if hook is not None:
                     match_seconds += perf() - m0
             if timed:
@@ -524,6 +516,10 @@ class ScidiveEngine:
             for alert in alerts:
                 for subscriber in self.alert_subscribers:
                     subscriber(alert)
+        if isinstance(footprint, SipFootprint):
+            # Every reader of this message's typed headers has run; the
+            # trail keeps the message, not the parsed values.
+            footprint.message.forget_typed()
         return alerts
 
     def inject_event(self, event: Event) -> list[Alert]:

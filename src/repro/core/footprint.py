@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.net.addr import Endpoint, MacAddress
-from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import RtcpPacket
 from repro.sip.message import SipRequest, SipResponse
 
@@ -92,32 +91,6 @@ class RtpFootprint(Footprint):
     @property
     def protocol(self) -> Protocol:
         return Protocol.RTP
-
-    @classmethod
-    def from_packet(
-        cls,
-        packet: RtpPacket,
-        timestamp: float,
-        src: Endpoint,
-        dst: Endpoint,
-        src_mac: MacAddress,
-        dst_mac: MacAddress,
-        wire_bytes: int,
-    ) -> "RtpFootprint":
-        return cls(
-            timestamp=timestamp,
-            src=src,
-            dst=dst,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            wire_bytes=wire_bytes,
-            ssrc=packet.ssrc,
-            sequence=packet.sequence,
-            rtp_timestamp=packet.timestamp,
-            payload_type=packet.payload_type,
-            payload_len=len(packet.payload),
-            marker=packet.marker,
-        )
 
 
 @dataclass(frozen=True, slots=True)

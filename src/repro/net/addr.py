@@ -1,9 +1,18 @@
 """Network addresses: MAC, IPv4, and UDP endpoints.
 
-Thin, validated value types.  We deliberately do not use
-:mod:`ipaddress` for the hot paths — the Distiller parses every packet
-and integer/str conversions there show up in the engine-throughput
-benchmark — but the constructors accept the same dotted-quad strings.
+Thin value types (not :mod:`ipaddress`: the Distiller builds two of each
+per frame).  Which constructor validates what:
+
+* the plain constructors and the string parsers — ``MacAddress(str)``,
+  ``IPv4Address(int)``, ``IPv4Address.parse``, ``Endpoint(ip, port)``,
+  ``Endpoint.parse`` — take values a caller or a config file made up, and
+  validate them (MAC syntax, 32-bit range, dotted-quad octets, 16-bit
+  port);
+* the ``from_bytes`` constructors take wire bytes, check only the length
+  and construct directly: any six bytes are a valid MAC whose
+  ``hex(":")`` is already canonical lower case, and any four bytes are an
+  in-range address, so validating the result would test a tautology —
+  once per address, four times per frame.
 """
 
 from __future__ import annotations
@@ -27,9 +36,17 @@ class MacAddress:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "MacAddress":
+        """The address in six wire bytes.
+
+        Only the length is checked: ``raw.hex(":")`` is by construction
+        the canonical form ``__post_init__`` would validate and
+        lower-case, so that step is skipped.
+        """
         if len(raw) != 6:
             raise ValueError(f"MAC address needs 6 bytes, got {len(raw)}")
-        return cls(":".join(f"{b:02x}" for b in raw))
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", raw.hex(":"))
+        return self
 
     def to_bytes(self) -> bytes:
         return bytes(int(part, 16) for part in self.value.split(":"))
@@ -68,9 +85,16 @@ class IPv4Address:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "IPv4Address":
+        """The address in four wire bytes.
+
+        Only the length is checked: four bytes cannot be out of the
+        32-bit range ``__post_init__`` tests.
+        """
         if len(raw) != 4:
             raise ValueError(f"IPv4 address needs 4 bytes, got {len(raw)}")
-        return cls(int.from_bytes(raw, "big"))
+        self = object.__new__(cls)
+        object.__setattr__(self, "packed", int.from_bytes(raw, "big"))
+        return self
 
     def to_bytes(self) -> bytes:
         return self.packed.to_bytes(4, "big")
@@ -82,7 +106,12 @@ class IPv4Address:
 
 @dataclass(frozen=True, slots=True, order=True)
 class Endpoint:
-    """An (IPv4, UDP port) pair — the unit of session addressing."""
+    """An (IPv4, UDP port) pair — the unit of session addressing.
+
+    The port range is validated on every construction, wire-derived or
+    not; ``ip`` is taken as given (an :class:`IPv4Address` has already
+    validated itself).
+    """
 
     ip: IPv4Address
     port: int

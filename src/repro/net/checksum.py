@@ -3,30 +3,31 @@
 from __future__ import annotations
 
 
-def internet_checksum(data: bytes) -> int:
+def internet_checksum(data: bytes, initial: int = 0) -> int:
     """One's-complement 16-bit checksum over ``data``.
 
     Odd-length inputs are zero-padded on the right, per RFC 1071.
+    ``initial`` is a partial sum to include — any non-negative int, whose
+    16-bit words are summed as if they preceded ``data`` (the UDP
+    pseudo-header fields go in this way, without building its bytes).
     Returns the checksum as an int in ``[0, 0xFFFF]``.
+
+    ``2**16 ≡ 1 (mod 0xFFFF)``, so the residue of the whole buffer read
+    as one big-endian integer *is* the end-around-carry sum of its 16-bit
+    words — computed by the interpreter's bignum code instead of a
+    byte-at-a-time loop.  The one difference: carry folding never turns a
+    non-zero sum into 0 (it yields 0xFFFF) where the residue does.
     """
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    # Summing 16-bit big-endian words; fold carries at the end.
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = int.from_bytes(data, "big")
+    if len(data) & 1:
+        total <<= 8
+    total += initial
+    folded = total % 0xFFFF
+    if folded == 0 and total:
+        folded = 0xFFFF
+    return 0xFFFF - folded
 
 
 def verify_checksum(data: bytes) -> bool:
     """True when ``data`` (including its embedded checksum field) sums to 0."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return internet_checksum(data) == 0

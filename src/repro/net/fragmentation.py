@@ -11,6 +11,7 @@ attacks surface as an explicit expiry count).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.net.addr import IPv4Address
@@ -99,6 +100,11 @@ class Reassembler:
         self._partials: dict[tuple[IPv4Address, IPv4Address, int, int], _PartialPacket] = {}
         self.expired = 0
         self.reassembled = 0
+        # A lower bound on every pending partial's first_seen (exact after
+        # each scan, +inf when none was ever held): until ``now`` is more
+        # than ``timeout`` past it, nothing can be stale and _expire is
+        # one comparison instead of a walk over all partials.
+        self._oldest = math.inf
 
     def push(self, packet: IPv4Packet, now: float) -> IPv4Packet | None:
         """Feed one IPv4 packet; return a whole packet when available.
@@ -114,6 +120,8 @@ class Reassembler:
         if partial is None:
             partial = _PartialPacket(first_seen=now)
             self._partials[key] = partial
+            if now < self._oldest:
+                self._oldest = now
         partial.add(packet)
         payload = partial.try_assemble()
         if payload is None:
@@ -133,10 +141,15 @@ class Reassembler:
         )
 
     def _expire(self, now: float) -> None:
+        if now - self._oldest <= self.timeout:
+            return
         stale = [k for k, p in self._partials.items() if now - p.first_seen > self.timeout]
         for key in stale:
             del self._partials[key]
             self.expired += 1
+        self._oldest = min(
+            (p.first_seen for p in self._partials.values()), default=math.inf
+        )
 
     @property
     def pending(self) -> int:

@@ -5,6 +5,12 @@ wire bytes: 14-byte Ethernet headers, 20-byte IPv4 headers with correct
 checksums and fragmentation fields, and 8-byte UDP headers with the
 pseudo-header checksum.  Parsing raises :class:`PacketError` on malformed
 input — the IDS treats undecodable packets as an event in itself.
+
+Header validation lives in :func:`parse_ipv4_header` and
+:func:`parse_udp`, which read a header at an offset of a larger buffer
+and return plain fields.  The ``decode`` classmethods wrap them into
+value objects; the Distiller, which keeps none of those objects, calls
+them on the captured frame directly — one set of checks either way.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from repro.net.checksum import internet_checksum
 ETHERTYPE_IPV4 = 0x0800
 IPPROTO_UDP = 17
 IPPROTO_ICMP = 1
+IP_FRAGMENT_MASK = 0x3FFF  # MF flag + 13-bit offset of the flags/offset word
 
 _ETH_HEADER = struct.Struct("!6s6sH")
 _IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
@@ -26,6 +33,81 @@ _UDP_HEADER = struct.Struct("!HHHH")
 
 class PacketError(ValueError):
     """Raised when bytes cannot be decoded as the expected protocol."""
+
+
+def parse_ipv4_header(
+    raw: bytes, offset: int = 0, verify: bool = True
+) -> tuple[int, int, int, int, int, int, int, bytes, bytes]:
+    """Validate the IPv4 header at ``raw[offset:]`` and return its fields.
+
+    Checks version, IHL, total length against the bytes available and
+    (unless ``verify`` is off) the header checksum.  Returns ``(ihl,
+    total_length, tos, identification, flags_frag, ttl, protocol, src,
+    dst)``: ``ihl`` in bytes, ``flags_frag`` the raw flags/offset word,
+    addresses as 4 wire bytes.  The payload is
+    ``raw[offset + ihl : offset + total_length]``.
+    """
+    available = len(raw) - offset
+    if available < 20:
+        raise PacketError(f"packet too short for IPv4: {available} bytes")
+    (
+        ver_ihl,
+        tos,
+        total_length,
+        identification,
+        flags_frag,
+        ttl,
+        protocol,
+        _checksum,
+        src,
+        dst,
+    ) = _IPV4_HEADER.unpack_from(raw, offset)
+    if ver_ihl >> 4 != 4:
+        raise PacketError(f"not IPv4: version={ver_ihl >> 4}")
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < 20 or available < ihl:
+        raise PacketError(f"bad IPv4 header length: {ihl}")
+    if total_length < ihl or total_length > available:
+        raise PacketError(
+            f"bad IPv4 total length: {total_length} (frame payload {available})"
+        )
+    if verify and internet_checksum(raw[offset : offset + ihl]) != 0:
+        raise PacketError("IPv4 header checksum mismatch")
+    return ihl, total_length, tos, identification, flags_frag, ttl, protocol, src, dst
+
+
+def _udp_checksum(src_ip: IPv4Address, dst_ip: IPv4Address, segment: bytes) -> int:
+    """Checksum of a UDP segment under its IPv4 pseudo-header (RFC 768)."""
+    return internet_checksum(
+        segment, src_ip.packed + dst_ip.packed + IPPROTO_UDP + len(segment)
+    )
+
+
+def parse_udp(
+    raw: bytes,
+    offset: int,
+    end: int,
+    src_ip: IPv4Address | None = None,
+    dst_ip: IPv4Address | None = None,
+    verify: bool = True,
+) -> tuple[int, int, int, bytes]:
+    """Validate the UDP datagram in ``raw[offset:end]``.
+
+    Checks the length field against the bytes available and, when both
+    addresses are given and the sender computed one, the pseudo-header
+    checksum.  Returns ``(src_port, dst_port, checksum, payload)``.
+    """
+    available = end - offset
+    if available < 8:
+        raise PacketError(f"datagram too short for UDP: {available} bytes")
+    src_port, dst_port, length, checksum = _UDP_HEADER.unpack_from(raw, offset)
+    if length < 8 or length > available:
+        raise PacketError(f"bad UDP length: {length} (buffer {available})")
+    segment = raw[offset : offset + length]
+    if verify and checksum != 0 and src_ip is not None and dst_ip is not None:
+        if _udp_checksum(src_ip, dst_ip, segment) not in (0, 0xFFFF):
+            raise PacketError("UDP checksum mismatch")
+    return src_port, dst_port, checksum, segment[8:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,37 +173,18 @@ class IPv4Packet:
 
     @classmethod
     def decode(cls, raw: bytes, verify: bool = True) -> "IPv4Packet":
-        if len(raw) < 20:
-            raise PacketError(f"packet too short for IPv4: {len(raw)} bytes")
-        (
-            ver_ihl,
-            tos,
-            total_length,
-            identification,
-            flags_frag,
-            ttl,
-            protocol,
-            checksum,
-            src,
-            dst,
-        ) = _IPV4_HEADER.unpack_from(raw)
-        version = ver_ihl >> 4
-        ihl = (ver_ihl & 0x0F) * 4
-        if version != 4:
-            raise PacketError(f"not IPv4: version={version}")
-        if ihl < 20 or len(raw) < ihl:
-            raise PacketError(f"bad IPv4 header length: {ihl}")
-        if total_length < ihl or total_length > len(raw):
-            raise PacketError(
-                f"bad IPv4 total length: {total_length} (frame payload {len(raw)})"
-            )
-        if verify and internet_checksum(raw[:ihl]) != 0:
-            raise PacketError("IPv4 header checksum mismatch")
+        header = parse_ipv4_header(raw, 0, verify)
+        return cls.from_header(header, raw[header[0] : header[1]])
+
+    @classmethod
+    def from_header(cls, header: tuple, payload: bytes) -> "IPv4Packet":
+        """The packet for a :func:`parse_ipv4_header` result and its payload."""
+        _ihl, _total_length, tos, identification, flags_frag, ttl, protocol, src, dst = header
         return cls(
             src=IPv4Address.from_bytes(src),
             dst=IPv4Address.from_bytes(dst),
             protocol=protocol,
-            payload=raw[ihl:total_length],
+            payload=payload,
             identification=identification,
             ttl=ttl,
             flags_df=bool(flags_frag & 0x4000),
@@ -149,13 +212,7 @@ class UdpDatagram:
         if length > 0xFFFF:
             raise PacketError(f"UDP datagram too large: {length} bytes")
         header = _UDP_HEADER.pack(self.src_port, self.dst_port, length, 0)
-        pseudo = (
-            src_ip.to_bytes()
-            + dst_ip.to_bytes()
-            + bytes([0, IPPROTO_UDP])
-            + length.to_bytes(2, "big")
-        )
-        checksum = internet_checksum(pseudo + header + self.payload)
+        checksum = _udp_checksum(src_ip, dst_ip, header + self.payload)
         if checksum == 0:
             checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
         header = header[:6] + checksum.to_bytes(2, "big")
@@ -169,21 +226,9 @@ class UdpDatagram:
         dst_ip: IPv4Address | None = None,
         verify: bool = True,
     ) -> "UdpDatagram":
-        if len(raw) < 8:
-            raise PacketError(f"datagram too short for UDP: {len(raw)} bytes")
-        src_port, dst_port, length, checksum = _UDP_HEADER.unpack_from(raw)
-        if length < 8 or length > len(raw):
-            raise PacketError(f"bad UDP length: {length} (buffer {len(raw)})")
-        payload = raw[8:length]
-        if verify and checksum != 0 and src_ip is not None and dst_ip is not None:
-            pseudo = (
-                src_ip.to_bytes()
-                + dst_ip.to_bytes()
-                + bytes([0, IPPROTO_UDP])
-                + length.to_bytes(2, "big")
-            )
-            if internet_checksum(pseudo + raw[:length]) not in (0, 0xFFFF):
-                raise PacketError("UDP checksum mismatch")
+        src_port, dst_port, checksum, payload = parse_udp(
+            raw, 0, len(raw), src_ip, dst_ip, verify
+        )
         return cls(src_port=src_port, dst_port=dst_port, payload=payload, checksum=checksum)
 
 

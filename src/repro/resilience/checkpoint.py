@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Snapshot bounds (see module docstring): archival depth is truncated
 # to recent tails, live detection state is always captured in full.

@@ -57,46 +57,56 @@ class RtpPacket:
 
     @classmethod
     def decode(cls, raw: bytes) -> "RtpPacket":
-        if len(raw) < _RTP_HEADER.size:
-            raise RtpError(f"packet too short for RTP: {len(raw)} bytes")
-        b0, b1, sequence, timestamp, ssrc = _RTP_HEADER.unpack_from(raw)
-        version = b0 >> 6
-        if version != RTP_VERSION:
-            raise RtpError(f"not RTP version 2: version={version}")
-        cc = b0 & 0x0F
-        offset = _RTP_HEADER.size + 4 * cc
-        if len(raw) < offset:
-            raise RtpError(f"truncated CSRC list: {len(raw)} bytes, cc={cc}")
-        csrcs = tuple(
-            int.from_bytes(raw[_RTP_HEADER.size + 4 * i : _RTP_HEADER.size + 4 * i + 4], "big")
-            for i in range(cc)
-        )
-        extension = bool(b0 & 0x10)
-        if extension:
-            if len(raw) < offset + 4:
-                raise RtpError("truncated extension header")
-            ext_len_words = int.from_bytes(raw[offset + 2 : offset + 4], "big")
-            offset += 4 + 4 * ext_len_words
-            if len(raw) < offset:
-                raise RtpError("truncated extension body")
-        payload = raw[offset:]
-        padding = bool(b0 & 0x20)
-        if padding and payload:
-            pad_len = payload[-1]
-            if pad_len == 0 or pad_len > len(payload):
-                raise RtpError(f"bad padding length: {pad_len}")
-            payload = payload[:-pad_len]
+        b0, b1, sequence, timestamp, ssrc, start, end = decode_header(raw)
+        first_csrc = _RTP_HEADER.size
         return cls(
             payload_type=b1 & 0x7F,
             sequence=sequence,
             timestamp=timestamp,
             ssrc=ssrc,
-            payload=payload,
+            payload=raw[start:end],
             marker=bool(b1 & 0x80),
-            csrcs=csrcs,
-            padding=padding,
-            extension=extension,
+            csrcs=tuple(
+                int.from_bytes(raw[i : i + 4], "big")
+                for i in range(first_csrc, first_csrc + 4 * (b0 & 0x0F), 4)
+            ),
+            padding=bool(b0 & 0x20),
+            extension=bool(b0 & 0x10),
         )
+
+
+def decode_header(raw: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """Validate one RTP packet's framing without building an :class:`RtpPacket`.
+
+    Checks the version bits, that the CSRC list and any header extension
+    fit, and the padding count.  Returns ``(b0, b1, sequence, timestamp,
+    ssrc, payload_start, payload_end)``: the two flag bytes as they are
+    on the wire (V/P/X/CC and M/PT) and the payload's bounds in ``raw``
+    after extension and padding are taken off.  :meth:`RtpPacket.decode`
+    is built on it; the Distiller, which keeps header fields only, fills
+    an ``RtpFootprint`` from the tuple.
+    """
+    if len(raw) < _RTP_HEADER.size:
+        raise RtpError(f"packet too short for RTP: {len(raw)} bytes")
+    b0, b1, sequence, timestamp, ssrc = _RTP_HEADER.unpack_from(raw)
+    if b0 >> 6 != RTP_VERSION:
+        raise RtpError(f"not RTP version 2: version={b0 >> 6}")
+    end = len(raw)
+    start = _RTP_HEADER.size + 4 * (b0 & 0x0F)
+    if end < start:
+        raise RtpError(f"truncated CSRC list: {end} bytes, cc={b0 & 0x0F}")
+    if b0 & 0x10:  # extension: 16-bit profile id, 16-bit length in words
+        if end < start + 4:
+            raise RtpError("truncated extension header")
+        start += 4 + 4 * int.from_bytes(raw[start + 2 : start + 4], "big")
+        if end < start:
+            raise RtpError("truncated extension body")
+    if b0 & 0x20 and end > start:  # padding: the last byte counts itself
+        pad_len = raw[end - 1]
+        if pad_len == 0 or pad_len > end - start:
+            raise RtpError(f"bad padding length: {pad_len}")
+        end -= pad_len
+    return b0, b1, sequence, timestamp, ssrc, start, end
 
 
 def looks_like_rtp(payload: bytes) -> bool:

@@ -19,78 +19,169 @@ class HeaderError(ValueError):
     """Raised when a header value cannot be parsed."""
 
 
+# Canonical spellings that are not plain per-token capitalisation.
+_SPECIAL_CASE = {
+    "call-id": "Call-ID",
+    "cseq": "CSeq",
+    "www-authenticate": "WWW-Authenticate",
+    "mime-version": "MIME-Version",
+    "sip-etag": "SIP-ETag",
+}
+
+# The header field names of RFC 3261 section 20.
+_RFC3261_HEADERS = (
+    "Accept", "Accept-Encoding", "Accept-Language", "Alert-Info", "Allow",
+    "Authentication-Info", "Authorization", "Call-ID", "Call-Info", "Contact",
+    "Content-Disposition", "Content-Encoding", "Content-Language",
+    "Content-Length", "Content-Type", "CSeq", "Date", "Error-Info", "Expires",
+    "From", "In-Reply-To", "Max-Forwards", "Min-Expires", "MIME-Version",
+    "Organization", "Priority", "Proxy-Authenticate", "Proxy-Authorization",
+    "Proxy-Require", "Record-Route", "Reply-To", "Require", "Retry-After",
+    "Route", "Server", "Subject", "Supported", "Timestamp", "To",
+    "Unsupported", "User-Agent", "Via", "Warning", "WWW-Authenticate",
+)  # fmt: skip
+
+
+def _compute_canonical(name: str) -> str:
+    """:func:`canonical_name` for any spelling, from the rules alone."""
+    lowered = name.strip().lower()
+    known = COMPACT_HEADERS.get(lowered) or _SPECIAL_CASE.get(lowered)
+    if known is not None:
+        return known
+    return "-".join(part.capitalize() for part in lowered.split("-"))
+
+
+def _known_names() -> dict[str, str]:
+    """Spelling -> canonical name for what well-behaved peers send: the
+    RFC 3261 names as written and in lower case, and the compact forms in
+    either case.  Filled by :func:`_compute_canonical`, so the table
+    cannot disagree with the fall-through."""
+    table: dict[str, str] = {}
+    for spelling in (*_RFC3261_HEADERS, *_SPECIAL_CASE, *COMPACT_HEADERS):
+        canon = _compute_canonical(spelling)
+        for variant in (spelling, spelling.lower(), spelling.upper(), canon):
+            table[variant] = canon
+    return table
+
+
+_KNOWN_NAMES = _known_names()
+
+
 def canonical_name(name: str) -> str:
     """Expand compact forms and normalise capitalisation.
 
     ``v`` → ``Via``; ``content-length`` → ``Content-Length``; unknown
     names are title-cased per token (``x-foo`` → ``X-Foo``).
+
+    The usual spellings of the standard names are answered from a table
+    built at import — one dict probe, and every message shares the one
+    canonical string.  Any other name (the sender chooses it) is computed
+    and deliberately not remembered: a memo keyed by attacker input would
+    grow without bound.
     """
-    lowered = name.strip().lower()
-    if lowered in COMPACT_HEADERS:
-        return COMPACT_HEADERS[lowered]
-    specials = {
-        "call-id": "Call-ID",
-        "cseq": "CSeq",
-        "www-authenticate": "WWW-Authenticate",
-        "mime-version": "MIME-Version",
-        "sip-etag": "SIP-ETag",
-    }
-    if lowered in specials:
-        return specials[lowered]
-    return "-".join(part.capitalize() for part in lowered.split("-"))
+    known = _KNOWN_NAMES.get(name)
+    return known if known is not None else _compute_canonical(name)
 
 
 class HeaderTable:
-    """Order-preserving, case-insensitive multi-map of SIP headers."""
+    """Order-preserving, case-insensitive multi-map of SIP headers.
 
-    __slots__ = ("_items",)
+    ``_items`` is the ordered truth.  ``_index`` maps each canonical name
+    present to its value — the bare string when the header occurs once
+    (no allocation beyond the dict slot), a tuple of the values in order
+    when it repeats — so lookups are dictionary probes, not scans.  Every
+    mutator touches one name and updates that name's entry.
+    """
+
+    __slots__ = ("_items", "_index")
 
     def __init__(self, items: list[tuple[str, str]] | None = None) -> None:
         self._items: list[tuple[str, str]] = []
+        self._index: dict[str, str | tuple[str, ...]] = {}
         if items:
             for name, value in items:
                 self.add(name, value)
 
     def add(self, name: str, value: str) -> None:
-        self._items.append((canonical_name(name), value.strip()))
+        canon = canonical_name(name)
+        value = value.strip()
+        self._items.append((canon, value))
+        index = self._index
+        seen = index.get(canon)
+        if seen is None:
+            index[canon] = value
+        elif type(seen) is tuple:
+            index[canon] = seen + (value,)
+        else:
+            index[canon] = (seen, value)
+
+    def _reindex(self, canon: str) -> None:
+        """Re-derive one name's index entry from the ordered list."""
+        values = tuple(v for n, v in self._items if n == canon)
+        if len(values) > 1:
+            self._index[canon] = values
+        elif values:
+            self._index[canon] = values[0]
+        else:
+            self._index.pop(canon, None)
 
     def set(self, name: str, value: str) -> None:
         """Replace all instances of ``name`` with a single value."""
         canon = canonical_name(name)
-        self._items = [(n, v) for n, v in self._items if n != canon]
-        self._items.append((canon, value.strip()))
+        value = value.strip()
+        if canon in self._index:
+            self._items = [(n, v) for n, v in self._items if n != canon]
+        self._items.append((canon, value))
+        self._index[canon] = value
 
     def get(self, name: str, default: str | None = None) -> str | None:
-        canon = canonical_name(name)
-        for n, v in self._items:
-            if n == canon:
-                return v
-        return default
+        seen = self._index.get(canonical_name(name))
+        if seen is None:
+            return default
+        return seen[0] if type(seen) is tuple else seen
 
     def get_all(self, name: str) -> list[str]:
-        canon = canonical_name(name)
-        return [v for n, v in self._items if n == canon]
+        seen = self._index.get(canonical_name(name))
+        if seen is None:
+            return []
+        return list(seen) if type(seen) is tuple else [seen]
+
+    def repeated(self) -> list[str]:
+        """Canonical names that occur more than once."""
+        return [name for name, seen in self._index.items() if type(seen) is tuple]
 
     def remove(self, name: str) -> None:
         canon = canonical_name(name)
-        self._items = [(n, v) for n, v in self._items if n != canon]
+        if self._index.pop(canon, None) is not None:
+            self._items = [(n, v) for n, v in self._items if n != canon]
 
     def remove_first(self, name: str) -> None:
         canon = canonical_name(name)
         for i, (n, _) in enumerate(self._items):
             if n == canon:
                 del self._items[i]
+                self._reindex(canon)
                 return
 
     def insert_first(self, name: str, value: str) -> None:
         """Prepend — used for Via stacking at proxies."""
-        self._items.insert(0, (canonical_name(name), value.strip()))
+        canon = canonical_name(name)
+        self._items.insert(0, (canon, value.strip()))
+        self._reindex(canon)
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return canonical_name(name) in self._index
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HeaderTable):
+            return NotImplemented
+        return self._items == other._items
+
+    def __repr__(self) -> str:
+        return f"HeaderTable({self._items!r})"
 
     def items(self) -> list[tuple[str, str]]:
         return list(self._items)
@@ -98,7 +189,16 @@ class HeaderTable:
     def copy(self) -> "HeaderTable":
         table = HeaderTable()
         table._items = list(self._items)
+        table._index = dict(self._index)  # values are immutable: str or tuple
         return table
+
+    # Pickled as the item list alone, in the shape a one-slot class gets
+    # by default; the index is derived state and is rebuilt on load.
+    def __getstate__(self):
+        return None, {"_items": self._items}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state[1]["_items"])
 
 
 def _parse_params(text: str) -> tuple[tuple[str, str | None], ...]:

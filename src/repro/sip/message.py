@@ -23,12 +23,53 @@ class SipParseError(ValueError):
     """Raised when bytes cannot be parsed as a SIP message."""
 
 
+# Positions in SipMessage._typed.
+_FROM, _TO, _CSEQ, _CONTACT, _TOP_VIA = range(5)
+
+
 @dataclass(slots=True)
 class SipMessage:
     """Common state of requests and responses."""
 
     headers: HeaderTable = field(default_factory=HeaderTable)
     body: bytes = b""
+    # Typed header values parsed so far: per accessor, ``(raw, value)``
+    # where ``raw`` is the very string object in ``headers`` that was
+    # parsed.  An entry is used only while the table still returns that
+    # object, so no header mutation can leave a stale value behind.
+    # Derived state: not compared, not shown, not pickled, and dropped by
+    # :meth:`forget_typed` once the owner is done reading.
+    _typed: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _typed_header(self, slot: int, name: str, parse):
+        """``parse(value of header name)``, or None when it is absent —
+        parsed at most once per raw string however often it is read."""
+        raw = self.headers.get(name)
+        if raw is None:
+            return None
+        typed = self._typed
+        if typed is None:
+            typed = self._typed = [None] * 5
+        entry = typed[slot]
+        if entry is None or entry[0] is not raw:
+            entry = typed[slot] = (raw, parse(raw))
+        return entry[1]
+
+    def forget_typed(self) -> None:
+        """Drop the parsed header values (they re-parse on the next read).
+
+        A typed From/To/Contact/Via/CSeq set is several times the size of
+        the strings it came from; the engine keeps every message in a
+        trail long after the last accessor read, and calls this when a
+        footprint's processing ends.
+        """
+        self._typed = None
+
+    def __getstate__(self):
+        # Pickled as any slots class is, after dropping the derived state:
+        # a checkpoint or a queue never carries parsed header values.
+        self._typed = None
+        return object.__getstate__(self)
 
     # -- typed header accessors -----------------------------------------
 
@@ -41,24 +82,24 @@ class SipMessage:
 
     @property
     def from_addr(self) -> NameAddr:
-        value = self.headers.get("From")
+        value = self._typed_header(_FROM, "From", NameAddr.parse)
         if value is None:
             raise HeaderError("message has no From header")
-        return NameAddr.parse(value)
+        return value
 
     @property
     def to_addr(self) -> NameAddr:
-        value = self.headers.get("To")
+        value = self._typed_header(_TO, "To", NameAddr.parse)
         if value is None:
             raise HeaderError("message has no To header")
-        return NameAddr.parse(value)
+        return value
 
     @property
     def cseq(self) -> CSeq:
-        value = self.headers.get("CSeq")
+        value = self._typed_header(_CSEQ, "CSeq", CSeq.parse)
         if value is None:
             raise HeaderError("message has no CSeq header")
-        return CSeq.parse(value)
+        return value
 
     @property
     def vias(self) -> list[Via]:
@@ -66,15 +107,14 @@ class SipMessage:
 
     @property
     def top_via(self) -> Via:
-        vias = self.headers.get_all("Via")
-        if not vias:
+        value = self._typed_header(_TOP_VIA, "Via", Via.parse)
+        if value is None:
             raise HeaderError("message has no Via header")
-        return Via.parse(vias[0])
+        return value
 
     @property
     def contact(self) -> NameAddr | None:
-        value = self.headers.get("Contact")
-        return NameAddr.parse(value) if value is not None else None
+        return self._typed_header(_CONTACT, "Contact", NameAddr.parse)
 
     def dialog_id(self) -> tuple[str, str | None, str | None]:
         """(Call-ID, from-tag, to-tag) — the RFC 3261 dialog key.
@@ -204,9 +244,9 @@ def parse_message(raw: bytes, strict: bool = True) -> SipRequest | SipResponse:
         message.headers.add(name.strip(), value)
 
     if strict:
-        for singleton in _SINGLETON_HEADERS:
-            if len(message.headers.get_all(singleton)) > 1:
-                raise SipParseError(f"duplicated singleton header: {singleton}")
+        for name in message.headers.repeated():
+            if name in _SINGLETON_HEADERS:
+                raise SipParseError(f"duplicated singleton header: {name}")
 
     declared = message.headers.get("Content-Length")
     if declared is not None:
@@ -249,8 +289,15 @@ def _parse_start_line(line: str) -> SipRequest | SipResponse:
 
 
 def looks_like_sip(payload: bytes) -> bool:
-    """Cheap sniff used by the Distiller's protocol classifier."""
+    """Cheap sniff used by the Distiller's protocol classifier: a status
+    line's start, or a first line (up to CRLF or a bare LF) that ends like
+    a request line.  One scan for the line end — no copy of the payload,
+    which for most frames is RTP."""
     if payload.startswith(b"SIP/2.0 "):
         return True
-    head = payload.split(b"\r\n", 1)[0].split(b"\n", 1)[0]
-    return head.endswith(b" SIP/2.0")
+    end = payload.find(b"\n")
+    if end < 0:
+        end = len(payload)
+    elif end and payload[end - 1] == 0x0D:
+        end -= 1
+    return payload.endswith(b" SIP/2.0", 0, end)

@@ -98,6 +98,39 @@ class TestFragmentation:
         assert reasm.pending == 0
         assert reasm.expired == 1
 
+    def test_expiry_counts_under_interleaved_stale_and_fresh_partials(self):
+        """Each partial expires on the first push more than ``timeout``
+        after it was first seen — whichever packet that push carries, and
+        however the completed, stale and fresh partials interleave."""
+
+        def first(ident: int) -> IPv4Packet:
+            return fragment(
+                IPv4Packet(SRC, DST, IPPROTO_UDP, b"x" * 2000, identification=ident), mtu=576
+            )[0]
+
+        solo = IPv4Packet(SRC, DST, IPPROTO_UDP, b"solo")
+        reasm = Reassembler(timeout=10.0)
+        reasm.push(first(1), now=0.0)
+        reasm.push(first(2), now=4.0)
+        done = fragment(IPv4Packet(SRC, DST, IPPROTO_UDP, b"y" * 2000, identification=3), mtu=576)
+        for frag in done:  # the oldest-but-one completes and leaves
+            whole = reasm.push(frag, now=5.0)
+        assert whole is not None and (reasm.pending, reasm.expired) == (2, 0)
+        reasm.push(solo, now=10.0)  # exactly the timeout: not yet stale
+        assert (reasm.pending, reasm.expired) == (2, 0)
+        reasm.push(first(4), now=10.5)  # 1 goes; 2 and the new 4 stay
+        assert (reasm.pending, reasm.expired) == (2, 1)
+        reasm.push(solo, now=10.5)  # same instant: nothing more to find
+        assert (reasm.pending, reasm.expired) == (2, 1)
+        reasm.push(first(5), now=2.0)  # a capture clock may step back
+        reasm.push(solo, now=14.5)  # 2 (seen 4.0) and 5 (seen 2.0) go
+        assert (reasm.pending, reasm.expired) == (1, 3)
+        reasm.push(solo, now=21.0)
+        assert (reasm.pending, reasm.expired, reasm.reassembled) == (0, 4, 1)
+        reasm.push(first(6), now=21.0)  # and the empty table starts over
+        reasm.push(solo, now=40.0)
+        assert (reasm.pending, reasm.expired) == (0, 5)
+
     def test_non_fragment_passthrough(self):
         packet = IPv4Packet(SRC, DST, IPPROTO_UDP, b"whole")
         assert Reassembler().push(packet, 0.0) is packet

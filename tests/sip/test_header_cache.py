@@ -1,0 +1,224 @@
+"""Coherence of the header index and the once-per-message typed values.
+
+``HeaderTable`` answers lookups from an index kept beside its ordered
+list, and ``SipMessage`` remembers each typed header it has parsed.  Both
+are derived state: whatever the UA stack does to a message's headers,
+reads must equal what a fresh parse of the encoded message returns, and
+none of it may be pickled, checkpointed or left behind process-wide.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.engine import ScidiveEngine
+from repro.core.footprint import Protocol
+from repro.sip import headers as headers_mod
+from repro.sip.headers import HeaderError, HeaderTable, canonical_name
+from repro.sip.message import SipRequest, SipResponse, parse_message
+from repro.voip.testbed import CLIENT_A_IP
+from tests.resilience.test_checkpoint import _attack_frames, _replay
+
+_WIRE = (
+    b"INVITE sip:bob@example.com SIP/2.0\r\n"
+    b"Via: SIP/2.0/UDP proxy.example.com;branch=z9hG4bKtop\r\n"
+    b"v: SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bKbottom\r\n"
+    b"f: Alice <sip:alice@example.com>;tag=a1\r\n"
+    b"To: <sip:bob@example.com>\r\n"
+    b"Call-ID: cache@example\r\n"
+    b"CSeq: 7 INVITE\r\n"
+    b"m: <sip:alice@10.0.0.10:5060>\r\n"
+    b"Content-Length: 0\r\n\r\n"
+)
+
+
+def _parsed() -> SipRequest:
+    return parse_message(_WIRE)
+
+
+def _built() -> SipResponse:
+    """A message made the way the UA stack makes one: by mutators."""
+    response = SipResponse(status=180)
+    response.headers.set("From", "<sip:alice@example.com>;tag=a1")
+    response.headers.set("To", "<sip:bob@example.com>;tag=b2")
+    response.headers.set("Call-ID", "cache@example")
+    response.headers.set("CSeq", "7 INVITE")
+    response.headers.insert_first("Via", "SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bKbottom")
+    return response
+
+
+def typed_view(message) -> dict:
+    """Every typed accessor's value, or the error it raises."""
+    view = {}
+    for name in ("call_id", "from_addr", "to_addr", "cseq", "contact", "top_via", "vias"):
+        try:
+            view[name] = getattr(message, name)
+        except HeaderError as exc:
+            view[name] = ("error", str(exc))
+    try:
+        view["dialog_id"] = message.dialog_id()
+    except HeaderError as exc:
+        view["dialog_id"] = ("error", str(exc))
+    return view
+
+
+TYPED_NAMES = ["From", "f", "To", "t", "CSeq", "cseq", "Contact", "m", "Via", "v", "Call-ID", "i"]
+VALUES = {
+    "From": ["<sip:carol@example.com>;tag=c3", "Dave <sip:dave@example.org>", "<sip:broken"],
+    "To": ["<sip:erin@example.com>;tag=e5", "sip:frank@example.net", '"unterminated <sip:x@y>'],
+    "CSeq": ["8 BYE", "9 ack", "not-a-cseq"],
+    "Contact": ["<sip:carol@10.0.0.77:5070>", "sip:dave@10.0.0.78"],
+    "Via": ["SIP/2.0/UDP 10.0.0.99;branch=z9hG4bKnew", "garbage"],
+    "Call-ID": ["other@example"],
+}
+
+mutation = st.tuples(
+    st.sampled_from(["set", "add", "remove", "remove_first", "insert_first"]),
+    st.sampled_from(TYPED_NAMES),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+def _apply(table: HeaderTable, op: str, name: str, pick: int) -> None:
+    if op in ("remove", "remove_first"):
+        getattr(table, op)(name)
+    else:
+        values = VALUES[canonical_name(name)]
+        getattr(table, op)(name, values[pick % len(values)])
+
+
+class TestTypedAccessorCoherence:
+    @pytest.mark.parametrize("make", [_parsed, _built])
+    @given(ops=st.lists(mutation, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_reads_after_mutation_equal_a_fresh_parse(self, make, ops):
+        message = make()
+        for op, name, pick in ops:
+            typed_view(message)  # fill the cache with what is about to change
+            _apply(message.headers, op, name, pick)
+            fresh = parse_message(message.encode(), strict=False)
+            assert typed_view(message) == typed_view(fresh)
+            assert typed_view(message) == typed_view(fresh)  # and again, now cached
+
+    def test_a_value_is_parsed_once_per_message(self, monkeypatch):
+        calls = []
+        real = headers_mod.NameAddr.parse
+        monkeypatch.setattr(
+            headers_mod.NameAddr, "parse", lambda text: calls.append(text) or real(text)
+        )
+        message = _parsed()
+        for _ in range(5):
+            message.from_addr, message.to_addr, message.contact, message.dialog_id()
+        assert sorted(calls) == sorted(
+            message.headers.get(name) for name in ("From", "To", "Contact")
+        )
+
+    def test_replacing_the_table_is_seen(self):
+        message = _parsed()
+        assert message.from_addr.uri.user == "alice"
+        message.headers = _built().headers.copy()
+        message.headers.set("From", "<sip:zed@example.com>")
+        assert message.from_addr.uri.user == "zed"
+
+    def test_cache_is_not_compared_shown_or_pickled(self):
+        message, untouched = _parsed(), _parsed()
+        typed_view(message)
+        assert message == untouched
+        assert repr(message) == repr(untouched)
+        blob = pickle.dumps(message)
+        assert blob == pickle.dumps(untouched)
+        assert b"NameAddr" not in blob
+        clone = pickle.loads(blob)
+        assert clone == message and clone._typed is None
+        assert typed_view(clone) == typed_view(untouched)
+
+
+class TestHeaderIndex:
+    NAMES = TYPED_NAMES + ["X-Junk", "x-junk", "Route", "ROUTE", "content-length", "l"]
+
+    @staticmethod
+    def _scan(table: HeaderTable, name: str) -> list[str]:
+        canon = canonical_name(name)
+        return [value for header, value in table.items() if header == canon]
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["set", "add", "remove", "remove_first", "insert_first", "copy"]),
+                st.sampled_from(NAMES),
+                st.text(alphabet="ab ;=<>", max_size=6),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300)
+    def test_lookups_equal_a_scan_of_items_after_any_mutators(self, ops):
+        table = HeaderTable([("Via", "one"), ("v", "two"), ("From", "x")])
+        for op, name, value in ops:
+            if op == "copy":
+                table = table.copy()
+            elif op in ("remove", "remove_first"):
+                getattr(table, op)(name)
+            else:
+                getattr(table, op)(name, value)
+            for probe in self.NAMES:
+                found = self._scan(table, probe)
+                assert table.get_all(probe) == found
+                assert table.get(probe) == (found[0] if found else None)
+                assert (probe in table) == bool(found)
+            assert table._index == HeaderTable(table.items())._index
+            assert sorted(table.repeated()) == sorted(
+                {n for n, _ in table.items() if len(self._scan(table, n)) > 1}
+            )
+            assert pickle.loads(pickle.dumps(table)) == table
+
+    def test_copy_is_independent_both_ways(self):
+        table = HeaderTable([("Via", "one")])
+        clone = table.copy()
+        clone.add("Via", "two")
+        table.set("From", "x")
+        assert table.get_all("Via") == ["one"] and "From" not in clone
+        assert clone.get_all("Via") == ["one", "two"]
+
+    def test_junk_names_leave_no_process_wide_entry(self):
+        """Header names are the sender's choice: 10k distinct ones must
+        not grow anything that outlives their message."""
+        known = dict(headers_mod._KNOWN_NAMES)
+        lines = b"".join(b"X-Junk-%d-a: %d\r\n" % (n, n) for n in range(10_000))
+        message = parse_message(_WIRE.replace(b"Content-Length: 0\r\n", lines))
+        assert len(message.headers) == 10_007
+        assert message.headers.get("x-junk-9999-A") == "9999"
+        assert headers_mod._KNOWN_NAMES == known
+        assert not hasattr(canonical_name, "cache_info")
+
+
+class TestEngineKeepsNoTypedValues:
+    @pytest.fixture(scope="class")
+    def engine(self) -> ScidiveEngine:
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        _replay(engine, _attack_frames("call-hijack"))
+        return engine
+
+    @staticmethod
+    def _messages(engine: ScidiveEngine) -> list:
+        return [
+            footprint.message
+            for trail in engine.trails.trails.values()
+            if trail.protocol is Protocol.SIP
+            for footprint in trail.footprints
+        ]
+
+    def test_trail_messages_are_left_without_a_cache(self, engine):
+        messages = self._messages(engine)
+        assert messages
+        assert all(message._typed is None for message in messages)
+
+    def test_checkpoint_does_not_grow_with_reads(self, engine):
+        before = len(engine.checkpoint())
+        for message in self._messages(engine):
+            typed_view(message)
+        assert len(engine.checkpoint()) == before
