@@ -1,27 +1,22 @@
 """Indexed vs broadcast dispatch: the protocol-module routing payoff.
 
 Replays a pre-distilled mixed SIP+RTP workload through the footprint
-pipeline three times — once with per-protocol generator tables and the
-trigger-event rule index (``indexed_dispatch=True``, the default), once
-in the broadcast reference mode where every footprint visits every
-generator and every event visits every rule, and once with the indexed
-ruleset *compiled from the shipped DSL pack* (``rules/scidive-core.rules``
-via :mod:`repro.rulespec`) — and reports the throughput ratios.  The
-four headline attacks (Figures 5–8) are then replayed in all three
-modes to prove both the routing and the DSL compilation are
-detection-neutral.
+pipeline twice — once with per-protocol generator tables and the
+trigger-event rule index (``indexed_dispatch=True``, the default) and
+once in the broadcast reference mode where every footprint visits every
+generator and every event visits every rule — and reports the
+throughput ratio.  Both legs run the shipped rule pack (the engine
+default).  The four headline attacks (Figures 5–8) are then replayed in
+both modes to prove the routing is detection-neutral.
 
 Standalone (not a pytest bench)::
 
     PYTHONPATH=src python benchmarks/bench_dispatch.py --json BENCH_dispatch.json
 
-Exits non-zero if any attack's alerts differ between modes, if the
+Exits non-zero if any attack's alerts differ between modes or if the
 measured speedup falls below ``--min-speedup`` (default 1.0 so CI boxes
 with noisy neighbours don't flap; run with ``--min-speedup 1.3`` to
-enforce the headline number on quiet hardware), or if the DSL-compiled
-ruleset's throughput falls below ``--min-dsl-ratio`` (default 0.95) of
-the hand-wired indexed path — pack compilation must stay within 5% of
-the Python rule classes it replaces.
+enforce the headline number on quiet hardware).
 """
 
 from __future__ import annotations
@@ -31,11 +26,9 @@ import gc
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.core.distiller import Distiller
 from repro.core.engine import ScidiveEngine
-from repro.rulespec import load_pack
 from repro.experiments.harness import (
     run_bye_attack,
     run_call_hijack,
@@ -48,6 +41,7 @@ from repro.experiments.workloads import (
     capture_ssrc_spoof_flood,
     capture_workload,
 )
+from repro.rulespec import core_pack
 from repro.voip.testbed import CLIENT_A_IP
 
 ATTACKS = {
@@ -56,10 +50,6 @@ ATTACKS = {
     "fake-im": (run_fake_im, "FAKEIM-001"),
     "rtp-attack": (run_rtp_attack, "RTP-003"),
 }
-
-# The shipped DSL pack, resolved relative to this file so the bench runs
-# from any working directory.
-RULES_PACK = Path(__file__).resolve().parent.parent / "rules" / "scidive-core.rules"
 
 
 def _distill(trace, offset: float = 0.0) -> list:
@@ -80,20 +70,18 @@ def _distill(trace, offset: float = 0.0) -> list:
     return footprints
 
 
-def _time_replay(footprints, indexed: bool, repeats: int, rulepack=None):
+def _time_replay(footprints, indexed: bool, repeats: int):
     """Best-of-N footprint-pipeline replay on a fresh engine each round.
 
     The collector is paused inside the timed region (and run to
-    completion between rounds) so all modes are measured on pipeline
+    completion between rounds) so both modes are measured on pipeline
     work, not on whichever round the GC happened to interrupt.  A fresh
-    engine per round also means ``rulepack`` recompiles each time, so
+    engine per round also means the pack recompiles each time, so
     per-rule state never leaks between rounds.
     """
     best, engine = None, None
     for _ in range(repeats):
-        candidate = ScidiveEngine(
-            vantage_ip=CLIENT_A_IP, indexed_dispatch=indexed, rulepack=rulepack
-        )
+        candidate = ScidiveEngine(vantage_ip=CLIENT_A_IP, indexed_dispatch=indexed)
         gc.collect()
         gc.disable()
         try:
@@ -108,23 +96,14 @@ def _time_replay(footprints, indexed: bool, repeats: int, rulepack=None):
     return best, engine
 
 
-def _attack_equivalence(seed: int, rulepack) -> dict:
-    """Replay each paper attack in all three modes; alerts must be
-    identical — the DSL pack must be indistinguishable from the Python
-    rule classes it re-states, not just "roughly as good"."""
+def _attack_equivalence(seed: int) -> dict:
+    """Replay each paper attack in both modes; alerts must be identical."""
     results = {}
-    modes = (
-        ("indexed", True, None),
-        ("broadcast", False, None),
-        ("dsl", True, rulepack),
-    )
     for name, (runner, rule_id) in ATTACKS.items():
         trace = runner(seed=seed).testbed.ids_tap.trace
         signatures = {}
-        for mode, indexed, pack in modes:
-            engine = ScidiveEngine(
-                vantage_ip=CLIENT_A_IP, indexed_dispatch=indexed, rulepack=pack
-            )
+        for mode, indexed in (("indexed", True), ("broadcast", False)):
+            engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, indexed_dispatch=indexed)
             engine.process_trace(trace)
             signatures[mode] = [
                 (a.rule_id, a.time, a.session, a.message) for a in engine.alerts
@@ -134,11 +113,8 @@ def _attack_equivalence(seed: int, rulepack) -> dict:
             "rule": rule_id,
             "indexed_alerts": len(signatures["indexed"]),
             "broadcast_alerts": len(signatures["broadcast"]),
-            "dsl_alerts": len(signatures["dsl"]),
             "detected": detected,
-            "identical": (
-                signatures["indexed"] == signatures["broadcast"] == signatures["dsl"]
-            ),
+            "identical": signatures["indexed"] == signatures["broadcast"],
         }
     return results
 
@@ -151,12 +127,6 @@ def main(argv=None) -> int:
         type=float,
         default=1.0,
         help="fail if indexed/broadcast throughput < this",
-    )
-    parser.add_argument(
-        "--min-dsl-ratio",
-        type=float,
-        default=0.95,
-        help="fail if DSL-compiled/hand-wired throughput < this",
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="timing repetitions (best-of-N)"
@@ -222,14 +192,9 @@ def main(argv=None) -> int:
         f"({', '.join(protocols)})"
     )
 
-    rulepack = load_pack(str(RULES_PACK))
     timings = {}
-    for mode, indexed, pack in (
-        ("broadcast", False, None),
-        ("indexed", True, None),
-        ("dsl", True, rulepack),
-    ):
-        seconds, engine = _time_replay(footprints, indexed, args.repeats, pack)
+    for mode, indexed in (("broadcast", False), ("indexed", True)):
+        seconds, engine = _time_replay(footprints, indexed, args.repeats)
         timings[mode] = {
             "seconds": seconds,
             "footprints_per_second": len(footprints) / seconds,
@@ -247,28 +212,19 @@ def main(argv=None) -> int:
         timings["indexed"]["footprints_per_second"]
         / timings["broadcast"]["footprints_per_second"]
     )
-    dsl_ratio = (
-        timings["dsl"]["footprints_per_second"]
-        / timings["indexed"]["footprints_per_second"]
-    )
-    print(f"speedup (indexed / broadcast): {speedup:.2f}x")
-    print(
-        f"dsl ratio (compiled pack / hand-wired): {dsl_ratio:.3f} "
-        f"(pack {rulepack.label})"
-    )
+    rulepack = core_pack()
+    print(f"speedup (indexed / broadcast): {speedup:.2f}x (pack {rulepack.label})")
 
-    attacks = _attack_equivalence(seed=7, rulepack=rulepack)
+    attacks = _attack_equivalence(seed=7)
     for name, row in attacks.items():
         status = "ok" if row["identical"] and row["detected"] else "FAIL"
         print(
-            f"attack {name:12s}: {row['indexed_alerts']} alerts in all modes, "
+            f"attack {name:12s}: {row['indexed_alerts']} alerts in both modes, "
             f"{row['rule']} {'detected' if row['detected'] else 'MISSED'} [{status}]"
         )
 
     equivalent = all(r["identical"] and r["detected"] for r in attacks.values())
-    passed = (
-        equivalent and speedup >= args.min_speedup and dsl_ratio >= args.min_dsl_ratio
-    )
+    passed = equivalent and speedup >= args.min_speedup
     result = {
         "bench": "dispatch",
         "workload": {
@@ -284,8 +240,6 @@ def main(argv=None) -> int:
         "timings": timings,
         "speedup": speedup,
         "min_speedup": args.min_speedup,
-        "dsl_ratio": dsl_ratio,
-        "min_dsl_ratio": args.min_dsl_ratio,
         "rulepack": rulepack.info(),
         "attacks": attacks,
         "equivalent": equivalent,
@@ -305,13 +259,6 @@ def main(argv=None) -> int:
     if speedup < args.min_speedup:
         print(
             f"FAIL: speedup {speedup:.2f}x < required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if dsl_ratio < args.min_dsl_ratio:
-        print(
-            f"FAIL: DSL-compiled throughput ratio {dsl_ratio:.3f} < "
-            f"required {args.min_dsl_ratio:.2f}",
             file=sys.stderr,
         )
         return 1

@@ -56,17 +56,11 @@ HEADLINE = {
 # point, not a promise.
 QUALITY_GATED_SYSTEMS = ("engine", "cluster")
 
-# Absolute floor for the DSL-compiled ruleset's throughput relative to
-# the hand-wired indexed path (dispatch bench only): the pack compiler
-# must stay within 5% of the Python rule classes it replaces.  Absolute
-# rather than baseline-relative because the ratio is a same-machine
-# comparison — box speed cancels out.
-DSL_RATIO_FLOOR = 0.95
-
 # Absolute floor for sampled cluster tracing (observability bench): a
 # 2-worker cluster tracing at the default 1-in-N session rate must keep
-# >= 95% of the untraced cluster's throughput.  Same-machine ratio, so
-# absolute like the DSL floor.
+# >= 95% of the untraced cluster's throughput.  Absolute rather than
+# baseline-relative because the ratio is a same-machine comparison —
+# box speed cancels out.
 CLUSTER_TRACE_RATIO_FLOOR = 0.95
 
 
@@ -160,17 +154,6 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
             f"note: {metric} improved ({fresh_value:.3f} > {base_value:.3f}); "
             "consider re-committing the baseline"
         )
-    if bench == "dispatch" and "dsl_ratio" in fresh:
-        dsl_ratio = float(fresh["dsl_ratio"])
-        print(
-            f"dispatch: dsl_ratio fresh={dsl_ratio:.3f} "
-            f"floor={DSL_RATIO_FLOOR:.2f} (absolute)"
-        )
-        if dsl_ratio < DSL_RATIO_FLOOR:
-            failures.append(
-                f"DSL-compiled ruleset throughput ratio {dsl_ratio:.3f} < "
-                f"{DSL_RATIO_FLOOR:.2f} of the hand-wired indexed path"
-            )
     if bench == "observability" and "cluster_trace_ratio" in fresh:
         trace_ratio = float(fresh["cluster_trace_ratio"])
         print(

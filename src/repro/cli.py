@@ -15,8 +15,8 @@ Usage::
     python -m repro chaos [--seed 7] [--workers 4] [--json chaos.json]
     python -m repro bench-shards [--workers 1 2 4 8] [--json BENCH_shards.json]
     python -m repro stats bye-attack [--seed 7] [--format table|prom|json]
-    python -m repro rules check rules/ [pack.rules ...]
-    python -m repro rules show rules/scidive-core.rules
+    python -m repro rules check src/repro/rulespec/packs/ [pack.rules ...]
+    python -m repro rules show src/repro/rulespec/packs/scidive-core.rules
     python -m repro rules reload --pack custom.rules [--port 8080]
     python -m repro top [--port 8080] [--interval 1.0] [--once]
     python -m repro trace <call-id|alert-id|trace-id> [--trace-file t.jsonl]

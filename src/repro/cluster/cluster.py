@@ -97,7 +97,14 @@ from repro.resilience.overload import (
     format_source,
     shed_plan,
 )
-from repro.rulespec import RulePack, compile_pack, lint_text, load_pack, parse_pack
+from repro.rulespec import (
+    RulePack,
+    compile_pack,
+    core_pack,
+    lint_text,
+    load_pack,
+    parse_pack,
+)
 from repro.sim.trace import Trace
 
 BACKENDS = ("process", "threads", "serial")
@@ -134,7 +141,7 @@ class ClusterConfig:
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
     # Active rule pack, as picklable primitives: pack_text is the DSL
-    # source ("" = class-built default ruleset), pack_path its provenance
+    # source ("" = the shipped pack), pack_path its provenance
     # (compiled into per-rule source locations).  Carried in the config —
     # not as a compiled object — so process workers and post-reload
     # respawns all build engines under the *current* pack.
@@ -190,12 +197,7 @@ class ClusterConfig:
                 raise ClusterError(str(exc)) from exc
         if self.pack_text:
             # Fail on the router, at construction — not inside N workers.
-            pack, _ = parse_pack(self.pack_text, self.pack_path or "<cluster-config>")
-            if pack is None:
-                raise ClusterError(
-                    "config rule pack does not parse: "
-                    + _pack_errors(self.pack_text, self.pack_path or "<cluster-config>")
-                )
+            _config_rulepack(self)
         return self
 
 
@@ -206,9 +208,9 @@ def _pack_errors(text: str, path: str) -> str:
     )
 
 
-def _config_rulepack(config: ClusterConfig) -> RulePack | None:
+def _config_rulepack(config: ClusterConfig) -> RulePack:
     """The rule pack a worker should compile, rebuilt from the config's
-    picklable fields (``None`` = the class-built default ruleset)."""
+    picklable fields (no pack text or path = the shipped pack)."""
     if config.pack_text:
         path = config.pack_path or "<cluster-config>"
         pack, _ = parse_pack(config.pack_text, path)
@@ -220,7 +222,7 @@ def _config_rulepack(config: ClusterConfig) -> RulePack | None:
         return pack
     if config.pack_path:
         return load_pack(config.pack_path)
-    return None
+    return core_pack()
 
 
 def default_engine_factory(worker_id: int, config: ClusterConfig) -> ScidiveEngine:
@@ -830,11 +832,12 @@ class ScidiveCluster:
         # Set when start() had to create a private checkpoint temp dir;
         # stop() removes it.
         self._own_checkpoint_dir: str | None = None
-        # Rule-pack hot reload: the active pack (None = class-built
-        # defaults) and a monotonically increasing reload epoch — every
-        # two-phase barrier round gets a fresh epoch so late acks from an
-        # aborted round can never satisfy a newer one.
-        self.rulepack: RulePack | None = _config_rulepack(self.config)
+        # Rule-pack hot reload: the active pack (the shipped one unless
+        # the config names another) and a monotonically increasing
+        # reload epoch — every two-phase barrier round gets a fresh
+        # epoch so late acks from an aborted round can never satisfy a
+        # newer one.
+        self.rulepack: RulePack = _config_rulepack(self.config)
         self._rules_epoch = 0
         # Cross-process tracing (router half): the router records "route"
         # spans into its own tracer, caches per-shard-key sampling
@@ -1705,7 +1708,7 @@ class ScidiveCluster:
         set_build_info(
             registry,
             backend=self.config.backend,
-            pack=self.rulepack.label if self.rulepack is not None else None,
+            pack=self.rulepack.label,
         )
 
     # -- live observability ----------------------------------------------------
@@ -1746,7 +1749,7 @@ class ScidiveCluster:
             "frames_shed": dict(stats.frames_shed),
             "shed_by_source": dict(stats.shed_by_source),
             "checkpointing": bool(self.config.checkpoint_every),
-            "rulepack": self.rulepack.info() if self.rulepack is not None else None,
+            "rulepack": self.rulepack.info(),
             "rulepack_reloads": stats.rulepack_reloads,
         }
         if self.overload is not None:

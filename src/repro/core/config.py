@@ -5,7 +5,10 @@ detection rules specific to the environment in which they are
 deployed".  :class:`ScidiveConfig` gathers every knob the rules and
 generators expose — monitoring windows, thresholds, mobility allowances
 — round-trips through plain dicts (JSON-friendly), and builds a fully
-wired :class:`~repro.core.engine.ScidiveEngine`.
+wired :class:`~repro.core.engine.ScidiveEngine`.  The rule knobs are
+re-tunings of the shipped pack (:meth:`ScidiveConfig.build_ruleset`),
+so a tuned deployment reports — and checkpoints under — its own pack
+label, and a default one reports the shipped pack's.
 """
 
 from __future__ import annotations
@@ -16,19 +19,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.engine import ScidiveEngine
-from repro.core.event_generators import (
-    AccountingGenerator,
-    AuthEventGenerator,
-    DialogEventGenerator,
-    ImSourceGenerator,
-    MalformedSipGenerator,
-    OrphanRtpGenerator,
-    RtpStreamGenerator,
-)
-from repro.core.h323_generators import H323OrphanGenerator
-from repro.core.rtcp_generators import RtcpByeGenerator, SsrcTrackGenerator
+from repro.core.protocols import default_modules, generators_from
+from repro.core import rules_library as ids
 from repro.core.rules import RuleSet
-from repro.core import rules_library as lib
 
 
 @dataclass(slots=True)
@@ -68,42 +61,44 @@ class ScidiveConfig:
     # -- construction -----------------------------------------------------
 
     def build_ruleset(self) -> RuleSet:
-        rules = [
-            lib.bye_attack_rule(),
-            lib.call_hijack_rule(),
-            lib.fake_im_rule(),
-            lib.rtp_seq_rule(),
-            lib.rtp_source_rule(),
-            lib.rtp_malformed_rule(
-                threshold=self.malformed_rtp_threshold, window=self.malformed_rtp_window
-            ),
-            lib.register_dos_rule(threshold=self.dos_threshold, window=self.dos_window),
-            lib.password_guess_rule(
-                threshold=self.password_guess_threshold, window=self.password_guess_window
-            ),
-            lib.billing_fraud_rule(window=self.billing_fraud_window),
-            lib.rtcp_bye_orphan_rule(),
-            lib.ssrc_collision_rule(),
-            lib.h323_release_rule(),
-        ]
-        return RuleSet(rules=[r for r in rules if r.rule_id not in self.disabled_rules])
+        """The shipped pack, compiled with this config's thresholds and
+        windows applied and its ``disabled_rules`` left out."""
+        from repro.rulespec import compile_pack, core_pack
+
+        pack = core_pack()
+        tuned = pack.derive(
+            keep=[
+                rdef.rule_id
+                for rdef in pack.rules
+                if rdef.rule_id not in self.disabled_rules
+            ],
+            overrides={
+                ids.RULE_RTP_MALFORMED: {
+                    "threshold": self.malformed_rtp_threshold,
+                    "window": float(self.malformed_rtp_window),
+                },
+                ids.RULE_REGISTER_DOS: {
+                    "threshold": self.dos_threshold,
+                    "window": float(self.dos_window),
+                },
+                ids.RULE_PASSWORD_GUESS: {
+                    "threshold": self.password_guess_threshold,
+                    "window": float(self.password_guess_window),
+                },
+                ids.RULE_BILLING_FRAUD: {"window": float(self.billing_fraud_window)},
+            },
+        )
+        return compile_pack(tuned)
 
     def build_generators(self) -> list:
-        return [
-            DialogEventGenerator(),
-            OrphanRtpGenerator(monitoring_window=self.monitoring_window),
-            RtpStreamGenerator(seq_jump_threshold=self.seq_jump_threshold),
-            ImSourceGenerator(
+        return generators_from(
+            default_modules(
+                monitoring_window=self.monitoring_window,
+                seq_jump_threshold=self.seq_jump_threshold,
                 mobility_window=self.mobility_window,
                 reregistration_window=self.reregistration_window,
-            ),
-            AuthEventGenerator(),
-            MalformedSipGenerator(),
-            AccountingGenerator(),
-            RtcpByeGenerator(monitoring_window=self.monitoring_window),
-            SsrcTrackGenerator(),
-            H323OrphanGenerator(monitoring_window=self.monitoring_window),
-        ]
+            )
+        )
 
     def build_engine(self) -> ScidiveEngine:
         return ScidiveEngine(

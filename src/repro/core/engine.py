@@ -144,10 +144,10 @@ class ScidiveEngine:
         # supply whichever of distiller/generators/ruleset the caller
         # did not pass explicitly.
         self.modules = modules
-        # A declarative rule pack (repro.rulespec) — a RulePack object
-        # or a path to a .rules file — supplies the ruleset unless one
-        # was passed explicitly; modules still supply the distiller and
-        # generators.
+        # Rules come from, in order: an explicit ruleset; a rule pack
+        # (a RulePack object or a path to a .rules file); the modules'
+        # own rules; otherwise the shipped pack (paper_ruleset).
+        # Modules still supply the distiller and generators.
         if rulepack is not None and ruleset is None:
             from repro.rulespec import RulePack, compile_pack, load_pack
 
@@ -175,8 +175,8 @@ class ScidiveEngine:
         self.ruleset = (
             ruleset if ruleset is not None else paper_ruleset(indexed=indexed_dispatch)
         )
-        # The pack behind self.ruleset (None for class-built rules) —
-        # read from the compiled set so a caller passing ruleset=
+        # The pack behind self.ruleset (None for a hand-built RuleSet)
+        # — read from the compiled set so a caller passing ruleset=
         # compile_pack(...) directly is also covered.
         self.rulepack = getattr(self.ruleset, "pack", None)
         self.rulepack_reloads = 0
@@ -653,9 +653,8 @@ class ScidiveEngine:
         """Clear alerts/events/counters but keep protocol state (between
         phases).  Includes the ruleset: cooldown timestamps, per-rule
         counters and the per-rule group tables (threshold buckets,
-        sequence progress, conjunction members — however the rules were
-        built, classes or a compiled pack) must not leak from one phase
-        into the next.  Shadow scratch counters reset too: replicated-
+        sequence progress, conjunction members) must not leak from one
+        phase into the next.  Shadow scratch counters reset too: replicated-
         frame stats are phase state like everything else here."""
         self.alert_log.clear()
         self.event_log.clear()

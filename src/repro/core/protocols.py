@@ -4,8 +4,10 @@ A :class:`ProtocolModule` bundles everything the engine needs to speak
 one protocol: the Distiller decoder that produces its footprints, the
 event generators that consume them, and the rules its events trigger.
 The stock pipeline is five modules — SIP, RTP, RTCP, H.323 and
-accounting — and ``default_generators()`` / ``paper_ruleset()`` are now
-just flattened views over :func:`default_modules`.
+accounting.  ``default_generators()`` is the flattened view of their
+generators; their rules are the shipped pack's
+(:func:`repro.rulespec.core_pack`), each module naming the rule ids it
+owns, so the modules partition ``paper_ruleset()`` in pack order.
 
 Adding a protocol end-to-end therefore means writing one module:
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from repro.core import rules_library as ids
 from repro.core.distiller import (
     Distiller,
     decode_accounting,
@@ -60,6 +63,14 @@ def _no_rules() -> list[Rule]:
     return []
 
 
+def _core_rules(*rule_ids: str) -> list[Rule]:
+    """The named shipped-pack rules, freshly compiled."""
+    from repro.rulespec import compile_rule, core_pack
+
+    pack = core_pack()
+    return [compile_rule(pack.rule(rule_id), pack) for rule_id in rule_ids]
+
+
 @dataclass(frozen=True)
 class ProtocolModule:
     """One protocol's decoder + generators + rules, as a unit.
@@ -84,6 +95,7 @@ class ProtocolModule:
 def sip_module(
     monitoring_window: float = 0.5,
     mobility_window: float = 60.0,
+    reregistration_window: float = 120.0,
 ) -> ProtocolModule:
     """SIP signalling: dialogs, orphan-RTP arming, IM, auth, malformed."""
     from repro.core.event_generators import (
@@ -92,13 +104,6 @@ def sip_module(
         ImSourceGenerator,
         MalformedSipGenerator,
         OrphanRtpGenerator,
-    )
-    from repro.core.rules_library import (
-        bye_attack_rule,
-        call_hijack_rule,
-        fake_im_rule,
-        password_guess_rule,
-        register_dos_rule,
     )
 
     return ProtocolModule(
@@ -109,17 +114,20 @@ def sip_module(
         generators=lambda: [
             DialogEventGenerator(),
             OrphanRtpGenerator(monitoring_window=monitoring_window),
-            ImSourceGenerator(mobility_window=mobility_window),
+            ImSourceGenerator(
+                mobility_window=mobility_window,
+                reregistration_window=reregistration_window,
+            ),
             AuthEventGenerator(),
             MalformedSipGenerator(),
         ],
-        rules=lambda: [
-            bye_attack_rule(),
-            call_hijack_rule(),
-            fake_im_rule(),
-            register_dos_rule(),
-            password_guess_rule(),
-        ],
+        rules=lambda: _core_rules(
+            ids.RULE_BYE_ATTACK,
+            ids.RULE_CALL_HIJACK,
+            ids.RULE_FAKE_IM,
+            ids.RULE_REGISTER_DOS,
+            ids.RULE_PASSWORD_GUESS,
+        ),
         description="SIP dialogs, teardown watches, IM identity, REGISTER auth",
     )
 
@@ -127,11 +135,6 @@ def sip_module(
 def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
     """RTP media: sequence/jitter/rogue-source sanity and garbage frames."""
     from repro.core.event_generators import RtpStreamGenerator
-    from repro.core.rules_library import (
-        rtp_malformed_rule,
-        rtp_seq_rule,
-        rtp_source_rule,
-    )
 
     return ProtocolModule(
         name="rtp",
@@ -139,7 +142,9 @@ def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
         decoder=decode_rtp,
         decode_priority=DECODE_RTP,
         generators=lambda: [RtpStreamGenerator(seq_jump_threshold=seq_jump_threshold)],
-        rules=lambda: [rtp_seq_rule(), rtp_source_rule(), rtp_malformed_rule()],
+        rules=lambda: _core_rules(
+            ids.RULE_RTP_SEQ, ids.RULE_RTP_SOURCE, ids.RULE_RTP_MALFORMED
+        ),
         description="RTP stream continuity, rogue sources, media-port garbage",
     )
 
@@ -147,7 +152,6 @@ def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
 def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
     """RTCP control: forged-BYE orphans and SSRC impersonation."""
     from repro.core.rtcp_generators import RtcpByeGenerator, SsrcTrackGenerator
-    from repro.core.rules_library import rtcp_bye_orphan_rule, ssrc_collision_rule
 
     return ProtocolModule(
         name="rtcp",
@@ -158,7 +162,7 @@ def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
             RtcpByeGenerator(monitoring_window=monitoring_window),
             SsrcTrackGenerator(),
         ],
-        rules=lambda: [rtcp_bye_orphan_rule(), ssrc_collision_rule()],
+        rules=lambda: _core_rules(ids.RULE_RTCP_BYE_ORPHAN, ids.RULE_SSRC_COLLISION),
         description="RTCP BYE watches, SSRC ownership tracking",
     )
 
@@ -166,7 +170,6 @@ def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
 def h323_module(monitoring_window: float = 0.5) -> ProtocolModule:
     """The H.323 CMP: H.225 call state and forged RELEASE COMPLETE."""
     from repro.core.h323_generators import H323OrphanGenerator
-    from repro.core.rules_library import h323_release_rule
 
     return ProtocolModule(
         name="h323",
@@ -174,7 +177,7 @@ def h323_module(monitoring_window: float = 0.5) -> ProtocolModule:
         decoder=decode_h323,
         decode_priority=DECODE_H323,
         generators=lambda: [H323OrphanGenerator(monitoring_window=monitoring_window)],
-        rules=lambda: [h323_release_rule()],
+        rules=lambda: _core_rules(ids.RULE_H323_RELEASE),
         description="H.225 call signalling and forged-release detection",
     )
 
@@ -182,7 +185,6 @@ def h323_module(monitoring_window: float = 0.5) -> ProtocolModule:
 def accounting_module() -> ProtocolModule:
     """The billing line protocol and the cross-protocol fraud rule."""
     from repro.core.event_generators import AccountingGenerator
-    from repro.core.rules_library import billing_fraud_rule
 
     return ProtocolModule(
         name="accounting",
@@ -190,7 +192,7 @@ def accounting_module() -> ProtocolModule:
         decoder=decode_accounting,
         decode_priority=DECODE_ACCOUNTING,
         generators=lambda: [AccountingGenerator()],
-        rules=lambda: [billing_fraud_rule()],
+        rules=lambda: _core_rules(ids.RULE_BILLING_FRAUD),
         description="Billing transactions vs observed call setups",
     )
 
@@ -199,11 +201,14 @@ def default_modules(
     monitoring_window: float = 0.5,
     seq_jump_threshold: int = 100,
     mobility_window: float = 60.0,
+    reregistration_window: float = 120.0,
 ) -> list[ProtocolModule]:
     """The five stock modules, in the pipeline's canonical order."""
     return [
         sip_module(
-            monitoring_window=monitoring_window, mobility_window=mobility_window
+            monitoring_window=monitoring_window,
+            mobility_window=mobility_window,
+            reregistration_window=reregistration_window,
         ),
         rtp_module(seq_jump_threshold=seq_jump_threshold),
         rtcp_module(monitoring_window=monitoring_window),

@@ -124,7 +124,7 @@ class Rule(ABC):
         self.suppressed_alerts = 0
         # Provenance for pack-compiled rules: the owning pack's identity
         # label (name@version+hash) and this rule's file:line.  Empty
-        # for hand-wired class rules.
+        # for a rule constructed by hand.
         self.pack_version = ""
         self.source_location = ""
 
@@ -438,7 +438,7 @@ class RuleSet:
         self.history = EventHistory()
         self.indexed = indexed
         # The rule pack this set was compiled from (repro.rulespec), or
-        # None for hand-wired class rules.
+        # None for a hand-built set.
         self.pack = None
         # Rule evaluations avoided by the index (benchmark reporting).
         self.dispatch_skipped = 0

@@ -1,6 +1,11 @@
 """The built-in ruleset: Table 1's four rules plus the §3 scenarios.
 
-Rule ids are stable strings used throughout tests and benchmarks:
+The rules themselves are defined once, as data, in the shipped pack
+(``repro/rulespec/packs/scidive-core.rules``, loaded by
+:func:`repro.rulespec.core_pack`).  This module holds the two stock
+selections of them (:func:`paper_ruleset`, :func:`table1_ruleset`) and
+the human index of their ids — stable strings used throughout tests
+and benchmarks:
 
 ==============  ============================================================
 ``BYE-001``     BYE attack — "No RTP traffic should be seen after a SIP BYE
@@ -19,27 +24,17 @@ Rule ids are stable strings used throughout tests and benchmarks:
 ``FRAUD-001``   Billing fraud — conjunction of malformed SIP, an accounting
                 transaction without a matching call setup, and rogue media
                 (cross-protocol ×3)
+``RTCP-001``    Forged RTCP BYE — a participant's RTP keeps flowing after
+                its RTCP goodbye (§3.1's SIP→RTP→RTCP chain)
+``SSRC-001``    SSRC impersonation — one SSRC produced by two sources (§2.2)
+``H323-001``    The BYE-attack rule on the H.323 CMP — RTP from a party
+                after its RELEASE COMPLETE
 ==============  ============================================================
 """
 
 from __future__ import annotations
 
-from repro.core.alerts import Severity
-from repro.core.events import (
-    EVENT_ACCOUNTING_MISMATCH,
-    EVENT_AUTH_FAILURE,
-    EVENT_IM_SOURCE_MISMATCH,
-    EVENT_MALFORMED_RTP,
-    EVENT_MALFORMED_SIP,
-    EVENT_ORPHAN_RTP_AFTER_BYE,
-    EVENT_ORPHAN_RTP_AFTER_REINVITE,
-    EVENT_REPEATED_UNAUTH_REGISTER,
-    EVENT_RTP_SEQ_ANOMALY,
-    EVENT_RTP_SOURCE_MISMATCH,
-    Event,
-)
-from repro.core.rules import ConjunctionRule, Rule, RuleSet, SingleEventRule, ThresholdRule
-from repro.net.addr import Endpoint
+from repro.core.rules import RuleSet
 
 RULE_BYE_ATTACK = "BYE-001"
 RULE_CALL_HIJACK = "HIJACK-001"
@@ -54,225 +49,29 @@ RULE_RTCP_BYE_ORPHAN = "RTCP-001"
 RULE_SSRC_COLLISION = "SSRC-001"
 RULE_H323_RELEASE = "H323-001"
 
-
-def bye_attack_rule(cooldown: float = 1.0) -> Rule:
-    return SingleEventRule(
-        rule_id=RULE_BYE_ATTACK,
-        name="BYE attack",
-        event_name=EVENT_ORPHAN_RTP_AFTER_BYE,
-        severity=Severity.HIGH,
-        attack_class="dos",
-        message="orphan RTP from {party} ({endpoint}) after BYE — forged teardown suspected",
-        cooldown=cooldown,
-    )
-
-
-def call_hijack_rule(cooldown: float = 1.0) -> Rule:
-    return SingleEventRule(
-        rule_id=RULE_CALL_HIJACK,
-        name="Call hijacking",
-        event_name=EVENT_ORPHAN_RTP_AFTER_REINVITE,
-        severity=Severity.CRITICAL,
-        attack_class="masquerading",
-        message=(
-            "orphan RTP from {party} ({endpoint}) after re-INVITE — "
-            "forged media redirection suspected"
-        ),
-        cooldown=cooldown,
-    )
-
-
-def fake_im_rule(cooldown: float = 0.0) -> Rule:
-    return SingleEventRule(
-        rule_id=RULE_FAKE_IM,
-        name="Fake instant messaging",
-        event_name=EVENT_IM_SOURCE_MISMATCH,
-        severity=Severity.MEDIUM,
-        attack_class="masquerading",
-        message=(
-            "IM claiming to be from {from} arrived from {actual_ip} "
-            "but recent messages came from {expected_ip}"
-        ),
-        cooldown=cooldown,
-    )
-
-
-def rtp_seq_rule(cooldown: float = 0.5) -> Rule:
-    return SingleEventRule(
-        rule_id=RULE_RTP_SEQ,
-        name="RTP sequence anomaly",
-        event_name=EVENT_RTP_SEQ_ANOMALY,
-        severity=Severity.HIGH,
-        attack_class="media",
-        message="RTP sequence jumped by {delta} at {dst} (from {src})",
-        cooldown=cooldown,
-    )
-
-
-def rtp_source_rule(cooldown: float = 0.5) -> Rule:
-    return SingleEventRule(
-        rule_id=RULE_RTP_SOURCE,
-        name="RTP rogue source",
-        event_name=EVENT_RTP_SOURCE_MISMATCH,
-        severity=Severity.HIGH,
-        attack_class="media",
-        message="RTP from unnegotiated source {src}",
-        cooldown=cooldown,
-    )
-
-
-def _media_src_group(event: Event):
-    """Group media events by source endpoint.
-
-    Endpoint attrs are reduced to packed address ints — the threshold
-    bucket is touched once per flood packet, and int tuples hash in C
-    where Endpoint would recurse through dataclass __hash__.  String
-    sources (from hand-built events in tests) group by value as before.
-    """
-    src = event.attrs.get("src")
-    if isinstance(src, Endpoint):
-        return (src.ip.packed, src.port)
-    return src if src is not None else event.session
-
-
-def rtp_malformed_rule(threshold: int = 3, window: float = 1.0) -> Rule:
-    return ThresholdRule(
-        rule_id=RULE_RTP_MALFORMED,
-        name="Garbage on media port",
-        event_name=EVENT_MALFORMED_RTP,
-        threshold=threshold,
-        window=window,
-        severity=Severity.MEDIUM,
-        attack_class="media",
-        group_by=_media_src_group,
-        message="{count} undecodable datagrams on a media port from {src}",
-    )
-
-
-def register_dos_rule(threshold: int = 5, window: float = 10.0) -> Rule:
-    return ThresholdRule(
-        rule_id=RULE_REGISTER_DOS,
-        name="REGISTER flood (DoS)",
-        event_name=EVENT_REPEATED_UNAUTH_REGISTER,
-        threshold=threshold,
-        window=window,
-        severity=Severity.HIGH,
-        attack_class="dos",
-        group_by=lambda e: e.attrs.get("source", e.session),
-        message="{count} unauthenticated REGISTERs ignoring 401 from {source} (user {user})",
-    )
-
-
-def password_guess_rule(threshold: int = 4, window: float = 30.0) -> Rule:
-    def distinct_responses(event: Event) -> bool:
-        return event.attrs.get("distinct_responses", 0) >= 2
-
-    return ThresholdRule(
-        rule_id=RULE_PASSWORD_GUESS,
-        name="Password guessing",
-        event_name=EVENT_AUTH_FAILURE,
-        threshold=threshold,
-        window=window,
-        severity=Severity.HIGH,
-        attack_class="authentication",
-        group_by=lambda e: e.attrs.get("user", e.session),
-        predicate=distinct_responses,
-        message="{count} failed digests with varying responses for user {user}",
-    )
-
-
-def billing_fraud_rule(window: float = 30.0) -> Rule:
-    """The §3.2 three-facet cross-protocol rule.
-
-    All three events correlate on the *global* key rather than Call-ID
-    because the forged call's accounting TXN, the malformed exploit
-    message, and the rogue RTP flow deliberately do not share session
-    identifiers — that disconnect is the fraud.
-    """
-    return ConjunctionRule(
-        rule_id=RULE_BILLING_FRAUD,
-        name="Billing fraud",
-        required=(
-            EVENT_MALFORMED_SIP,
-            EVENT_ACCOUNTING_MISMATCH,
-            EVENT_RTP_SOURCE_MISMATCH,
-        ),
-        window=window,
-        severity=Severity.CRITICAL,
-        attack_class="toll-fraud",
-        correlate=lambda e: "billing",
-        message="billing fraud: malformed SIP + unmatched accounting TXN + rogue media flow",
-    )
-
-
-def rtcp_bye_orphan_rule(cooldown: float = 1.0) -> Rule:
-    """§3.1's SIP→RTP→RTCP chain, RTCP side: a forged RTCP BYE silences a
-    participant whose genuine RTP keeps flowing."""
-    from repro.core.events import EVENT_RTP_AFTER_RTCP_BYE
-
-    return SingleEventRule(
-        rule_id=RULE_RTCP_BYE_ORPHAN,
-        name="RTP after RTCP BYE",
-        event_name=EVENT_RTP_AFTER_RTCP_BYE,
-        severity=Severity.MEDIUM,
-        attack_class="media",
-        message="SSRC {ssrc:#x} keeps sending RTP after its RTCP BYE — forged goodbye suspected",
-        cooldown=cooldown,
-    )
-
-
-def ssrc_collision_rule(cooldown: float = 1.0) -> Rule:
-    """§2.2: "An attack can also fake the SSRC field ... to impersonate
-    another participant in a call."""
-    from repro.core.events import EVENT_SSRC_COLLISION
-
-    return SingleEventRule(
-        rule_id=RULE_SSRC_COLLISION,
-        name="SSRC impersonation",
-        event_name=EVENT_SSRC_COLLISION,
-        severity=Severity.HIGH,
-        attack_class="masquerading",
-        message="SSRC {ssrc:#x} owned by {owner} also produced by {intruder}",
-        cooldown=cooldown,
-    )
-
-
-def h323_release_rule(cooldown: float = 1.0) -> Rule:
-    """The BYE-attack rule transplanted to the H.323 CMP: no RTP should
-    be seen from a party after its RELEASE COMPLETE."""
-    from repro.core.h323_generators import EVENT_ORPHAN_RTP_AFTER_RELEASE
-
-    return SingleEventRule(
-        rule_id=RULE_H323_RELEASE,
-        name="H.323 forged release",
-        event_name=EVENT_ORPHAN_RTP_AFTER_RELEASE,
-        severity=Severity.HIGH,
-        attack_class="dos",
-        message="orphan RTP from {endpoint} after RELEASE COMPLETE — forged H.323 teardown",
-        cooldown=cooldown,
-    )
+# The rules behind Table 1's four attacks (the RTP attack has three).
+TABLE1_RULES = (
+    RULE_BYE_ATTACK,
+    RULE_CALL_HIJACK,
+    RULE_FAKE_IM,
+    RULE_RTP_SEQ,
+    RULE_RTP_SOURCE,
+    RULE_RTP_MALFORMED,
+)
 
 
 def paper_ruleset(indexed: bool = True) -> RuleSet:
     """Exactly the rules demonstrated in the paper (Table 1 + §3.2/§3.3):
-    every default protocol module's rules, flattened in module order.
-    ``indexed=False`` builds the same rules without the trigger-event
-    index (broadcast dispatch — the equivalence-suite reference)."""
-    from repro.core.protocols import default_modules, ruleset_from
+    the shipped pack, freshly compiled.  ``indexed=False`` builds the
+    same rules without the trigger-event index (broadcast dispatch —
+    the equivalence-suite reference)."""
+    from repro.rulespec import compile_pack, core_pack
 
-    return ruleset_from(default_modules(), indexed=indexed)
+    return compile_pack(core_pack(), indexed=indexed)
 
 
 def table1_ruleset(indexed: bool = True) -> RuleSet:
     """Only the four Table 1 attack rules (for the accuracy matrix)."""
-    return RuleSet(
-        rules=[
-            bye_attack_rule(),
-            call_hijack_rule(),
-            fake_im_rule(),
-            rtp_seq_rule(),
-            rtp_source_rule(),
-            rtp_malformed_rule(),
-        ],
-        indexed=indexed,
-    )
+    from repro.rulespec import compile_pack, core_pack
+
+    return compile_pack(core_pack().derive(keep=TABLE1_RULES), indexed=indexed)

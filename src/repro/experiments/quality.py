@@ -32,15 +32,10 @@ from repro.core.engine import ScidiveEngine
 from repro.core.rules_library import (
     RULE_REGISTER_DOS,
     RULE_RTP_MALFORMED,
-    bye_attack_rule,
-    call_hijack_rule,
-    fake_im_rule,
-    register_dos_rule,
-    rtp_malformed_rule,
-    rtp_seq_rule,
-    rtp_source_rule,
+    TABLE1_RULES,
 )
 from repro.core.rules import RuleSet
+from repro.rulespec import compile_pack, core_pack
 from repro.sim.trace import Trace
 from repro.workload.labels import (
     ATTACK_BYE,
@@ -381,17 +376,15 @@ class SweepCurve:
 
 
 def _engine_ruleset(rtp_threshold: int = 3, dos_threshold: int = 5) -> RuleSet:
-    return RuleSet(
-        rules=[
-            bye_attack_rule(),
-            call_hijack_rule(),
-            fake_im_rule(),
-            rtp_seq_rule(),
-            rtp_source_rule(),
-            rtp_malformed_rule(threshold=rtp_threshold),
-            register_dos_rule(threshold=dos_threshold),
-        ]
+    """Table 1's rules plus the REGISTER-DoS rule, at swept thresholds."""
+    pack = core_pack().derive(
+        keep=TABLE1_RULES + (RULE_REGISTER_DOS,),
+        overrides={
+            RULE_RTP_MALFORMED: {"threshold": rtp_threshold},
+            RULE_REGISTER_DOS: {"threshold": dos_threshold},
+        },
     )
+    return compile_pack(pack)
 
 
 def _sweep_engine_rule(

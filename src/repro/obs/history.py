@@ -7,9 +7,11 @@ taken on a fixed cadence and derives per-second rates two ways:
 
 * **instantaneous** — the delta between the two most recent snapshots,
   attached to every snapshot as it is recorded;
-* **sliding-window** — the delta across however much of the ring falls
-  inside a caller-chosen window (:meth:`window_rates`), which is what
-  ``repro top`` displays so one noisy sample cannot whipsaw the panel.
+* **sliding-window** — the delta across however many samples fall
+  inside a caller-chosen window (:func:`window_rates`, over the ring or
+  over a fetched ``/metrics/history`` payload's ``samples``), which is
+  what ``repro top`` displays so one noisy sample cannot whipsaw the
+  panel.
 
 The ring is append-only under a lock and snapshots are plain dicts, so
 ``/metrics/history`` serves JSON straight out of :meth:`as_dict` and a
@@ -90,24 +92,8 @@ class MetricsHistory:
             return self._ring[-1] if self._ring else None
 
     def window_rates(self, window_seconds: float) -> dict[str, float]:
-        """Per-second rates over the trailing ``window_seconds``.
-
-        Uses the oldest snapshot still inside the window as the baseline;
-        with fewer than two snapshots (or a zero-length span) all rates
-        are 0.0 — a cold dashboard shows quiet, not an error.
-        """
-        with self._lock:
-            items = list(self._ring)
-        if len(items) < 2:
-            return {f"{field}_per_s": 0.0 for field in COUNTER_FIELDS}
-        newest = items[-1]
-        horizon = newest["t"] - window_seconds
-        baseline = items[0]
-        for snap in items:
-            if snap["t"] >= horizon:
-                baseline = snap
-                break
-        return _rates_between(baseline, newest)
+        """:func:`window_rates` over the ring's current contents."""
+        return window_rates(self.snapshots(), window_seconds)
 
     def as_dict(self, limit: int | None = None) -> dict[str, Any]:
         """The ``/metrics/history`` payload."""
@@ -128,6 +114,25 @@ class MetricsHistory:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
+
+
+def window_rates(
+    samples: list[dict[str, Any]], window_seconds: float
+) -> dict[str, float]:
+    """Per-second rates over the trailing ``window_seconds`` of
+    ``samples`` (snapshots as :meth:`MetricsHistory.record` builds them,
+    oldest first).
+
+    Uses the oldest snapshot still inside the window as the baseline;
+    with fewer than two snapshots (or a zero-length span) all rates are
+    0.0 — a cold dashboard shows quiet, not an error.
+    """
+    if len(samples) < 2:
+        return _rates_between(None, {})
+    newest = samples[-1]
+    horizon = newest["t"] - window_seconds
+    baseline = next((snap for snap in samples if snap["t"] >= horizon), samples[0])
+    return _rates_between(baseline, newest)
 
 
 def _rates_between(

@@ -27,6 +27,7 @@ import urllib.error
 import urllib.request
 from typing import Any
 
+from repro.obs.history import window_rates
 from repro.obs.retry import with_retries
 
 DEFAULT_INTERVAL = 1.0
@@ -55,31 +56,6 @@ def gather(base_url: str, timeout: float = DEFAULT_TIMEOUT) -> dict[str, Any]:
         }
     except (urllib.error.URLError, OSError, ValueError) as exc:
         return {"error": f"{base}: {exc}"}
-
-
-def window_rates(history: dict[str, Any], window: float) -> dict[str, float]:
-    """Client-side sliding-window rates over the history payload."""
-    samples = history.get("samples", [])
-    fields = history.get("counter_fields", ["frames", "events", "alerts", "shed"])
-    zero = {f"{field}_per_s": 0.0 for field in fields}
-    if len(samples) < 2:
-        return zero
-    newest = samples[-1]
-    baseline = samples[0]
-    horizon = newest["t"] - window
-    for snap in samples:
-        if snap["t"] >= horizon:
-            baseline = snap
-            break
-    dt = newest["t"] - baseline["t"]
-    if dt <= 0:
-        return zero
-    return {
-        f"{field}_per_s": max(
-            newest["totals"].get(field, 0) - baseline["totals"].get(field, 0), 0
-        ) / dt
-        for field in fields
-    }
 
 
 def _ms(seconds: float) -> str:
@@ -134,7 +110,7 @@ def render(status: dict[str, Any], window: float = DEFAULT_WINDOW) -> list[str]:
     history = status.get("history", {})
     lines = [f"SCIDIVE top · {now} · status {health.get('status', '?')}"]
 
-    rates = window_rates(history, window)
+    rates = window_rates(history.get("samples", []), window)
     lines.append(
         f"  rates ({window:g}s): "
         f"{rates.get('frames_per_s', 0.0):,.1f} frames/s  "

@@ -154,7 +154,7 @@ def engine_checkpoint(engine: "ScidiveEngine") -> bytes:
         "version": CHECKPOINT_VERSION,
         "engine_name": engine.name,
         # Which detection policy the snapshot's rule state belongs to
-        # (None for hand-wired class rules).  engine_restore gates on it.
+        # (None for a hand-built RuleSet).  engine_restore gates on it.
         "rulepack": (
             engine.rulepack.info() if engine.rulepack is not None else None
         ),
@@ -235,7 +235,7 @@ def engine_restore(engine: "ScidiveEngine", blob: bytes, force: bool = False) ->
             f"checkpoint version {version!r} != supported {CHECKPOINT_VERSION}"
         )
     if not force:
-        # Symmetric gate: None (class-built rules) is a pack identity
+        # Symmetric gate: None (a hand-built RuleSet) is a pack identity
         # too — a packless snapshot must not slide into a compiled-pack
         # engine any more than the reverse.
         snapshot_pack = payload.get("rulepack")

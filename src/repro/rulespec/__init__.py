@@ -1,12 +1,11 @@
 """``repro.rulespec``: the declarative rule DSL.
 
 SCIDIVE's detection policy — which event patterns constitute an
-intrusion — used to live exclusively in Python (``rules_library.py``),
-so every new scenario meant a code change.  This package separates
-policy from mechanism the way SecSip's VeTo language does for its SIP
-inspection engine: rules ship as data (``*.rules`` pack files), and the
-engine compiles them into the same indexed :class:`~repro.core.rules.RuleSet`
-the hand-wired classes produce.
+intrusion — is data, not code.  This package separates policy from
+mechanism the way SecSip's VeTo language does for its SIP inspection
+engine: rules ship as ``*.rules`` pack files, and the engine compiles
+them into an indexed :class:`~repro.core.rules.RuleSet` of the rule
+classes in :mod:`repro.core.rules`.
 
 Three layers:
 
@@ -21,16 +20,21 @@ Three layers:
   cooldowns, LRU group caps and checkpointing all keep working
   unchanged.
 
-The shipped paper rules live in ``rules/scidive-core.rules`` at the
-repository root; the equivalence suite proves the compiled pack raises
-the same alert multiset as the Python originals.
+The paper's own rules are the pack shipped inside this package
+(``packs/scidive-core.rules``).  :func:`core_pack` returns it, parsed
+once per process, and it is what every engine runs unless told
+otherwise; ``ScidiveConfig``, ``table1_ruleset`` and the quality sweeps
+are :meth:`RulePack.derive` selections and re-tunings of it.
 """
 
 from repro.rulespec.compiler import compile_pack, compile_rule
 from repro.rulespec.model import RuleDef, RulePack
 from repro.rulespec.parser import (
+    CORE_PACK_PATH,
+    CORE_PACK_SOURCE,
     LintIssue,
     RulePackError,
+    core_pack,
     known_event_names,
     lint_path,
     lint_text,
@@ -39,12 +43,15 @@ from repro.rulespec.parser import (
 )
 
 __all__ = [
+    "CORE_PACK_PATH",
+    "CORE_PACK_SOURCE",
     "LintIssue",
     "RuleDef",
     "RulePack",
     "RulePackError",
     "compile_pack",
     "compile_rule",
+    "core_pack",
     "known_event_names",
     "lint_path",
     "lint_text",

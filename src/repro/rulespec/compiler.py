@@ -5,9 +5,8 @@ one of the existing rule classes (``SingleEventRule`` / ``ThresholdRule``
 / ``SequenceRule`` / ``ConjunctionRule``), so the compiled pack inherits
 trigger-event indexing, cooldown suppression, LRU group caps, the
 exception firewall and per-rule checkpointing without any new code
-paths.  Proving DSL-vs-class alert equivalence therefore reduces to
-proving the compiler reproduces each constructor call — which the
-defaults below are matched against.
+paths.  This module is the only place under ``repro`` that constructs
+those classes.
 
 ``group_by`` / ``correlate`` key specs:
 
@@ -23,8 +22,7 @@ defaults below are matched against.
 
 ``where`` clauses are ``ATTR OP VALUE`` comparisons over ``event.attrs``
 (ANDed when repeated); a missing attribute or a type-incompatible
-comparison makes the clause false, mirroring how the hand-written
-predicates treat absent attributes.
+comparison makes the clause false.
 """
 
 from __future__ import annotations
@@ -41,14 +39,28 @@ from repro.core.rules import (
     SingleEventRule,
     ThresholdRule,
 )
+from repro.net.addr import Endpoint
 from repro.rulespec.model import RuleDef, RulePack
-from repro.rulespec.parser import WHERE_RE, RulePackError
+from repro.rulespec.parser import WHERE_RE, LintIssue, RulePackError
+
+
+def _media_src_group(event: Event):
+    """Group media events by source endpoint.
+
+    Endpoint attrs are reduced to packed address ints — the threshold
+    bucket is touched once per flood packet, and int tuples hash in C
+    where Endpoint would recurse through dataclass __hash__.  String
+    sources (from hand-built events in tests) group by value.
+    """
+    src = event.attrs.get("src")
+    if isinstance(src, Endpoint):
+        return (src.ip.packed, src.port)
+    return src if src is not None else event.session
+
 
 # Named Python group-key functions a pack can reference as
 # ``builtin:NAME`` — for keys that need real code (packing an Endpoint
 # into a hashable tuple is not expressible as an attr lookup).
-from repro.core.rules_library import _media_src_group
-
 BUILTIN_GROUP_KEYS: dict[str, Callable[[Event], object]] = {
     "media_src": _media_src_group,
 }
@@ -61,8 +73,8 @@ _SEVERITY_BY_NAME = {
     "critical": Severity.CRITICAL,
 }
 
-# Per-shape defaults mirror the class constructors exactly, so a pack
-# that omits a key compiles to the same rule the class default builds.
+# Per-shape defaults are the class constructors' own, so a pack that
+# omits a key means what the class means by omitting the argument.
 _DEFAULT_SEVERITY = {
     "single": Severity.HIGH,
     "threshold": Severity.MEDIUM,
@@ -236,8 +248,6 @@ def compile_pack(pack: RulePack, indexed: bool = True) -> RuleSet:
     try:
         rules = [compile_rule(rdef, pack) for rdef in pack.rules]
     except ValueError as exc:
-        from repro.rulespec.parser import LintIssue
-
         raise RulePackError([
             LintIssue(0, "compile-error", str(exc), path=pack.source_path)
         ]) from exc

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping
 
 # The rule shapes the DSL can express.  ``watch`` is the stateful
 # arm/fire pair from the paper's "RTP flow after a session is torn
@@ -108,7 +109,7 @@ class RulePack:
     *canonical* form (:meth:`describe`), so reformatting or reordering
     comments never changes a pack's identity, while any semantic edit
     does.  That label is what alerts, checkpoints and ``/healthz``
-    carry.
+    carry; a pack is immutable, so it is derived once, at construction.
     """
 
     name: str
@@ -119,21 +120,48 @@ class RulePack:
     # Event names the pack may reference beyond the built-in generators'
     # vocabulary (rules for custom event generators).
     extra_events: tuple[str, ...] = ()
+    content_hash: str = field(init=False, compare=False, repr=False)
+    label: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def content_hash(self) -> str:
-        digest = hashlib.sha256(self.describe().encode("utf-8")).hexdigest()
-        return digest[:12]
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}@{self.version}+{self.content_hash}"
+    def __post_init__(self) -> None:
+        digest = hashlib.sha256(self.describe().encode("utf-8")).hexdigest()[:12]
+        object.__setattr__(self, "content_hash", digest)
+        object.__setattr__(self, "label", f"{self.name}@{self.version}+{digest}")
 
     def rule(self, rule_id: str) -> RuleDef | None:
         for rdef in self.rules:
             if rdef.rule_id == rule_id:
                 return rdef
         return None
+
+    def derive(
+        self,
+        keep: Iterable[str] | None = None,
+        overrides: Mapping[str, Mapping[str, object]] | None = None,
+    ) -> "RulePack":
+        """A new pack holding only the ``keep`` rule ids (in this pack's
+        order; None keeps all) with per-rule field ``overrides`` applied
+        (``{rule_id: {field: value}}``).  The result hashes its own
+        canonical form, so a tuned or trimmed policy never shares a
+        label with the pack it came from — and an untouched one does.
+        Rules keep their source lines; the source text is dropped
+        because it no longer says what the pack holds.  Unknown rule
+        ids raise ``KeyError``."""
+        wanted = None if keep is None else set(keep)
+        overrides = overrides or {}
+        unknown = set(wanted or ()).union(overrides).difference(
+            rdef.rule_id for rdef in self.rules
+        )
+        if unknown:
+            raise KeyError(f"no such rule in {self.label}: {sorted(unknown)}")
+        rules = tuple(
+            replace(rdef, **overrides[rdef.rule_id])
+            if rdef.rule_id in overrides
+            else rdef
+            for rdef in self.rules
+            if wanted is None or rdef.rule_id in wanted
+        )
+        return replace(self, rules=rules, source_text="")
 
     def describe(self) -> str:
         """The pack in canonical syntax: parsing this text yields an

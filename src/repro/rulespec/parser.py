@@ -35,8 +35,10 @@ the whole file so one typo does not mask the next.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.rulespec.model import (
     MODES,
@@ -518,19 +520,41 @@ def lint_path(path: str) -> list[LintIssue]:
     return lint_text(text, str(path))
 
 
-def load_pack(path: str) -> RulePack:
+def load_pack(path: str | Path, source_path: str | None = None) -> RulePack:
     """Read and parse one pack file; raise :class:`RulePackError` on any
-    error-severity diagnostic."""
+    error-severity diagnostic.  ``source_path`` is the provenance the
+    pack (and every rule compiled from it) reports; it defaults to
+    ``path`` as given."""
+    source_path = str(path) if source_path is None else source_path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise RulePackError([LintIssue(0, "unreadable", str(exc), path=str(path))])
-    pack, issues = parse_pack(text, str(path))
+        raise RulePackError([LintIssue(0, "unreadable", str(exc), path=source_path)])
+    pack, issues = parse_pack(text, source_path)
     if pack is None:
         raise RulePackError([
-            LintIssue(i.line, i.code, i.message, i.severity, str(path))
+            LintIssue(i.line, i.code, i.message, i.severity, source_path)
             for i in issues
             if i.severity == "error"
         ])
     return pack
+
+
+# The paper's rules (Table 1 plus the §3 scenarios): the one definition
+# every default engine, cluster worker, bench and experiment runs.
+# CORE_PACK_PATH is where the file sits on this machine (for tools that
+# take a path: ``repro rules check``, ``reload_rulepack``);
+# CORE_PACK_SOURCE is the package-relative name the pack reports as its
+# provenance, so alerts and evidence bundles embed no checkout path.
+CORE_PACK_SOURCE = "repro/rulespec/packs/scidive-core.rules"
+CORE_PACK_PATH = Path(__file__).resolve().parent / "packs" / "scidive-core.rules"
+
+
+@functools.cache
+def core_pack() -> RulePack:
+    """The shipped pack, read and parsed once per process.  Packs are
+    immutable, so every caller shares the one object; compiling it
+    (:func:`~repro.rulespec.compiler.compile_pack`) builds fresh,
+    unshared rules each time."""
+    return load_pack(CORE_PACK_PATH, source_path=CORE_PACK_SOURCE)

@@ -17,10 +17,10 @@ from repro.cluster import ScidiveCluster
 from repro.cluster.cluster import ClusterError
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack, run_call_hijack
-from repro.rulespec import RuleDef, RulePack, RulePackError
+from repro.rulespec import CORE_PACK_PATH, RuleDef, RulePack, RulePackError
 from repro.voip.testbed import CLIENT_A_IP
 
-RULES_PACK = "rules/scidive-core.rules"
+RULES_PACK = str(CORE_PACK_PATH)
 
 ATTACKS = {
     "bye-attack": (run_bye_attack, "BYE-001"),

@@ -6,7 +6,10 @@ import pytest
 
 from repro.attacks import ByeAttack
 from repro.core.config import ScidiveConfig
+from repro.core.engine import ScidiveEngine
 from repro.core.rules_library import RULE_BYE_ATTACK, RULE_RTP_SEQ
+from repro.resilience.checkpoint import RulePackMismatch
+from repro.rulespec import core_pack
 from repro.voip.scenarios import normal_call
 from repro.voip.testbed import CLIENT_A_IP, Testbed, TestbedConfig
 
@@ -69,6 +72,33 @@ class TestScidiveConfig:
         rule = next(r for r in ruleset.rules if r.rule_id == "DOS-001")
         assert rule.threshold == 2
         assert rule.window == 99.0
+
+    def test_default_config_runs_the_shipped_pack(self):
+        engine = ScidiveConfig().build_engine()
+        assert engine.rulepack.label == core_pack().label
+        assert [g.name for g in engine.generators] == [
+            g.name for g in ScidiveEngine().generators
+        ]
+
+    def test_tuned_config_is_its_own_pack(self):
+        config = ScidiveConfig(
+            dos_threshold=2, dos_window=99.0, disabled_rules=(RULE_RTP_SEQ,),
+            reregistration_window=7.0,
+        )
+        engine = config.build_engine()
+        rules = {r.rule_id: r for r in engine.ruleset.rules}
+        assert RULE_RTP_SEQ not in rules and len(rules) == 11
+        assert (rules["DOS-001"].threshold, rules["DOS-001"].window) == (2, 99.0)
+        # Untouched knobs keep the shipped values.
+        assert (rules["PWD-001"].threshold, rules["PWD-001"].window) == (4, 30.0)
+        # The tuning is visible wherever the pack identity is: a tuned
+        # engine's checkpoints do not restore into a stock one.
+        assert engine.rulepack.label != core_pack().label
+        assert engine.rulepack.rule("DOS-001").threshold == 2
+        with pytest.raises(RulePackMismatch):
+            ScidiveEngine().restore(engine.checkpoint())
+        im_source = next(g for g in engine.generators if g.name == "im-source")
+        assert im_source.reregistration_window == 7.0
 
 
 class TestHousekeeping:

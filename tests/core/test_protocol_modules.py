@@ -27,6 +27,7 @@ from repro.core.protocols import (
 from repro.core.rules import RuleSet, SingleEventRule
 from repro.core.rules_library import paper_ruleset
 from repro.core.trail import TrailManager
+from repro.rulespec import core_pack
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
 
@@ -68,6 +69,31 @@ class TestDefaultModules:
         assert [r.rule_id for r in built.rules] == [r.rule_id for r in paper.rules]
         assert all(r.trigger_events for r in built.rules), \
             "stock rules must declare their trigger events"
+
+    def test_module_rule_ids_partition_the_shipped_pack(self):
+        # Each stock module names the shipped-pack rules it owns; laid
+        # end to end in module order they are the pack, in pack order.
+        per_module = [[r.rule_id for r in m.rules()] for m in default_modules()]
+        flat = [rule_id for ids in per_module for rule_id in ids]
+        assert flat == [rdef.rule_id for rdef in core_pack().rules]
+        assert len(set(flat)) == len(flat)
+        for rule in ruleset_from(default_modules()).rules:
+            assert rule.pack_version == core_pack().label
+
+    def test_modules_command_lists_each_modules_rule_ids(self, capsys):
+        from repro.cli import main
+
+        assert main(["modules"]) == 0
+        rows = {
+            cells[0]: cells[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if len(cells := [c.strip() for c in line.split("|")]) == 5
+        }
+        assert rows["sip"] == "BYE-001, HIJACK-001, FAKEIM-001, DOS-001, PWD-001"
+        assert rows["rtp"] == "RTP-001, RTP-002, RTP-003"
+        assert rows["rtcp"] == "RTCP-001, SSRC-001"
+        assert rows["h323"] == "H323-001"
+        assert rows["accounting"] == "FRAUD-001"
 
     def test_distiller_from_restores_stock_chain(self):
         distiller = distiller_from(default_modules())

@@ -29,26 +29,25 @@ def live_server():
 
 
 class TestWindowRates:
-    def _history(self):
-        return {
-            "counter_fields": ["frames", "events", "alerts", "shed"],
-            "samples": [
-                {"t": 0.0, "totals": {"frames": 0}},
-                {"t": 5.0, "totals": {"frames": 100}},
-                {"t": 10.0, "totals": {"frames": 300}},
-            ],
-        }
+    # The samples of a fetched /metrics/history payload: plain dicts,
+    # not a MetricsHistory ring.
+    def _samples(self):
+        return [
+            {"t": 0.0, "totals": {"frames": 0}},
+            {"t": 5.0, "totals": {"frames": 100}},
+            {"t": 10.0, "totals": {"frames": 300}},
+        ]
 
     def test_window_picks_oldest_sample_inside(self):
-        rates = window_rates(self._history(), window=6.0)
+        rates = window_rates(self._samples(), 6.0)
         assert rates["frames_per_s"] == pytest.approx(40.0)
 
     def test_wide_window_reaches_first_sample(self):
-        rates = window_rates(self._history(), window=100.0)
+        rates = window_rates(self._samples(), 100.0)
         assert rates["frames_per_s"] == pytest.approx(30.0)
 
     def test_fewer_than_two_samples_is_quiet(self):
-        rates = window_rates({"samples": [{"t": 0.0, "totals": {}}]}, 10.0)
+        rates = window_rates([{"t": 0.0, "totals": {}}], 10.0)
         assert all(v == 0.0 for v in rates.values())
 
 

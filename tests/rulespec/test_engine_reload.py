@@ -9,17 +9,16 @@ different pack is refused unless forced.
 from __future__ import annotations
 
 import collections
-from pathlib import Path
 
 import pytest
 
 from repro.core.engine import ScidiveEngine
+from repro.core.rules import RuleSet, SingleEventRule
 from repro.experiments.harness import run_bye_attack, run_call_hijack
 from repro.resilience.checkpoint import RulePackMismatch
+from repro.rulespec import CORE_PACK_PATH as SHIPPED
 from repro.rulespec import RulePackError, load_pack, parse_pack
 from repro.voip.testbed import CLIENT_A_IP
-
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
 
 _TRACES: dict[str, object] = {}
 
@@ -33,6 +32,14 @@ def _attack_trace(name: str):
 
 def _engine() -> ScidiveEngine:
     return ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=str(SHIPPED))
+
+
+def _hand_built_engine() -> ScidiveEngine:
+    """An engine whose rules never came from a pack."""
+    ruleset = RuleSet([
+        SingleEventRule("BYE-001", "BYE attack", "OrphanRtpAfterBye", cooldown=1.0)
+    ])
+    return ScidiveEngine(vantage_ip=CLIENT_A_IP, ruleset=ruleset)
 
 
 def _bumped_pack():
@@ -128,23 +135,28 @@ class TestCheckpointGate:
         )
 
     def test_gate_is_symmetric_around_class_built_rules(self):
-        # "No pack" (class-built rules) is a pack identity too: a
-        # packless snapshot must not slide into a compiled-pack engine,
-        # nor a pack snapshot into a packless engine.
+        # "No pack" (a RuleSet built by hand from the rule classes) is a
+        # pack identity too: a packless snapshot must not slide into a
+        # compiled-pack engine, nor a pack snapshot into a packless one.
         trace = _attack_trace("bye-attack")
-        packless = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        packless = _hand_built_engine()
+        assert packless.rulepack is None
         packless.process_trace(trace)
+        assert packless.alerts
         packless_blob = packless.checkpoint()
         with pytest.raises(RulePackMismatch):
             _engine().restore(packless_blob)
+        with pytest.raises(RulePackMismatch):
+            # The bare default is a compiled-pack engine as well.
+            ScidiveEngine(vantage_ip=CLIENT_A_IP).restore(packless_blob)
 
         donor = _engine()
         donor.process_trace(trace)
         with pytest.raises(RulePackMismatch):
-            ScidiveEngine(vantage_ip=CLIENT_A_IP).restore(donor.checkpoint())
+            _hand_built_engine().restore(donor.checkpoint())
 
         # Same identity on both sides (None == None) still restores.
-        heir = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        heir = _hand_built_engine()
         heir.restore(packless_blob)
         assert collections.Counter(heir.alerts) == collections.Counter(
             packless.alerts

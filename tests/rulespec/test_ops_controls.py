@@ -9,16 +9,14 @@ Disabling removes the rule from dispatch entirely.
 from __future__ import annotations
 
 import collections
-from pathlib import Path
 
 import pytest
 
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack, run_rtp_attack
+from repro.rulespec import CORE_PACK_PATH as SHIPPED
 from repro.rulespec import load_pack
 from repro.voip.testbed import CLIENT_A_IP
-
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
 
 ATTACKS = {
     "bye-attack": (run_bye_attack, "BYE-001"),

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.rulespec import CORE_PACK_PATH as SHIPPED
 from repro.rulespec import (
     RulePackError,
     lint_path,
@@ -22,7 +23,6 @@ from repro.rulespec import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
 
 
 def _expected_errors(rules_path: Path) -> set[tuple[int, str]]:
