@@ -800,6 +800,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             ["tracked dialogs", engine.sip_state.call_count],
             ["tracked registrations", engine.registrations.session_count],
             ["trails reclaimed", engine.expired_trails],
+            *(
+                [name.replace("_", " "), value]
+                for name, value in engine.distiller.table_stats().items()
+            ),
             ["rule evaluations skipped", engine.ruleset.dispatch_skipped],
         ]
         if ctx.tracer is not None:

@@ -54,6 +54,13 @@ ACCOUNTING_PORT = 9090
 
 _ETH_HEADER_LEN = 14  # dst MAC, src MAC, ethertype
 
+# Entries each of a Distiller's address tables may hold.  A carrier hour
+# shows under 2k distinct endpoints, so real traffic never fills one; a
+# spoofed-source flood does, and the table is then dropped whole — live
+# flows re-enter on their next frame, which at a ~98 % hit rate costs
+# less than keeping any per-entry eviction order would.
+ADDRESS_TABLE_CAP = 8192
+
 # Returned by a decoder that consumed the datagram without producing a
 # footprint: the chain stops, the frame counts as ignored.
 CLAIMED = object()
@@ -171,6 +178,31 @@ DEFAULT_DECODERS: tuple[Decoder, ...] = (
 )
 
 
+class _AddressTable(dict):
+    """Wire value → the one address object that stands for it.
+
+    A footprint's ``src`` / ``dst`` / MACs are frozen values compared by
+    value everywhere, so every footprint of a flow can share them: a
+    trail then pins a few hundred address objects instead of six per
+    packet, and the collector has that much less to walk.  A miss goes
+    through ``build`` — the validating constructor — so no check is
+    skipped; a full table is dropped (see ``ADDRESS_TABLE_CAP``).
+    """
+
+    __slots__ = ("build", "drops")
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self.build = build
+        self.drops = 0
+
+    def __missing__(self, key):
+        if len(self) >= ADDRESS_TABLE_CAP:
+            self.clear()
+            self.drops += 1
+        value = self[key] = self.build(key)
+        return value
+
+
 @dataclass(slots=True)
 class DistillerStats:
     frames: int = 0
@@ -218,16 +250,41 @@ class Distiller:
     # firewall adds error accounting and circuit-breaks a decoder that
     # keeps throwing (it leaves the chain).
     firewall: object | None = None
+    # Address objects by wire value: ``raw4`` → IPv4Address, ``(raw4,
+    # port)`` → Endpoint, ``raw6`` → MacAddress.  Derived state, bounded,
+    # never checkpointed.
+    _ips: _AddressTable = field(init=False, repr=False, compare=False)
+    _endpoints: _AddressTable = field(init=False, repr=False, compare=False)
+    _macs: _AddressTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ips = self._ips = _AddressTable(IPv4Address.from_bytes)
+        self._endpoints = _AddressTable(lambda key: Endpoint(ips[key[0]], key[1]))
+        self._macs = _AddressTable(MacAddress.from_bytes)
+
+    def table_stats(self) -> dict[str, int]:
+        """Address-table sizes and full-table drops, for gauge export
+        (repro.obs) — kept out of the checkpointed ``DistillerStats``."""
+        return {
+            "ip_table": len(self._ips),
+            "endpoint_table": len(self._endpoints),
+            "mac_table": len(self._macs),
+            "address_table_drops": (
+                self._ips.drops + self._endpoints.drops + self._macs.drops
+            ),
+        }
 
     def distill(self, frame: bytes, timestamp: float) -> AnyFootprint | None:
         """Decode one captured frame into a Footprint (or None for non-VoIP).
 
         The headers are read in place — the ethertype at its offset,
         IPv4 and UDP through the validating parsers the public codecs are
-        built on — and the only objects made are the ones the footprint
-        keeps.  A fragment (or any datagram while partials are pending,
-        so their expiry clock runs) detours through an ``IPv4Packet`` and
-        the ``Reassembler`` and rejoins the same code below.
+        built on — and the footprint's addresses come from the address
+        tables, so a frame of a known flow makes no object but the
+        footprint itself.  A fragment (or any datagram while partials are
+        pending, so their expiry clock runs) detours through an
+        ``IPv4Packet`` and the ``Reassembler`` and rejoins the same code
+        below.
         """
         stats = self.stats
         stats.frames += 1
@@ -254,27 +311,27 @@ class Distiller:
                 stats.fragments_held += 1
                 return None
             datagram, start, end = whole.payload, 0, len(whole.payload)
-            protocol, src_ip, dst_ip = whole.protocol, whole.src, whole.dst
-        elif protocol == IPPROTO_UDP:
-            src_ip = IPv4Address.from_bytes(src_raw)
-            dst_ip = IPv4Address.from_bytes(dst_raw)
+            protocol = whole.protocol
+            src_raw, dst_raw = whole.src.to_bytes(), whole.dst.to_bytes()
         if protocol != IPPROTO_UDP:
             stats.non_udp += 1
             return None
+        ips = self._ips
         try:
             src_port, dst_port, _checksum, payload = parse_udp(
-                datagram, start, end, src_ip, dst_ip
+                datagram, start, end, ips[src_raw], ips[dst_raw]
             )
         except PacketError:
             stats.ignored += 1
             return None
+        endpoints, macs = self._endpoints, self._macs
         footprint = self._classify(
             payload,
             timestamp,
-            Endpoint(src_ip, src_port),
-            Endpoint(dst_ip, dst_port),
-            MacAddress.from_bytes(frame[6:12]),
-            MacAddress.from_bytes(frame[0:6]),
+            endpoints[src_raw, src_port],
+            endpoints[dst_raw, dst_port],
+            macs[frame[6:12]],
+            macs[frame[0:6]],
             len(frame),
         )
         if footprint is None:

@@ -135,6 +135,8 @@ class H323OrphanGenerator(EventGenerator):
     # -- orphan checking ------------------------------------------------------
 
     def _check_watches(self, footprint: RtpFootprint) -> list[Event]:
+        if not self._watches:
+            return []
         now = footprint.timestamp
         self._watches = [w for w in self._watches if w.expires_at >= now]
         events: list[Event] = []

@@ -33,7 +33,6 @@ from repro.sip.constants import (
     STATUS_UNAUTHORIZED,
 )
 from repro.sip.message import SipRequest, SipResponse
-from repro.sip.sdp import SdpError, SessionDescription
 
 
 class CallPhase(enum.Enum):
@@ -92,14 +91,17 @@ class SipStateTracker:
 
     def __init__(self) -> None:
         self.calls: dict[str, ObservedCall] = {}
-        self._invites: dict[str, SipRequest] = {}  # pending INVITE by call-id
-        # Lazy reverse index media endpoint -> call, consulted by the RTP
-        # generator once per media packet.  None = stale; rebuilt on the
-        # next call_for_media().  Any mutation of calls or their media
-        # must set it to None and bump media_version, which lets
-        # downstream per-flow caches detect that negotiated-media state
-        # changed without rescanning it.
-        self._media_calls: dict[tuple[int, int], ObservedCall] | None = None
+        # Reverse index media endpoint -> call, consulted by the RTP
+        # generator once per media packet.  Invariant: it is either None
+        # (stale; rebuilt on the next call_for_media()) or exactly what
+        # that rebuild would produce — each endpoint maps to the
+        # earliest-observed call holding it.  A call gaining an endpoint
+        # nobody else holds is added in place (_media_changed); anything
+        # that removes an entry or contests one sets it to None.  Every
+        # media change also bumps media_version, which lets downstream
+        # per-flow caches detect that negotiated-media state changed
+        # without rescanning it.
+        self._media_calls: dict[tuple[int, int], ObservedCall] | None = {}
         self.media_version = 0
 
     def observe(self, footprint: SipFootprint) -> None:
@@ -151,16 +153,14 @@ class SipStateTracker:
             call = ObservedCall(call_id=call_id, caller=from_aor, callee=to_aor)
             call.invite_seen_at = footprint.timestamp
             self.calls[call_id] = call
-            self._invites[call_id] = message
-            endpoint = _sdp_endpoint(message)
+            endpoint = message.sdp_audio_endpoint()
             if endpoint is not None:
                 call.media[from_aor] = endpoint
-                self._media_calls = None
-                self.media_version += 1
+                self._media_changed(call, None, endpoint)
             return
         if to_tag is not None and call.phase == CallPhase.ESTABLISHED:
             # A re-INVITE inside the dialog: a media move (or a hijack).
-            endpoint = _sdp_endpoint(message)
+            endpoint = message.sdp_audio_endpoint()
             if endpoint is not None:
                 old = call.media.get(from_aor)
                 if old != endpoint:
@@ -174,11 +174,7 @@ class SipStateTracker:
                         )
                     )
                     call.media[from_aor] = endpoint
-                    self._media_calls = None
-                    self.media_version += 1
-        else:
-            # Retransmitted initial INVITE: refresh the pending request.
-            self._invites[call_id] = message
+                    self._media_changed(call, old, endpoint)
 
     # -- responses ------------------------------------------------------------
 
@@ -198,11 +194,11 @@ class SipStateTracker:
             answerer = message.to_addr.uri.address_of_record
         except Exception:
             answerer = call.callee
-        endpoint = _sdp_endpoint(message)
+        endpoint = message.sdp_audio_endpoint()
         if endpoint is not None:
+            old = call.media.get(answerer)
             call.media[answerer] = endpoint
-            self._media_calls = None
-            self.media_version += 1
+            self._media_changed(call, old, endpoint)
         if call.phase == CallPhase.SETUP:
             call.phase = CallPhase.ESTABLISHED
             call.established_at = footprint.timestamp
@@ -223,11 +219,29 @@ class SipStateTracker:
         """
         index = self._media_calls
         if index is None:
-            index = self._media_calls = {}
-            for call in self.calls.values():
-                for media in call.media.values():
-                    index.setdefault((media.ip.packed, media.port), call)
+            index = self._media_calls = self._rebuild_media_calls()
         return index.get((endpoint.ip.packed, endpoint.port))
+
+    def _rebuild_media_calls(self) -> dict[tuple[int, int], ObservedCall]:
+        index: dict[tuple[int, int], ObservedCall] = {}
+        for call in self.calls.values():
+            for media in call.media.values():
+                index.setdefault((media.ip.packed, media.port), call)
+        return index
+
+    def _media_changed(
+        self, call: ObservedCall, old: Endpoint | None, new: Endpoint
+    ) -> None:
+        """``call`` now advertises ``new`` where it advertised ``old``."""
+        self.media_version += 1
+        index = self._media_calls
+        if index is None or old == new:
+            return
+        key = (new.ip.packed, new.port)
+        if old is not None or index.setdefault(key, call) is not call:
+            # An entry went away, or two calls hold one endpoint: only the
+            # rebuild knows which call was observed first.
+            self._media_calls = None
 
     def established_calls(self) -> list[ObservedCall]:
         return [c for c in self.calls.values() if c.phase == CallPhase.ESTABLISHED]
@@ -241,21 +255,10 @@ class SipStateTracker:
         ]
         for call_id in stale:
             self.calls.pop(call_id, None)
-            self._invites.pop(call_id, None)
         if stale:
             self._media_calls = None
             self.media_version += 1
         return len(stale)
-
-
-def _sdp_endpoint(message: SipRequest | SipResponse) -> Endpoint | None:
-    content_type = message.headers.get("Content-Type") or ""
-    if "application/sdp" not in content_type.lower() or not message.body:
-        return None
-    try:
-        return SessionDescription.parse(message.body).audio_endpoint()
-    except SdpError:
-        return None
 
 
 # ---------------------------------------------------------------------------

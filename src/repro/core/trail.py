@@ -17,6 +17,7 @@ annotated with the owning Call-ID.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.core.footprint import (
     AccountingFootprint,
@@ -29,8 +30,7 @@ from repro.core.footprint import (
     SipFootprint,
 )
 from repro.net.addr import Endpoint
-from repro.sip.message import SipRequest, SipResponse
-from repro.sip.sdp import SdpError, SessionDescription
+from repro.sip.message import SipRequest
 
 # (protocol tag, session discriminator).  SIP/accounting/H.225 trails
 # discriminate by a call identifier string; flow trails (RTP/RTCP and
@@ -52,6 +52,20 @@ _MALFORMED_TAGS: dict[str, str] = {}
 def _media_index_key(endpoint: Endpoint) -> tuple[int, int]:
     """SDP media endpoints index as packed ints (C-speed dict hashing)."""
     return (endpoint.ip.packed, endpoint.port)
+
+
+def _session_port_key(endpoint: Endpoint) -> tuple[int, int]:
+    """_media_index_key with RTCP's odd port normalised down to the RTP
+    session port — the form an SDP-advertised (even) port is matched in.
+    Runs per media packet of an unlinked trail, so no Endpoint is built."""
+    port = endpoint.port
+    return (endpoint.ip.packed, port - 1 if port % 2 else port)
+
+
+# Trails of these protocols carry media and are linked to their call by
+# endpoint rather than by an identifier of their own.  (A tuple: enum
+# members hash in Python but compare by identity.)
+_MEDIA_PROTOCOLS = (Protocol.RTP, Protocol.RTCP)
 
 DEFAULT_MAX_TRAIL_LENGTH = 4096
 
@@ -127,9 +141,34 @@ class TrailManager:
         # SDP-learned media endpoint -> call id, keyed by
         # _media_index_key (packed address ints, hashed in C).
         self._media_index: dict[tuple[int, int], str] = {}
+        # Media trails no call owns yet, findable by endpoint so an SDP
+        # that arrives after its media adopts them without a walk over
+        # every trail.  Invariant: a live trail is filed here iff its
+        # protocol is RTP/RTCP and its call_id is None, under the
+        # _session_port_key of both endpoints of its *last* footprint, as
+        # trail key -> (creation serial, trail); serials order a bucket's
+        # trails as self.trails orders them.  Derived from self.trails:
+        # rebuilt on unpickling, never pickled.
+        self._unlinked_media: dict[
+            tuple[int, int], dict[TrailKey, tuple[int, Trail]]
+        ] = {}
+        self._media_serial = count()
         # Lifetime accounting, exported by repro.obs.
         self.footprints_filed = 0
         self.expired_total = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_unlinked_media"], state["_media_serial"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._unlinked_media = {}
+        self._media_serial = count()
+        for trail in self.trails.values():
+            if trail.call_id is None and trail.protocol in _MEDIA_PROTOCOLS:
+                self._file_unlinked(trail, next(self._media_serial))
 
     # -- public API ---------------------------------------------------------
 
@@ -137,13 +176,27 @@ class TrailManager:
         """File one footprint; returns the trail it landed in."""
         key = self._key_for(footprint)
         trail = self.trails.get(key)
+        # The serial to (re)file the trail under in _unlinked_media, when
+        # this footprint creates it or moves its last endpoints.
+        serial = None
         if trail is None:
             trail = Trail(
                 key=key, protocol=footprint.protocol, max_length=self.max_trail_length
             )
             self.trails[key] = trail
+            if trail.protocol in _MEDIA_PROTOCOLS:
+                serial = next(self._media_serial)
+        elif trail.call_id is None and trail.protocol in _MEDIA_PROTOCOLS:
+            # Flow-keyed trails never get here with new endpoints; a
+            # malformed-on-media-port trail is keyed by source only, so
+            # its destination can move.
+            last = trail.footprints[-1]
+            if last.dst != footprint.dst or last.src != footprint.src:
+                serial = self._unfile_unlinked(trail)
         trail.append(footprint)
         self._link(footprint, trail)
+        if serial is not None and trail.call_id is None:
+            self._file_unlinked(trail, serial)
         self.footprints_filed += 1
         return trail
 
@@ -172,6 +225,8 @@ class TrailManager:
                 session = self.sessions.get(trail.call_id)
                 if session is not None and trail in session.trails:
                     session.trails.remove(trail)
+            elif trail.protocol in _MEDIA_PROTOCOLS:
+                self._unfile_unlinked(trail)
         # Sessions with no trails left die too, along with their media index.
         dead_sessions = [cid for cid, s in self.sessions.items() if not s.trails]
         for call_id in dead_sessions:
@@ -197,6 +252,7 @@ class TrailManager:
             "trails": len(self.trails),
             "sessions": len(self.sessions),
             "media_index": len(self._media_index),
+            "unlinked_media_index": len(self._unlinked_media),
             "footprints_filed": self.footprints_filed,
             "expired_total": self.expired_total,
         }
@@ -251,35 +307,43 @@ class TrailManager:
 
     def _link_media(self, footprint: AnyFootprint, trail: Trail) -> None:
         if trail.call_id is None:
-            # Normalise RTCP's odd port to the RTP session port inline —
-            # this runs once per media packet, so no Endpoint is built.
-            dst, src = footprint.dst, footprint.src
             owner = self._media_index.get(
-                (dst.ip.packed, dst.port - 1 if dst.port % 2 else dst.port)
-            ) or self._media_index.get(
-                (src.ip.packed, src.port - 1 if src.port % 2 else src.port)
-            )
+                _session_port_key(footprint.dst)
+            ) or self._media_index.get(_session_port_key(footprint.src))
             if owner is not None:
+                self._unfile_unlinked(trail)
                 self._ensure_session(owner).attach(trail)
 
     def _link_noop(self, footprint: AnyFootprint, trail: Trail) -> None:
         return None
 
-    @staticmethod
-    def _media_key(endpoint: Endpoint) -> Endpoint:
-        """Normalise RTCP's odd port down to its RTP session port."""
-        port = endpoint.port - 1 if endpoint.port % 2 else endpoint.port
-        return Endpoint(endpoint.ip, port)
+    # -- the unlinked-media index ------------------------------------------------
+
+    def _file_unlinked(self, trail: Trail, serial: int) -> None:
+        last = trail.footprints[-1]
+        entry = (serial, trail)
+        for index_key in (_session_port_key(last.src), _session_port_key(last.dst)):
+            self._unlinked_media.setdefault(index_key, {})[trail.key] = entry
+
+    def _unfile_unlinked(self, trail: Trail) -> int | None:
+        """Take ``trail`` out of the index (a no-op when it is not filed);
+        returns the serial it was filed under."""
+        last = trail.footprints[-1]
+        serial = None
+        for index_key in (_session_port_key(last.src), _session_port_key(last.dst)):
+            bucket = self._unlinked_media.get(index_key)
+            if bucket is not None:
+                entry = bucket.pop(trail.key, None)
+                if entry is not None:
+                    serial = entry[0]
+                    if not bucket:
+                        del self._unlinked_media[index_key]
+        return serial
 
     def _learn_sdp(self, footprint: SipFootprint, session: Session) -> None:
         message = footprint.message
-        content_type = message.headers.get("Content-Type") or ""
-        if "application/sdp" not in content_type.lower() or not message.body:
-            return
-        try:
-            sdp = SessionDescription.parse(message.body)
-            endpoint = sdp.audio_endpoint()
-        except SdpError:
+        endpoint = message.sdp_audio_endpoint()
+        if endpoint is None:
             return
         # Who advertised this endpoint?  Requests advertise the sender
         # (From); responses advertise the answerer (To).
@@ -291,16 +355,16 @@ class TrailManager:
         except Exception:
             party = ""
         session.media_endpoints[party] = endpoint
-        self._media_index[_media_index_key(endpoint)] = session.call_id
-        # Retroactively adopt any flow trail already touching the endpoint.
-        for key, trail in self.trails.items():
-            if trail.protocol in (Protocol.RTP, Protocol.RTCP) and trail.call_id is None:
-                if any(
-                    self._media_key(e) == endpoint
-                    for fp in trail.footprints[-1:]
-                    for e in (fp.src, fp.dst)
-                ):
-                    session.attach(trail)
+        index_key = _media_index_key(endpoint)
+        self._media_index[index_key] = session.call_id
+        # Retroactively adopt any flow trail already touching the
+        # endpoint, oldest first.  The index holds session (even) ports
+        # only, so an SDP advertising an odd port adopts nothing.
+        bucket = self._unlinked_media.get(index_key)
+        if bucket is not None:
+            for _serial, trail in sorted(bucket.values()):
+                self._unfile_unlinked(trail)
+                session.attach(trail)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ so cooperating detectors share a registry without colliding):
 * ``scidive_housekeeping_runs_total`` / ``…_reclaimed_trails_total``.
 * ``scidive_trails`` / ``_sessions`` / ``_sip_dialogs`` /
   ``_registration_sessions`` — state-size gauges.
-* ``scidive_distiller_*`` — distiller counter snapshot gauges.
+* ``scidive_distiller_*`` — distiller counter snapshot gauges, plus its
+  address-table sizes and full-table drops.
 """
 
 from __future__ import annotations
@@ -319,7 +320,8 @@ class EngineInstrumentation:
         self._sessions.set(engine.trails.session_count)
         self._dialogs.set(engine.sip_state.call_count)
         self._registrations.set(engine.registrations.session_count)
-        for counter, value in engine.distiller.stats.as_dict().items():
+        distiller = engine.distiller
+        for counter, value in (distiller.stats.as_dict() | distiller.table_stats()).items():
             self._distiller.labels(engine=self.engine, counter=counter).set(value)
         for generator, seconds in self._gen_seconds_acc.items():
             self._generator.labels(engine=self.engine, generator=generator).inc(seconds)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.net.addr import Endpoint
 from repro.sip.constants import ALL_METHODS, SIP_VERSION, reason_phrase
 from repro.sip.headers import CSeq, HeaderError, HeaderTable, NameAddr, Via
+from repro.sip.sdp import SdpError, SessionDescription
 from repro.sip.uri import SipUri, UriError
 
 CRLF = "\r\n"
@@ -24,7 +26,8 @@ class SipParseError(ValueError):
 
 
 # Positions in SipMessage._typed.
-_FROM, _TO, _CSEQ, _CONTACT, _TOP_VIA = range(5)
+_TYPED_SLOTS = 6
+_FROM, _TO, _CSEQ, _CONTACT, _TOP_VIA, _SDP = range(_TYPED_SLOTS)
 
 
 @dataclass(slots=True)
@@ -36,7 +39,9 @@ class SipMessage:
     # Typed header values parsed so far: per accessor, ``(raw, value)``
     # where ``raw`` is the very string object in ``headers`` that was
     # parsed.  An entry is used only while the table still returns that
-    # object, so no header mutation can leave a stale value behind.
+    # object, so no header mutation can leave a stale value behind.  The
+    # SDP slot holds ``(Content-Type string, body, audio endpoint)`` and
+    # is used only while both are still those objects.
     # Derived state: not compared, not shown, not pickled, and dropped by
     # :meth:`forget_typed` once the owner is done reading.
     _typed: list | None = field(default=None, init=False, repr=False, compare=False)
@@ -49,11 +54,33 @@ class SipMessage:
             return None
         typed = self._typed
         if typed is None:
-            typed = self._typed = [None] * 5
+            typed = self._typed = [None] * _TYPED_SLOTS
         entry = typed[slot]
         if entry is None or entry[0] is not raw:
             entry = typed[slot] = (raw, parse(raw))
         return entry[1]
+
+    def sdp_audio_endpoint(self) -> Endpoint | None:
+        """Where this message's SDP body asks for audio RTP — None when it
+        carries no ``application/sdp`` body or the body does not parse.
+        The body is parsed once however many layers ask."""
+        content_type = self.headers.get("Content-Type")
+        body = self.body
+        if not content_type or not body:
+            return None
+        typed = self._typed
+        if typed is None:
+            typed = self._typed = [None] * _TYPED_SLOTS
+        entry = typed[_SDP]
+        if entry is None or entry[0] is not content_type or entry[1] is not body:
+            endpoint = None
+            if "application/sdp" in content_type.lower():
+                try:
+                    endpoint = SessionDescription.parse(body).audio_endpoint()
+                except SdpError:
+                    pass
+            entry = typed[_SDP] = (content_type, body, endpoint)
+        return entry[2]
 
     def forget_typed(self) -> None:
         """Drop the parsed header values (they re-parse on the next read).

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distiller import Distiller
 from repro.core.state import CallPhase, RegistrationTracker, SipStateTracker
@@ -32,7 +34,8 @@ def _sip(method_line: str, headers: list[str], body: bytes = b"") -> bytes:
     return ("\r\n".join(head) + "\r\n\r\n").encode() + body
 
 
-def invite(sdp: bytes, to_tag: str | None = None, cseq: int = 1, from_aor="alice", to_aor="bob") -> bytes:
+def invite(sdp: bytes, to_tag: str | None = None, cseq: int = 1, from_aor="alice", to_aor="bob",
+           call_id="c1") -> bytes:
     to_value = f"<sip:{to_aor}@example.com>" + (f";tag={to_tag}" if to_tag else "")
     return _sip(
         "INVITE sip:bob@example.com SIP/2.0",
@@ -40,7 +43,7 @@ def invite(sdp: bytes, to_tag: str | None = None, cseq: int = 1, from_aor="alice
             "Via: SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bK-i1",
             f"From: <sip:{from_aor}@example.com>;tag=a1",
             f"To: {to_value}",
-            "Call-ID: c1",
+            f"Call-ID: {call_id}",
             f"CSeq: {cseq} INVITE",
             "Contact: <sip:alice@10.0.0.10:5060>",
         ],
@@ -48,14 +51,14 @@ def invite(sdp: bytes, to_tag: str | None = None, cseq: int = 1, from_aor="alice
     )
 
 
-def ok_response(sdp: bytes) -> bytes:
+def ok_response(sdp: bytes, to_aor="bob", call_id="c1") -> bytes:
     return _sip(
         "SIP/2.0 200 OK",
         [
             "Via: SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bK-i1",
             "From: <sip:alice@example.com>;tag=a1",
-            "To: <sip:bob@example.com>;tag=b1",
-            "Call-ID: c1",
+            f"To: <sip:{to_aor}@example.com>;tag=b1",
+            f"Call-ID: {call_id}",
             "CSeq: 1 INVITE",
             "Contact: <sip:bob@10.0.0.20:5060>",
         ],
@@ -63,14 +66,14 @@ def ok_response(sdp: bytes) -> bytes:
     )
 
 
-def bye(from_aor="bob", from_tag="b1", to_tag="a1") -> bytes:
+def bye(from_aor="bob", from_tag="b1", to_tag="a1", call_id="c1") -> bytes:
     return _sip(
         "BYE sip:alice@10.0.0.10:5060 SIP/2.0",
         [
             "Via: SIP/2.0/UDP 10.0.0.66:5060;branch=z9hG4bK-bye",
             f"From: <sip:{from_aor}@example.com>;tag={from_tag}",
             f"To: <sip:alice@example.com>;tag={to_tag}",
-            "Call-ID: c1",
+            f"Call-ID: {call_id}",
             "CSeq: 2 BYE",
         ],
     )
@@ -176,6 +179,95 @@ class TestSipStateTracker:
         assert tracker.established_calls() == []
         self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
         assert len(tracker.established_calls()) == 1
+
+
+_CALLS = st.sampled_from(["c1", "c2", "c3", "c4"])
+_PARTIES = st.sampled_from(["alice", "bob", "carol"])
+# Few enough endpoints that calls collide on them; None = no SDP body.
+_MEDIA = st.sampled_from([None, ("10.0.0.10", 40000), ("10.0.0.10", 40002), ("10.0.0.20", 40000)])
+_STEP = st.one_of(
+    st.tuples(st.just("invite"), _CALLS, _PARTIES, _MEDIA),
+    st.tuples(st.just("ok"), _CALLS, _PARTIES, _MEDIA),
+    st.tuples(st.just("reinvite"), _CALLS, _PARTIES, _MEDIA),
+    st.tuples(st.just("bye"), _CALLS, _PARTIES),
+    st.tuples(st.just("expire"), st.sampled_from([0.0, 0.25, 5.0])),
+)
+
+
+class TestMediaIndex:
+    """``call_for_media`` answers from an index updated in place; it must
+    always equal a scan of ``calls`` in observation order."""
+
+    @staticmethod
+    def _media(tracker: SipStateTracker) -> dict:
+        return {
+            (call_id, party): endpoint
+            for call_id, call in tracker.calls.items()
+            for party, endpoint in call.media.items()
+        }
+
+    @staticmethod
+    def _scan(tracker: SipStateTracker, endpoint: Endpoint):
+        for call in tracker.calls.values():
+            if endpoint in call.media.values():
+                return call
+        return None
+
+    @given(steps=st.lists(_STEP, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_equals_a_scan_after_any_sequence(self, steps):
+        tracker, distiller = SipStateTracker(), Distiller()
+        seen = {Endpoint(IPv4Address.parse("10.9.9.9"), 40000)}
+        now = 0.0
+        for step in steps:
+            now += 0.1
+            kind = step[0]
+            version = tracker.media_version
+            if kind == "expire":
+                tracker.expire_torn_down(now, step[1])
+            else:
+                call_id, party = step[1], step[2]
+                sdp = _sdp(*step[3]) if kind != "bye" and step[3] else b""
+                if kind == "invite":
+                    payload = invite(sdp, from_aor=party, call_id=call_id)
+                elif kind == "ok":
+                    payload = ok_response(sdp, to_aor=party, call_id=call_id)
+                elif kind == "reinvite":
+                    payload = invite(sdp, to_tag="b1", cseq=2, from_aor=party, call_id=call_id)
+                else:
+                    payload = bye(from_aor=party, call_id=call_id)
+                before = self._media(tracker)
+                tracker.observe(
+                    distiller.distill(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), now)
+                )
+                if self._media(tracker) != before:
+                    assert tracker.media_version > version
+            seen.update(self._media(tracker).values())
+            for endpoint in seen:
+                assert tracker.call_for_media(endpoint) is self._scan(tracker, endpoint)
+
+    def test_additions_never_trigger_a_rebuild(self, monkeypatch):
+        tracker, distiller = SipStateTracker(), Distiller()
+        rebuilds = []
+        real = tracker._rebuild_media_calls
+        monkeypatch.setattr(
+            tracker, "_rebuild_media_calls", lambda: rebuilds.append(1) or real()
+        )
+        for n in range(1000):
+            call_id = f"call-{n}"
+            offer, answer = Endpoint(A, 20000 + 2 * n), Endpoint(B, 20000 + 2 * n)
+            for payload in (
+                invite(_sdp(str(A), offer.port), call_id=call_id),
+                ok_response(_sdp(str(B), answer.port), call_id=call_id),
+            ):
+                tracker.observe(
+                    distiller.distill(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), n)
+                )
+                assert tracker.call_for_media(offer).call_id == call_id
+            assert tracker.call_for_media(answer).call_id == call_id
+            assert tracker.call_for_media(Endpoint(A, 19998)) is None
+        assert tracker.media_version == 2000
+        assert rebuilds == []
 
 
 def register(call_id: str, cseq: int, auth: str | None = None, user="alice") -> bytes:

@@ -59,6 +59,8 @@ def test_stats_table(capsys):
     assert "BYE-001" in out
     assert "spans recorded" in out
     assert "spans dropped" in out
+    assert "endpoint table" in out
+    assert "address table drops" in out
 
 
 def test_stats_prometheus_format(capsys):

@@ -65,6 +65,11 @@ class TestCountersMatchStats:
                 == engine.trails.trail_count)
         assert (families["scidive_sessions"]['scidive_sessions{engine="scidive"}']
                 == engine.trails.session_count)
+        tables = engine.distiller.table_stats()
+        assert tables["endpoint_table"] > 0 and tables["address_table_drops"] == 0
+        for counter, value in tables.items():
+            key = f'scidive_distiller_frames{{engine="scidive",counter="{counter}"}}'
+            assert families["scidive_distiller_frames"][key] == value
 
     def test_generator_time_flushed_for_every_generator(self, instrumented):
         engine, ctx = instrumented

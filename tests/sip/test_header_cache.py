@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core.engine import ScidiveEngine
 from repro.core.footprint import Protocol
+from repro.net.addr import Endpoint
 from repro.sip import headers as headers_mod
+from repro.sip import message as message_mod
 from repro.sip.headers import HeaderError, HeaderTable, canonical_name
 from repro.sip.message import SipRequest, SipResponse, parse_message
 from repro.voip.testbed import CLIENT_A_IP
+from tests.core.test_state import _sdp
 from tests.resilience.test_checkpoint import _attack_frames, _replay
 
 _WIRE = (
@@ -135,6 +138,74 @@ class TestTypedAccessorCoherence:
         clone = pickle.loads(blob)
         assert clone == message and clone._typed is None
         assert typed_view(clone) == typed_view(untouched)
+
+
+class TestSdpParsedOncePerMessage:
+    """The SDP answer rides in the typed-value memo: one parse however
+    many layers ask, same validity rule, same lifetime."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list:
+        calls = []
+        real = message_mod.SessionDescription.parse
+        monkeypatch.setattr(
+            message_mod.SessionDescription, "parse",
+            classmethod(lambda cls, body: calls.append(body) or real(body)),
+        )
+        return calls
+
+    @staticmethod
+    def _offer(port: int = 40000) -> SipRequest:
+        message = _parsed()
+        message._set_body(_sdp("10.0.0.10", port), "application/sdp")
+        return message
+
+    def test_state_and_trail_share_one_parse(self, parses):
+        engine = ScidiveEngine()
+        frames = _attack_frames("call-hijack")
+        parses.clear()  # the simulated phones parse SDP too
+        _replay(engine, frames)
+        bodies = [
+            fp.message.body
+            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
+            for fp in trail.footprints
+            if fp.message.body and "sdp" in (fp.message.headers.get("Content-Type") or "")
+        ]
+        assert bodies and len(parses) == len(bodies)
+
+    def test_repeated_reads_parse_once_and_share_the_endpoint(self, parses):
+        message = self._offer()
+        first = message.sdp_audio_endpoint()
+        assert first == Endpoint.parse("10.0.0.10:40000")
+        assert message.sdp_audio_endpoint() is first and len(parses) == 1
+
+    def test_new_body_or_content_type_is_seen(self, parses):
+        message = self._offer()
+        assert message.sdp_audio_endpoint().port == 40000
+        message._set_body(_sdp("10.0.0.10", 40002), "application/sdp")
+        assert message.sdp_audio_endpoint().port == 40002
+        message.headers.set("Content-Type", "text/plain")
+        assert message.sdp_audio_endpoint() is None
+        message.headers.remove("Content-Type")
+        assert message.sdp_audio_endpoint() is None
+        assert len(parses) == 2
+
+    def test_unparseable_and_absent_bodies_answer_none(self, parses):
+        message = self._offer()
+        message._set_body(b"v=0\r\nnot sdp\r\n", "application/sdp")
+        assert message.sdp_audio_endpoint() is None
+        assert message.sdp_audio_endpoint() is None and len(parses) == 1
+        assert _parsed().sdp_audio_endpoint() is None and len(parses) == 1
+
+    def test_memo_is_forgotten_and_never_pickled(self):
+        message, untouched = self._offer(), self._offer()
+        message.sdp_audio_endpoint()
+        assert message == untouched
+        blob = pickle.dumps(message)
+        assert blob == pickle.dumps(untouched) and b"Endpoint" not in blob
+        message.sdp_audio_endpoint()
+        message.forget_typed()
+        assert message._typed is None
 
 
 class TestHeaderIndex:
