@@ -2,10 +2,10 @@
 
 Replays a mixed SIP+RTP workload through the full frame path twice —
 once with the default-on :class:`~repro.obs.forensics.ForensicsRecorder`
-(one ring append + two dict stores per frame, provenance graph built per
-alert) and once with ``forensics=False`` — and reports the throughput
-ratio ``on / off``.  The four headline attacks are then replayed in both
-modes to prove forensics never changes what fires.
+(one ring append per frame; evidence resolved and the provenance graph
+built per alert) and once with ``forensics=False`` — and reports the
+throughput ratio ``on / off``.  The four headline attacks are then
+replayed in both modes to prove forensics never changes what fires.
 
 Standalone (not a pytest bench)::
 

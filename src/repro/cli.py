@@ -796,6 +796,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             ["engine cpu (s)", f"{stats.cpu_seconds:.4f}"],
             ["frames / cpu-second", f"{stats.frames_per_cpu_second:,.0f}"],
             ["live trails", engine.trails.trail_count],
+            ["trail footprints retained",
+             engine.trails.size_stats()["footprints_retained"]],
             ["live sessions", engine.trails.session_count],
             ["tracked dialogs", engine.sip_state.call_count],
             ["tracked registrations", engine.registrations.session_count],

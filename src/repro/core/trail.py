@@ -29,6 +29,7 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
+from repro.fastpickle import install_fast_pickle
 from repro.net.addr import Endpoint
 from repro.sip.message import SipRequest
 
@@ -67,28 +68,40 @@ def _session_port_key(endpoint: Endpoint) -> tuple[int, int]:
 # members hash in Python but compare by identity.)
 _MEDIA_PROTOCOLS = (Protocol.RTP, Protocol.RTCP)
 
-DEFAULT_MAX_TRAIL_LENGTH = 4096
+# How many recent footprints a trail keeps (paper §3.1: trail state is
+# "constrained in practice by the amount of memory available").  Nothing
+# under src/ reads past footprints[-1]; rules that "match on crude
+# information directly from the Trails" see this recent tail, and deep
+# history is the flight recorder's job (repro.obs.forensics).
+TRAIL_TAIL = 32
 
 
 @dataclass(slots=True)
 class Trail:
-    """An ordered sequence of footprints belonging to one (sub)session."""
+    """The recent tail of one (sub)session's footprints, plus counters.
+
+    ``footprints`` holds at most ``TRAIL_TAIL`` entries, oldest first;
+    ``len(trail) + trail.evicted`` is every footprint ever filed.  A plain
+    list trimmed in place rather than a ``deque(maxlen=...)``: a flood
+    makes one single-footprint trail per frame, and an empty bounded
+    deque alone is 760 B against a one-element list's 88.
+    """
 
     key: TrailKey
     protocol: Protocol
+    first_seen: float  # timestamp of the footprint that created the trail
     footprints: list[AnyFootprint] = field(default_factory=list)
     call_id: str | None = None  # cross-protocol linkage, once known
     evicted: int = 0
-    max_length: int = DEFAULT_MAX_TRAIL_LENGTH
 
     def append(self, footprint: AnyFootprint) -> None:
-        self.footprints.append(footprint)
-        if len(self.footprints) > self.max_length:
-            # Bounded memory (the paper: "constrained in practice by the
-            # amount of memory available"): drop the oldest half.
-            keep = self.max_length // 2
-            self.evicted += len(self.footprints) - keep
-            self.footprints = self.footprints[-keep:]
+        tail = self.footprints
+        if len(tail) >= TRAIL_TAIL:
+            # Drop the oldest half in place: one pointer move per
+            # footprint amortised, and no second list.
+            del tail[: TRAIL_TAIL // 2]
+            self.evicted += TRAIL_TAIL // 2
+        tail.append(footprint)
 
     def __len__(self) -> int:
         return len(self.footprints)
@@ -98,12 +111,13 @@ class Trail:
         return self.footprints[-1] if self.footprints else None
 
     @property
-    def first_seen(self) -> float | None:
-        return self.footprints[0].timestamp if self.footprints else None
-
-    @property
     def last_seen(self) -> float | None:
         return self.footprints[-1].timestamp if self.footprints else None
+
+
+# A flood checkpoints one Trail per frame: pickle them as a value list,
+# not as a dict repeating every slot name.
+install_fast_pickle(Trail)
 
 
 @dataclass(slots=True)
@@ -134,8 +148,7 @@ class Session:
 class TrailManager:
     """Groups footprints into trails and links trails into sessions."""
 
-    def __init__(self, max_trail_length: int = DEFAULT_MAX_TRAIL_LENGTH) -> None:
-        self.max_trail_length = max_trail_length
+    def __init__(self) -> None:
         self.trails: dict[TrailKey, Trail] = {}
         self.sessions: dict[str, Session] = {}
         # SDP-learned media endpoint -> call id, keyed by
@@ -180,9 +193,7 @@ class TrailManager:
         # this footprint creates it or moves its last endpoints.
         serial = None
         if trail is None:
-            trail = Trail(
-                key=key, protocol=footprint.protocol, max_length=self.max_trail_length
-            )
+            trail = Trail(key, footprint.protocol, footprint.timestamp)
             self.trails[key] = trail
             if trail.protocol in _MEDIA_PROTOCOLS:
                 serial = next(self._media_serial)
@@ -254,6 +265,8 @@ class TrailManager:
             "media_index": len(self._media_index),
             "unlinked_media_index": len(self._unlinked_media),
             "footprints_filed": self.footprints_filed,
+            # Summed here, off the per-frame path: <= TRAIL_TAIL per trail.
+            "footprints_retained": sum(map(len, self.trails.values())),
             "expired_total": self.expired_total,
         }
 

@@ -54,7 +54,6 @@ from repro.obs.profile import (
     attach_profiler,
     format_top,
 )
-from repro.obs.server import ObsServer, StatusSource
 from repro.obs.tracing import (
     DEFAULT_TRACE_SAMPLE_RATE,
     Span,
@@ -151,6 +150,25 @@ def disable() -> None:
 def current() -> Observability | None:
     """The installed global context, or None when observability is off."""
     return _current
+
+
+# The HTTP sidecar's names, served on first use (PEP 562):
+# ``repro.obs.server`` pulls in ``http.server`` and with it ``ssl``,
+# ``email`` and ``socketserver`` — 4 MB that every engine process and
+# cluster worker would otherwise carry for a server it never starts.
+_SIDECAR_NAMES = ("ObsServer", "StatusSource")
+
+
+def __getattr__(name: str):
+    if name in _SIDECAR_NAMES:
+        from repro.obs import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIDECAR_NAMES})
 
 
 __all__ = [

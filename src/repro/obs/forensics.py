@@ -28,8 +28,9 @@ This module makes every alert explainable:
   no access to the original run.
 
 The recorder is default-on (it is how every alert gains provenance) but
-deliberately cheap: one ring append + two dict stores per frame, no
-timers, no serialisation until a rule actually fires.
+deliberately cheap: one append to a bounded ring per frame, no timers,
+no index and no serialisation until a rule actually fires — evidence is
+resolved to its frames at alert time, by scanning one ring.
 """
 
 from __future__ import annotations
@@ -247,12 +248,9 @@ class ProvenanceGraph:
 
 @dataclass(slots=True)
 class FrameRecord:
-    """One captured frame held by the flight recorder.
-
-    Holds a strong reference to the footprint so the ``id()``-keyed
-    identity map can never dangle: the map entry is removed exactly when
-    the record is evicted from its ring.
-    """
+    """One captured frame held by the flight recorder, with the
+    footprint distilled from it: an alert's evidence footprint resolves
+    to its frame by identity against these."""
 
     record_id: int
     frame_no: int
@@ -264,8 +262,8 @@ class FrameRecord:
 class _SessionRing:
     __slots__ = ("records", "last_seen")
 
-    def __init__(self) -> None:
-        self.records: deque[FrameRecord] = deque()
+    def __init__(self, capacity: int) -> None:
+        self.records: deque[FrameRecord] = deque(maxlen=capacity)
         self.last_seen = 0.0
 
 
@@ -320,7 +318,6 @@ class ForensicsRecorder:
         # coldest session first, so both capacity eviction and idle
         # expiry pop from the front in O(1).
         self._sessions: OrderedDict[tuple, _SessionRing] = OrderedDict()
-        self._by_fp: dict[int, FrameRecord] = {}
         self._rec_seq = 0
         self._alert_seq = 0
         self.frames_recorded = 0
@@ -368,38 +365,25 @@ class ForensicsRecorder:
         ring = sessions.get(key)
         if ring is None:
             if len(sessions) >= self.max_sessions:
-                old_key, old_ring = next(iter(sessions.items()))
-                self._drop_session(old_key, old_ring)
+                sessions.popitem(last=False)
                 self.sessions_evicted += 1
-            ring = _SessionRing()
+            ring = _SessionRing(self.ring_capacity)
             sessions[key] = ring
         else:
             sessions.move_to_end(key)
         ring.last_seen = timestamp
         self._rec_seq += 1
-        record = FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint)
-        records = ring.records
-        records.append(record)
-        self._by_fp[id(footprint)] = record
-        if len(records) > self.ring_capacity:
-            evicted = records.popleft()
-            self._by_fp.pop(id(evicted.footprint), None)
-
-    def _drop_session(self, key: tuple, ring: _SessionRing) -> None:
-        pop = self._by_fp.pop
-        for record in ring.records:
-            pop(id(record.footprint), None)
-        del self._sessions[key]
+        ring.records.append(
+            FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint)
+        )
 
     def expire_idle(self, now: float, timeout: float) -> int:
         """Evict sessions idle past ``timeout`` (housekeeping sweep)."""
         dropped = 0
         horizon = now - timeout
-        while self._sessions:
-            key, ring = next(iter(self._sessions.items()))
-            if ring.last_seen >= horizon:
-                break
-            self._drop_session(key, ring)
+        sessions = self._sessions
+        while sessions and next(iter(sessions.values())).last_seen < horizon:
+            sessions.popitem(last=False)
             dropped += 1
         self.sessions_evicted += dropped
         return dropped
@@ -426,15 +410,10 @@ class ForensicsRecorder:
             return
         ring = self._sessions.get(MALFORMED_SESSION_KEY)
         if ring is None:
-            ring = _SessionRing()
+            ring = _SessionRing(self.ring_capacity)
             self._sessions[MALFORMED_SESSION_KEY] = ring
-        for record in records:
-            ring.records.append(record)
-            self._by_fp[id(record.footprint)] = record
-            ring.last_seen = max(ring.last_seen, record.timestamp)
-        while len(ring.records) > self.ring_capacity:
-            evicted = ring.records.popleft()
-            self._by_fp.pop(id(evicted.footprint), None)
+        ring.records.extend(records)
+        ring.last_seen = max(ring.last_seen, max(r.timestamp for r in records))
         self._rec_seq = max(self._rec_seq, max(r.record_id for r in records))
 
     # -- sizes ----------------------------------------------------------------
@@ -445,7 +424,8 @@ class ForensicsRecorder:
 
     @property
     def record_count(self) -> int:
-        return len(self._by_fp)
+        """Records held across all rings (summed on demand)."""
+        return sum(len(ring.records) for ring in self._sessions.values())
 
     def last_frame_age(self) -> float | None:
         """Wall-clock seconds since the last recorded frame."""
@@ -478,6 +458,18 @@ class ForensicsRecorder:
             )
             self.bundles_written += 1
 
+    def _record_for(self, fp: AnyFootprint) -> FrameRecord | None:
+        """The record ``fp`` was filed under, while its ring still holds
+        it.  Footprints are frozen, so the session key computed now is
+        the key ``record_frame`` computed; the scan is by identity,
+        newest first, over at most ``ring_capacity`` records."""
+        ring = self._sessions.get(_session_key(fp))
+        if ring is not None:
+            for record in reversed(ring.records):
+                if record.footprint is fp:
+                    return record
+        return None
+
     def _build_graph(
         self, alert: "Alert", alert_id: str
     ) -> tuple[ProvenanceGraph, list[FrameRecord]]:
@@ -508,7 +500,7 @@ class ForensicsRecorder:
                         "timestamp": round(fp.timestamp, 6),
                         "summary": describe_footprint(fp),
                     }
-                    record = self._by_fp.get(id(fp))
+                    record = self._record_for(fp)
                     if record is not None:
                         if record.record_id not in records_used:
                             records_used[record.record_id] = record

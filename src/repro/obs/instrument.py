@@ -29,6 +29,8 @@ so cooperating detectors share a registry without colliding):
 * ``scidive_housekeeping_runs_total`` / ``…_reclaimed_trails_total``.
 * ``scidive_trails`` / ``_sessions`` / ``_sip_dialogs`` /
   ``_registration_sessions`` — state-size gauges.
+* ``scidive_trail_footprints_retained`` — footprints the live trails'
+  bounded tails hold (≤ ``TRAIL_TAIL`` × ``scidive_trails``).
 * ``scidive_distiller_*`` — distiller counter snapshot gauges, plus its
   address-table sizes and full-table drops.
 """
@@ -53,7 +55,8 @@ class EngineInstrumentation:
         "_frames", "_footprints", "_events", "_alerts", "_injected",
         "_stage", "_generator", "_generator_calls",
         "_housekeeping_runs", "_reclaimed",
-        "_trails", "_sessions", "_dialogs", "_registrations", "_distiller",
+        "_trails", "_trail_footprints", "_sessions", "_dialogs",
+        "_registrations", "_distiller",
         "_footprint_children", "_event_children", "_stage_children",
         "_gen_seconds_acc", "_gen_calls_acc",
         "_frame_summary", "_stage_summary", "_module_summary",
@@ -120,6 +123,10 @@ class EngineInstrumentation:
         ).labels(**label)
         self._trails = registry.gauge(
             "scidive_trails", "Live trails", ("engine",)
+        ).labels(**label)
+        self._trail_footprints = registry.gauge(
+            "scidive_trail_footprints_retained",
+            "Footprints held by the live trails' bounded tails", ("engine",),
         ).labels(**label)
         self._sessions = registry.gauge(
             "scidive_sessions", "Live cross-protocol sessions", ("engine",)
@@ -316,8 +323,10 @@ class EngineInstrumentation:
     def update_gauges(self, engine: Any) -> None:
         """Snapshot state sizes from a :class:`ScidiveEngine` and flush
         the per-generator time tallies into the registry."""
-        self._trails.set(engine.trails.trail_count)
-        self._sessions.set(engine.trails.session_count)
+        sizes = engine.trails.size_stats()
+        self._trails.set(sizes["trails"])
+        self._trail_footprints.set(sizes["footprints_retained"])
+        self._sessions.set(sizes["sessions"])
         self._dialogs.set(engine.sip_state.call_count)
         self._registrations.set(engine.registrations.session_count)
         distiller = engine.distiller

@@ -50,15 +50,16 @@ pickle's safe habitat.  ``CHECKPOINT_VERSION`` gates shape drift: a
 mismatch raises :class:`CheckpointError` rather than resurrecting a
 half-compatible ghost.
 
-Snapshots are *bounded*: the event log, the rule history and each
-trail's footprint list are serialized as recent tails
-(``CHECKPOINT_EVENT_TAIL`` events, ``CHECKPOINT_TRAIL_TAIL`` footprints
-per trail).  Those collections are evidence/archival depth — detection
-reads them through short time windows (``EventHistory.recent``) or the
-newest entries (``Trail.last``, sequence/threshold rule state is
-checkpointed separately in full) — while on a media flood they dominate
-the snapshot by orders of magnitude.  Without the bound a snapshot
-costs O(everything ever seen); with it, O(live detection state).
+Snapshots are *bounded*.  Trails are bounded live — a trail *is* its
+recent ``TRAIL_TAIL`` footprints plus counters (:mod:`repro.core.trail`),
+so what is checkpointed is exactly what is live.  Only the event log and
+the rule history are trimmed at dump time, to their most recent
+``CHECKPOINT_EVENT_TAIL`` events: they are evidence/archival depth —
+detection reads them through short time windows
+(``EventHistory.recent``; sequence/threshold rule state is checkpointed
+separately in full) — while on a media flood they dominate the snapshot
+by orders of magnitude.  Without the bounds a snapshot costs
+O(everything ever seen); with them, O(live detection state).
 """
 
 from __future__ import annotations
@@ -73,12 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# Snapshot bounds (see module docstring): archival depth is truncated
-# to recent tails, live detection state is always captured in full.
+# Snapshot bound (see module docstring): archival event depth is
+# truncated to a recent tail, live detection state is captured in full.
 CHECKPOINT_EVENT_TAIL = 512
-CHECKPOINT_TRAIL_TAIL = 32
 
 # Sanity marker so a truncated/foreign blob fails loudly before pickle
 # tries to interpret it.
@@ -190,22 +190,7 @@ def engine_checkpoint(engine: "ScidiveEngine") -> bytes:
             else None
         ),
     }
-    # Bound per-trail footprint depth for the duration of the dump: the
-    # tails are swapped in on the live Trail objects (so the sessions
-    # that share them pickle consistently) and swapped back afterwards.
-    trimmed = []
-    for trail in engine.trails.trails.values():
-        dropped = len(trail.footprints) - CHECKPOINT_TRAIL_TAIL
-        if dropped > 0:
-            trimmed.append((trail, trail.footprints, trail.evicted))
-            trail.footprints = trail.footprints[-CHECKPOINT_TRAIL_TAIL:]
-            trail.evicted += dropped
-    try:
-        return _MAGIC + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        for trail, footprints, evicted in trimmed:
-            trail.footprints = footprints
-            trail.evicted = evicted
+    return _MAGIC + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def engine_restore(engine: "ScidiveEngine", blob: bytes, force: bool = False) -> None:

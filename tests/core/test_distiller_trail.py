@@ -18,7 +18,7 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
-from repro.core.trail import Session, TrailManager, _media_index_key
+from repro.core.trail import TRAIL_TAIL, Session, TrailManager, _media_index_key
 from repro.h323.h225 import H225_PORT, H225Message, MessageType
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import fragment
@@ -253,13 +253,19 @@ class TestTrailManager:
         assert session.media_endpoints["alice@example.com"] == Endpoint(A, 40000)
 
     def test_trail_eviction_bounds_memory(self):
-        manager = TrailManager(max_trail_length=10)
+        manager = TrailManager()
         distiller = Distiller()
-        for i in range(50):
-            fp = distiller.distill(rtp_frame(seq=i), i * 0.02)
+        pushed = 3 * TRAIL_TAIL
+        for i in range(pushed):
+            fp = distiller.distill(rtp_frame(seq=i), 1.0 + i * 0.02)
             trail = manager.push(fp)
-        assert len(trail) <= 10
+            assert len(trail) <= TRAIL_TAIL
         assert trail.evicted > 0
+        assert len(trail) + trail.evicted == pushed
+        # The counters outlive the footprints they were read from.
+        assert trail.first_seen == 1.0
+        assert trail.last_seen == fp.timestamp
+        assert trail.last is trail.footprints[-1] is fp
 
     def test_trail_timestamps(self):
         manager, trails = self._distill([(sip_frame(), 1.0), (sip_frame(), 2.0)])
@@ -267,6 +273,58 @@ class TestTrailManager:
         assert trail.first_seen == 1.0
         assert trail.last_seen == 2.0
         assert trail.last is trail.footprints[-1]
+
+
+_TAIL_STEP = st.one_of(
+    st.tuples(st.just("rtp"), st.sampled_from([40000, 40002, 40004]), st.integers(1, 2 * TRAIL_TAIL)),
+    st.tuples(st.just("sip"), st.sampled_from(["c1", "c2"]), st.integers(1, TRAIL_TAIL + 2)),
+    st.tuples(st.just("expire"), st.sampled_from([0.5, 5.0, 50.0])),
+    st.tuples(st.just("checkpoint")),
+)
+
+
+class TestTrailTailModel:
+    """A trail is the last ``len(trail)`` footprints of everything filed
+    under its key since it was created, plus counters for the rest."""
+
+    @given(steps=st.lists(_TAIL_STEP, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_tail_and_counters_match_a_model_list(self, steps):
+        distiller, manager = Distiller(), TrailManager()
+        model: dict[tuple, list] = {}
+        now, filed = 0.0, 0
+        for step in steps:
+            now += 1.0
+            if step[0] == "expire":
+                stale = [key for key, fps in model.items() if now - fps[-1].timestamp > step[1]]
+                assert manager.expire_idle(now, step[1]) == len(stale)
+                for key in stale:
+                    del model[key]
+            elif step[0] == "checkpoint":
+                manager = pickle.loads(pickle.dumps(manager))
+            else:
+                kind, which, burst = step
+                for n in range(burst):
+                    frame = (
+                        rtp_frame(seq=filed, dst_port=which) if kind == "rtp"
+                        else sdp_frame(call_id=which, port=40000 + 2 * (n % 3))
+                    )
+                    footprint = distiller.distill(frame, now + n * 0.001)
+                    trail = manager.push(footprint)
+                    model.setdefault(trail.key, []).append(footprint)
+                    filed += 1
+                    assert trail.last is footprint
+            assert manager.trails.keys() == model.keys()
+            for key, everything in model.items():
+                trail = manager.trails[key]
+                assert 1 <= len(trail) <= TRAIL_TAIL
+                assert trail.footprints == everything[-len(trail):]
+                assert len(trail) + trail.evicted == len(everything)
+                assert trail.first_seen == everything[0].timestamp
+                assert trail.last_seen == everything[-1].timestamp
+            sizes = manager.size_stats()
+            assert sizes["footprints_filed"] == filed
+            assert sizes["footprints_retained"] == sum(map(len, manager.trails.values()))
 
 
 class TestAddressTables:

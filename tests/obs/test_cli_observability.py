@@ -61,6 +61,7 @@ def test_stats_table(capsys):
     assert "spans dropped" in out
     assert "endpoint table" in out
     assert "address table drops" in out
+    assert "trail footprints retained" in out
 
 
 def test_stats_prometheus_format(capsys):

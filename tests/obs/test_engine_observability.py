@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import ScidiveEngine
 from repro.core.events import EVENT_ORPHAN_RTP_AFTER_BYE, Event
 from repro.core.rules import RuleSet, SingleEventRule
+from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import run_bye_attack
 from repro.experiments.workloads import WorkloadSpec, capture_workload
 from repro.obs import Observability, parse_prometheus
@@ -65,6 +66,11 @@ class TestCountersMatchStats:
                 == engine.trails.trail_count)
         assert (families["scidive_sessions"]['scidive_sessions{engine="scidive"}']
                 == engine.trails.session_count)
+        retained = families["scidive_trail_footprints_retained"][
+            'scidive_trail_footprints_retained{engine="scidive"}'
+        ]
+        assert retained == engine.trails.size_stats()["footprints_retained"]
+        assert 0 < retained <= TRAIL_TAIL * engine.trails.trail_count
         tables = engine.distiller.table_stats()
         assert tables["endpoint_table"] > 0 and tables["address_table_drops"] == 0
         for counter, value in tables.items():

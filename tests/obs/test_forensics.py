@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+from functools import partial
+
 import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.alerts import Alert, Severity
+from repro.core.engine import ScidiveEngine
+from repro.core.events import Event
 from repro.core.export import alert_to_dict
 from repro.core.footprint import RtpFootprint
 from repro.core.rules_library import RULE_BYE_ATTACK
+from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
     run_billing_fraud,
     run_bye_attack,
@@ -19,12 +26,16 @@ from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.pcap import read_pcap
 from repro.obs import parse_prometheus
 from repro.obs.forensics import (
+    DEFAULT_RING_CAPACITY,
     ForensicsRecorder,
     ProvenanceGraph,
     format_bundle,
     list_bundles,
     load_bundle,
 )
+from repro.workload import ATTACK_KINDS, DEFAULT_SCENARIO, FLOOD_KINDS, AttackMix, generate_workload
+from tests.core.test_distiller_trail import rtp_frame
+from tests.property.test_distiller_fuzz import CRASH_CORPUS
 
 # One sim-clock tick in the testbed (frames are spaced 0.5 ms apart), the
 # allowed slack between the derived per-alert delay and the harness view.
@@ -127,10 +138,9 @@ class TestFlightRecorderBounds:
                                   _media_footprint(i, session=i))
         assert recorder.session_count == 256
         assert recorder.sessions_evicted == n_sessions - 256
-        # The footprint identity map tracks ring contents exactly — no
-        # dangling ids after eviction.
-        live = sum(len(ring.records) for ring in recorder._sessions.values())
-        assert recorder.record_count == live == 256
+        # One record per surviving single-frame session: evicted
+        # sessions took their records with them.
+        assert recorder.record_count == 256
         # Idle expiry (the housekeeping path) empties everything.
         dropped = recorder.expire_idle(now=1e9, timeout=1.0)
         assert dropped == 256
@@ -152,6 +162,173 @@ class TestFlightRecorderBounds:
             ForensicsRecorder(ring_capacity=0)
         with pytest.raises(ValueError):
             ForensicsRecorder(max_sessions=0)
+
+
+class IdentityMapRecorder(ForensicsRecorder):
+    """The recorder before alert-time resolution, kept as the oracle: an
+    ``id()``-keyed map from footprint to record holding exactly what the
+    rings hold (the invariant the per-frame store / per-eviction pop
+    maintained), consulted without any session key."""
+
+    def _build_graph(self, alert, alert_id):
+        self._by_fp = {
+            id(record.footprint): record
+            for ring in self._sessions.values()
+            for record in ring.records
+        }
+        return super()._build_graph(alert, alert_id)
+
+    def _record_for(self, fp):
+        return self._by_fp.get(id(fp))
+
+
+def _attack_trace(runner):
+    return runner(seed=7).testbed.ids_tap.trace
+
+
+def _workload_trace():
+    spec = DEFAULT_SCENARIO.with_overrides(
+        name="forensics-oracle", subscribers=16, duration=1200.0, seed=99,
+        attacks=tuple(
+            AttackMix(kind=kind, count=1) for kind in ATTACK_KINDS if kind not in FLOOD_KINDS
+        ),
+    )
+    return generate_workload(spec).trace
+
+
+ORACLE_TRACES = {
+    **{runner.__name__: partial(_attack_trace, runner) for runner in PAPER_ATTACKS},
+    "generated-workload": _workload_trace,
+}
+
+
+def _alert_on(*evidence) -> Alert:
+    event = Event(name="test-event", time=1.0, session="", evidence=evidence)
+    return Alert(
+        rule_id="TEST-001", rule_name="test", time=1.0, session="",
+        severity=Severity.HIGH, attack_class="test", message="m", events=(event,),
+    )
+
+
+class TestAlertTimeResolution:
+    """Evidence resolves to frames by scanning one ring when an alert
+    fires — the answer the per-frame identity map used to give."""
+
+    @pytest.mark.parametrize("limits", [{}, {"ring_capacity": 4, "max_sessions": 6}],
+                             ids=["default-limits", "tiny-rings"])
+    @pytest.mark.parametrize("source", ORACLE_TRACES)
+    def test_every_graph_equals_the_identity_map_oracle(self, source, limits):
+        trace = ORACLE_TRACES[source]()
+        graphs = []
+        for recorder in (ForensicsRecorder(**limits), IdentityMapRecorder(**limits)):
+            engine = ScidiveEngine(forensics=recorder)
+            if limits:  # ...and sweep often, so rings also leave by idle expiry
+                engine.housekeeping_every, engine.state_idle_timeout = 64, 20.0
+            for record in trace:
+                engine.process_frame(record.frame, record.timestamp)
+            graphs.append([alert.provenance.to_dict() for alert in engine.alerts])
+        scanned, oracle = graphs
+        assert scanned and scanned == oracle
+        unresolved = sum(
+            "frame_no" not in fp for graph in scanned for fp in graph["footprints"]
+        )
+        # Every frame is still in its ring at the default limits; the
+        # tiny rings lose evidence on the longer traces — identically.
+        assert not unresolved or limits
+
+    @pytest.mark.parametrize("cause", ["ring-overflow", "lru-eviction", "idle-expiry"])
+    def test_evidence_that_left_its_ring_is_a_bare_footprint_node(self, cause):
+        recorder = ForensicsRecorder(ring_capacity=4, max_sessions=2)
+        gone, kept = _media_footprint(0, session=1), _media_footprint(1, session=1)
+        recorder.record_frame(1, b"gone", 0.0, gone)
+        if cause == "ring-overflow":
+            for i in range(2, 6):
+                recorder.record_frame(i, b"x", i * 0.001, _media_footprint(i, session=1))
+        elif cause == "lru-eviction":
+            for session in (2, 3):
+                recorder.record_frame(session, b"x", 0.001, _media_footprint(2, session=session))
+        else:
+            assert recorder.expire_idle(now=100.0, timeout=1.0) == 1
+        recorder.record_frame(9, b"kept", 0.009, kept)
+        alert = _alert_on(gone, kept)
+        recorder.on_alert(alert)
+        graph = alert.provenance
+        assert [("frame_no" in fp) for fp in graph.footprints] == [False, True]
+        assert [frame["frame_no"] for frame in graph.frames] == [9]
+        frame_edges = [edge for edge in graph.edges if edge[0].startswith("frame:")]
+        assert frame_edges == [[graph.frames[0]["node"], "footprint:1"]]
+
+    def test_evidence_held_across_sessions_resolves_in_both_rings(self, bye_result):
+        """BYE-001's evidence spans two rings: the BYE that armed the
+        watch (the call's ring) and the orphan RTP packet (its flow's)."""
+        graph = bye_result.alerts_for(RULE_BYE_ATTACK)[0].provenance
+        assert sorted(fp["protocol"] for fp in graph.footprints) == ["rtp", "sip"]
+        assert all("frame_no" in fp for fp in graph.footprints)
+        assert sorted(frame["protocol"] for frame in graph.frames) == ["rtp", "sip"]
+        rings = bye_result.engine.forensics._sessions
+        held = {
+            record.frame_no: key[0] for key, ring in rings.items() for record in ring.records
+        }
+        assert sorted(held[frame["frame_no"]] for frame in graph.frames) == ["call", "flow"]
+
+    def test_restored_quarantine_ring_resolves_evidence(self):
+        engine = ScidiveEngine()
+        for n, (_label, frame) in enumerate(CRASH_CORPUS):
+            engine.process_frame(frame, float(n))
+        before = engine.forensics.malformed_records()
+        other = ScidiveEngine()
+        other.restore(engine.checkpoint())
+        restored = other.forensics.malformed_records()
+        assert restored and [r.frame for r in restored] == [r.frame for r in before]
+        assert other.forensics.record_count == len(restored)
+        alert = _alert_on(restored[0].footprint, restored[-1].footprint)
+        other.forensics.on_alert(alert)
+        assert [frame["frame_no"] for frame in alert.provenance.frames] == [
+            restored[0].frame_no, restored[-1].frame_no,
+        ]
+        # A footprint from the engine that took the snapshot is equal to
+        # its restored copy but not the same object: evidence is matched
+        # by identity, as the map matched it.
+        stranger = _alert_on(before[0].footprint)
+        other.forensics.on_alert(stranger)
+        assert not stranger.provenance.frames
+
+
+class TestRetainedFootprintCensus:
+    """The deterministic guard behind the peak-RSS claim: per-packet
+    history is kept once (the flight recorder's rings) and bounded (the
+    trail tails), whatever the number of frames."""
+
+    FLOWS, FRAMES = 20, 20_000
+    SLACK = 8
+
+    @staticmethod
+    def _census() -> int:
+        gc.collect()
+        return sum(isinstance(obj, RtpFootprint) for obj in gc.get_objects())
+
+    @classmethod
+    def _live_rtp_footprints(cls, forensics: bool) -> int:
+        before = cls._census()  # other tests' engines may still be alive
+        engine = ScidiveEngine(forensics=forensics)
+        for n in range(cls.FRAMES):
+            flow = n % cls.FLOWS
+            frame = rtp_frame(
+                seq=n // cls.FLOWS, src_port=40000 + 2 * flow, dst_port=42000 + 2 * flow,
+                ssrc=flow + 1,
+            )
+            engine.process_frame(frame, n * 0.001)
+        assert engine.stats.footprints == cls.FRAMES and not engine.alerts
+        assert engine.trails.size_stats()["footprints_retained"] <= cls.FLOWS * TRAIL_TAIL
+        return cls._census() - before
+
+    def test_with_the_flight_recorder(self):
+        live = self._live_rtp_footprints(forensics=True)
+        assert live <= self.FLOWS * (DEFAULT_RING_CAPACITY + TRAIL_TAIL) + self.SLACK
+
+    def test_with_forensics_off(self):
+        live = self._live_rtp_footprints(forensics=False)
+        assert live <= self.FLOWS * TRAIL_TAIL + self.SLACK
 
 
 class TestEvidenceBundles:

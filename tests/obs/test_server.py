@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,39 @@ def bye_run():
     finally:
         obs.disable()
     return result, ctx
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+# The import budget, as CI's smoke job runs it: an engine process or a
+# cluster worker never loads the HTTP stack; the sidecar's names resolve
+# (and load it) on first use.
+IMPORT_BUDGET = (
+    "import sys, repro.core.engine, repro.cluster; "
+    "heavy = ('http.server', 'http.client', 'ssl', 'email', 'socketserver'); "
+    "early = [m for m in heavy if m in sys.modules]; assert not early, early; "
+    "import repro.obs; "
+    "assert {'ObsServer', 'StatusSource'} <= set(dir(repro.obs)) & set(repro.obs.__all__); "
+    "assert repro.obs.ObsServer.__module__ == repro.obs.StatusSource.__module__ == 'repro.obs.server'; "
+    "assert all(m in sys.modules for m in heavy)"
+)
+
+
+class TestSidecarLoadsOnFirstUse:
+    def test_engine_and_cluster_imports_stay_within_the_budget(self):
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_BUDGET],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_ci_smoke_runs_the_same_check(self):
+        assert IMPORT_BUDGET in (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'NoSuchThing'"):
+            getattr(obs, "NoSuchThing")
 
 
 class TestUnboundServer:

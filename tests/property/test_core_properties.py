@@ -170,4 +170,5 @@ class TestTrailManagerProperties:
             )
             manager.push(fp)
             total += 1
-        assert sum(len(t) for t in manager.trails.values()) == total
+        # Held in a trail's bounded tail, or counted by it as evicted.
+        assert sum(len(t) + t.evicted for t in manager.trails.values()) == total

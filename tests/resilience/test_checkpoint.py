@@ -8,10 +8,12 @@ raised, same alerts still to come for the remainder of the scenario.
 from __future__ import annotations
 
 import collections
+import pickle
 
 import pytest
 
 from repro.core.engine import ScidiveEngine
+from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
     run_bye_attack,
     run_call_hijack,
@@ -72,6 +74,27 @@ class TestRoundtrip:
         assert collections.Counter(second.alert_log.alerts) == expected
         assert second.stats.frames == baseline.stats.frames
 
+    def test_trails_roundtrip_as_they_are_live(self):
+        """Trails are bounded live, so a snapshot carries each one whole:
+        tail, counters and linkage — and taking it leaves them untouched."""
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        _replay(engine, _attack_frames("rtp-attack"))
+
+        def view(candidate: ScidiveEngine) -> dict:
+            return {
+                key: (trail.footprints, trail.first_seen, trail.last_seen,
+                      trail.evicted, trail.call_id)
+                for key, trail in candidate.trails.trails.items()
+            }
+
+        before = view(engine)
+        assert any(evicted for *_, evicted, _call_id in before.values())
+        assert all(len(tail) <= TRAIL_TAIL for tail, *_ in before.values())
+        other = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        other.restore(engine.checkpoint())
+        assert view(other) == before == view(engine)
+        assert other.trails.size_stats() == engine.trails.size_stats()
+
     def test_restore_rebuilds_generator_context(self):
         # The restored engine must feed generators the *restored*
         # trackers, not the factory-fresh ones the context was built on.
@@ -114,6 +137,15 @@ class TestVersionGate:
         monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", CHECKPOINT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             engine.restore(blob)
+
+
+    def test_previous_version_blob_is_refused(self):
+        """v2 pickled ``Trail`` with a ``max_length`` slot and no
+        ``first_seen``; a v2 snapshot must not be resurrected."""
+        assert CHECKPOINT_VERSION == 3
+        blob = b"SCDV" + pickle.dumps({"version": 2})
+        with pytest.raises(CheckpointError, match="version 2"):
+            ScidiveEngine().restore(blob)
 
 
 class TestFirewallState:
