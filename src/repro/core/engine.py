@@ -517,9 +517,9 @@ class ScidiveEngine:
                 for subscriber in self.alert_subscribers:
                     subscriber(alert)
         if isinstance(footprint, SipFootprint):
-            # Every reader of this message's typed headers has run; the
-            # trail keeps the message, not the parsed values.
-            footprint.message.forget_typed()
+            # Every reader of this message's headers has run; the trail
+            # keeps the message as its header block, not the parsed values.
+            footprint.message.compact()
         return alerts
 
     def inject_event(self, event: Event) -> list[Alert]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import time as _time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -260,10 +260,17 @@ class FrameRecord:
 
 
 class _SessionRing:
+    """The last ``ring_capacity`` records of one session, oldest first.
+
+    A plain list trimmed from the front once it outgrows the capacity:
+    most flood sessions hold one record, and a one-element list is 88 B
+    where a bounded double-ended queue is 760 B however little it holds.
+    """
+
     __slots__ = ("records", "last_seen")
 
-    def __init__(self, capacity: int) -> None:
-        self.records: deque[FrameRecord] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.records: list[FrameRecord] = []
         self.last_seen = 0.0
 
 
@@ -367,15 +374,16 @@ class ForensicsRecorder:
             if len(sessions) >= self.max_sessions:
                 sessions.popitem(last=False)
                 self.sessions_evicted += 1
-            ring = _SessionRing(self.ring_capacity)
+            ring = _SessionRing()
             sessions[key] = ring
         else:
             sessions.move_to_end(key)
         ring.last_seen = timestamp
         self._rec_seq += 1
-        ring.records.append(
-            FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint)
-        )
+        records = ring.records
+        records.append(FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint))
+        if len(records) > self.ring_capacity:
+            del records[0]
 
     def expire_idle(self, now: float, timeout: float) -> int:
         """Evict sessions idle past ``timeout`` (housekeeping sweep)."""
@@ -410,9 +418,10 @@ class ForensicsRecorder:
             return
         ring = self._sessions.get(MALFORMED_SESSION_KEY)
         if ring is None:
-            ring = _SessionRing(self.ring_capacity)
+            ring = _SessionRing()
             self._sessions[MALFORMED_SESSION_KEY] = ring
         ring.records.extend(records)
+        del ring.records[: -self.ring_capacity]
         ring.last_seen = max(ring.last_seen, max(r.timestamp for r in records))
         self._rec_seq = max(self._rec_seq, max(r.record_id for r in records))
 

@@ -83,6 +83,52 @@ def canonical_name(name: str) -> str:
     return known if known is not None else _compute_canonical(name)
 
 
+def _index_of(items: list[tuple[str, str]]) -> dict[str, str | tuple[str, ...]]:
+    """The lookup index of an item list (see :class:`HeaderTable`)."""
+    index: dict[str, str | tuple[str, ...]] = {}
+    for canon, value in items:
+        seen = index.get(canon)
+        if seen is None:
+            index[canon] = value
+        elif type(seen) is tuple:
+            index[canon] = seen + (value,)
+        else:
+            index[canon] = (seen, value)
+    return index
+
+
+def parse_header_block(block: str, strict: bool) -> list[tuple[str, str]]:
+    """The header lines of a message (start line removed, LF line ends)
+    as ``(canonical name, stripped value)`` items, in order.
+
+    Continuation lines (leading whitespace) fold into the line above.
+    Raises :class:`HeaderError` on a line with no name or colon, on a
+    continuation before any header, and — ``strict`` — on whitespace
+    before the colon (RFC 3261 7.3.1).  The parser and a compacted
+    :class:`HeaderTable` both read a block through this one loop, so a
+    table re-read from its block holds exactly what the parse produced.
+    """
+    unfolded: list[str] = []
+    for line in block.split("\n"):
+        if line[:1] in (" ", "\t"):
+            if not unfolded:
+                raise HeaderError("continuation line before any header")
+            unfolded[-1] += " " + line.strip()
+        else:
+            unfolded.append(line)
+    items: list[tuple[str, str]] = []
+    for line in unfolded:
+        if not line.strip():
+            continue
+        name, colon, value = line.partition(":")
+        if not colon or not name.strip():
+            raise HeaderError(f"malformed header line: {line!r}")
+        if strict and name != name.rstrip():
+            raise HeaderError(f"whitespace before colon: {line!r}")
+        items.append((canonical_name(name.strip()), value.strip()))
+    return items
+
+
 class HeaderTable:
     """Order-preserving, case-insensitive multi-map of SIP headers.
 
@@ -91,18 +137,68 @@ class HeaderTable:
     (no allocation beyond the dict slot), a tuple of the values in order
     when it repeats — so lookups are dictionary probes, not scans.  Every
     mutator touches one name and updates that name's entry.
+
+    A table the strict parser built also keeps ``_block``, the header
+    block it was read from.  :meth:`compact` drops the items and the
+    index of such a table — one string instead of a list, a dict and a
+    tuple and a value per header — and the next read re-reads them from
+    the block through :func:`parse_header_block`.  A mutator first
+    re-reads them, then drops the block for good: the block no longer
+    describes the table.
     """
 
-    __slots__ = ("_items", "_index")
+    __slots__ = ("_items", "_index", "_block")
 
     def __init__(self, items: list[tuple[str, str]] | None = None) -> None:
-        self._items: list[tuple[str, str]] = []
-        self._index: dict[str, str | tuple[str, ...]] = {}
-        if items:
-            for name, value in items:
-                self.add(name, value)
+        self._block: str | None = None
+        self._items: list[tuple[str, str]] | None = [
+            (canonical_name(name), value.strip()) for name, value in items or ()
+        ]
+        self._index: dict[str, str | tuple[str, ...]] | None = _index_of(self._items)
+
+    @classmethod
+    def from_block(cls, block: str, strict: bool) -> "HeaderTable":
+        """The table of a header block; it keeps the block when
+        ``strict``, the only parse whose block it can re-read."""
+        table = cls.__new__(cls)
+        table._block = block
+        table._materialise(strict)
+        if not strict:
+            table._block = None
+        return table
+
+    def _materialise(self, strict: bool = True) -> dict[str, str | tuple[str, ...]]:
+        items = parse_header_block(self._block, strict)
+        index = _index_of(items)
+        # Published index last: a reader that finds an index finds items.
+        self._items = items
+        self._index = index
+        return index
+
+    def _lookup(self) -> dict[str, str | tuple[str, ...]]:
+        index = self._index
+        return index if index is not None else self._materialise()
+
+    def _ordered(self) -> list[tuple[str, str]]:
+        if self._index is None:
+            self._materialise()
+        return self._items
+
+    def _thaw(self) -> None:
+        """Before a mutation: re-read a compacted table, forget its block."""
+        if self._block is not None:
+            if self._index is None:
+                self._materialise()
+            self._block = None
+
+    def compact(self) -> None:
+        """Drop the items and index of a table that still has its block."""
+        if self._block is not None:
+            self._index = None
+            self._items = None
 
     def add(self, name: str, value: str) -> None:
+        self._thaw()
         canon = canonical_name(name)
         value = value.strip()
         self._items.append((canon, value))
@@ -127,6 +223,7 @@ class HeaderTable:
 
     def set(self, name: str, value: str) -> None:
         """Replace all instances of ``name`` with a single value."""
+        self._thaw()
         canon = canonical_name(name)
         value = value.strip()
         if canon in self._index:
@@ -135,27 +232,29 @@ class HeaderTable:
         self._index[canon] = value
 
     def get(self, name: str, default: str | None = None) -> str | None:
-        seen = self._index.get(canonical_name(name))
+        seen = self._lookup().get(canonical_name(name))
         if seen is None:
             return default
         return seen[0] if type(seen) is tuple else seen
 
     def get_all(self, name: str) -> list[str]:
-        seen = self._index.get(canonical_name(name))
+        seen = self._lookup().get(canonical_name(name))
         if seen is None:
             return []
         return list(seen) if type(seen) is tuple else [seen]
 
     def repeated(self) -> list[str]:
         """Canonical names that occur more than once."""
-        return [name for name, seen in self._index.items() if type(seen) is tuple]
+        return [name for name, seen in self._lookup().items() if type(seen) is tuple]
 
     def remove(self, name: str) -> None:
+        self._thaw()
         canon = canonical_name(name)
         if self._index.pop(canon, None) is not None:
             self._items = [(n, v) for n, v in self._items if n != canon]
 
     def remove_first(self, name: str) -> None:
+        self._thaw()
         canon = canonical_name(name)
         for i, (n, _) in enumerate(self._items):
             if n == canon:
@@ -165,40 +264,50 @@ class HeaderTable:
 
     def insert_first(self, name: str, value: str) -> None:
         """Prepend — used for Via stacking at proxies."""
+        self._thaw()
         canon = canonical_name(name)
         self._items.insert(0, (canon, value.strip()))
         self._reindex(canon)
 
     def __contains__(self, name: str) -> bool:
-        return canonical_name(name) in self._index
+        return canonical_name(name) in self._lookup()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._ordered())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeaderTable):
             return NotImplemented
-        return self._items == other._items
+        return self._ordered() == other._ordered()
 
     def __repr__(self) -> str:
-        return f"HeaderTable({self._items!r})"
+        return f"HeaderTable({self._ordered()!r})"
 
     def items(self) -> list[tuple[str, str]]:
-        return list(self._items)
+        return list(self._ordered())
 
     def copy(self) -> "HeaderTable":
         table = HeaderTable()
-        table._items = list(self._items)
+        table._items = list(self._ordered())
         table._index = dict(self._index)  # values are immutable: str or tuple
         return table
 
-    # Pickled as the item list alone, in the shape a one-slot class gets
-    # by default; the index is derived state and is rebuilt on load.
+    # Pickled in the shape a slots class gets by default, with only the
+    # state that is not derived: the block when the table has one (the
+    # unpickled table is compacted), else the item list, whose index is
+    # rebuilt on load.
     def __getstate__(self):
+        if self._block is not None:
+            return None, {"_block": self._block}
         return None, {"_items": self._items}
 
     def __setstate__(self, state) -> None:
-        self.__init__(state[1]["_items"])
+        slots = state[1]
+        if "_block" in slots:
+            self._block = slots["_block"]
+            self._items = self._index = None
+        else:
+            self.__init__(slots["_items"])
 
 
 def _parse_params(text: str) -> tuple[tuple[str, str | None], ...]:

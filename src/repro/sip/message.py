@@ -43,7 +43,7 @@ class SipMessage:
     # SDP slot holds ``(Content-Type string, body, audio endpoint)`` and
     # is used only while both are still those objects.
     # Derived state: not compared, not shown, not pickled, and dropped by
-    # :meth:`forget_typed` once the owner is done reading.
+    # :meth:`compact` once the owner is done reading.
     _typed: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def _typed_header(self, slot: int, name: str, parse):
@@ -82,15 +82,19 @@ class SipMessage:
             entry = typed[_SDP] = (content_type, body, endpoint)
         return entry[2]
 
-    def forget_typed(self) -> None:
-        """Drop the parsed header values (they re-parse on the next read).
+    def compact(self) -> None:
+        """Drop what re-derives from the wire: the parsed header values
+        and, for a strictly parsed message, its header table's items and
+        index (both come back on the next read).
 
         A typed From/To/Contact/Via/CSeq set is several times the size of
-        the strings it came from; the engine keeps every message in a
-        trail long after the last accessor read, and calls this when a
-        footprint's processing ends.
+        the strings it came from, and the table several times its header
+        block; the engine keeps every message in a trail long after the
+        last reader ran, and calls this when a footprint's processing
+        ends.
         """
         self._typed = None
+        self.headers.compact()
 
     def __getstate__(self):
         # Pickled as any slots class is, after dropping the derived state:
@@ -244,31 +248,13 @@ def parse_message(raw: bytes, strict: bool = True) -> SipRequest | SipResponse:
     except UnicodeDecodeError as exc:
         raise SipParseError(f"non-UTF8 header block: {exc}") from exc
 
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines or not lines[0].strip():
+    start_line, _, block = text.replace("\r\n", "\n").partition("\n")
+    if not start_line.strip():
         raise SipParseError("empty start line")
-
-    # Unfold continuation lines (whitespace-prefixed lines join previous).
-    unfolded: list[str] = [lines[0]]
-    for line in lines[1:]:
-        if line[:1] in (" ", "\t"):
-            if len(unfolded) == 1:
-                raise SipParseError("continuation line before any header")
-            unfolded[-1] += " " + line.strip()
-        else:
-            unfolded.append(line)
-
-    message = _parse_start_line(unfolded[0])
-    for line in unfolded[1:]:
-        if not line.strip():
-            continue
-        name, colon, value = line.partition(":")
-        if not colon or not name.strip():
-            raise SipParseError(f"malformed header line: {line!r}")
-        if strict and name != name.rstrip():
-            # Space before the colon is illegal per RFC 3261 7.3.1.
-            raise SipParseError(f"whitespace before colon: {line!r}")
-        message.headers.add(name.strip(), value)
+    if block[:1] in (" ", "\t"):
+        # Framing is reported before the start line's content.
+        raise SipParseError("continuation line before any header")
+    message = _parse_start_line(start_line, block, strict)
 
     if strict:
         for name in message.headers.repeated():
@@ -290,7 +276,16 @@ def parse_message(raw: bytes, strict: bool = True) -> SipRequest | SipResponse:
     return message
 
 
-def _parse_start_line(line: str) -> SipRequest | SipResponse:
+def _read_headers(block: str, strict: bool) -> HeaderTable:
+    try:
+        return HeaderTable.from_block(block, strict)
+    except HeaderError as exc:
+        raise SipParseError(str(exc)) from exc
+
+
+def _parse_start_line(line: str, block: str, strict: bool) -> SipRequest | SipResponse:
+    """The message the start line names, with the headers of ``block``
+    (read only once the start line is known to be good)."""
     parts = line.split(" ", 2)
     if len(parts) != 3:
         raise SipParseError(f"malformed start line: {line!r}")
@@ -298,7 +293,9 @@ def _parse_start_line(line: str) -> SipRequest | SipResponse:
         status_text, reason = parts[1], parts[2]
         if not status_text.isdigit() or len(status_text) != 3:
             raise SipParseError(f"bad status code: {line!r}")
-        return SipResponse(status=int(status_text), reason=reason)
+        return SipResponse(
+            headers=_read_headers(block, strict), status=int(status_text), reason=reason
+        )
     method, uri_text, version = parts
     if version != SIP_VERSION:
         raise SipParseError(f"unsupported SIP version: {version!r}")
@@ -308,7 +305,7 @@ def _parse_start_line(line: str) -> SipRequest | SipResponse:
         uri = SipUri.parse(uri_text)
     except UriError as exc:
         raise SipParseError(f"bad request URI: {uri_text!r}") from exc
-    request = SipRequest(method=method, uri=uri)
+    request = SipRequest(headers=_read_headers(block, strict), method=method, uri=uri)
     if method not in ALL_METHODS:
         # Unknown-but-well-formed methods parse fine; the stack replies 501.
         pass

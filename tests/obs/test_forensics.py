@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import gc
+from collections import deque
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main
@@ -13,7 +16,7 @@ from repro.core.alerts import Alert, Severity
 from repro.core.engine import ScidiveEngine
 from repro.core.events import Event
 from repro.core.export import alert_to_dict
-from repro.core.footprint import RtpFootprint
+from repro.core.footprint import MalformedFootprint, Protocol, RtpFootprint
 from repro.core.rules_library import RULE_BYE_ATTACK
 from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
@@ -162,6 +165,59 @@ class TestFlightRecorderBounds:
             ForensicsRecorder(ring_capacity=0)
         with pytest.raises(ValueError):
             ForensicsRecorder(max_sessions=0)
+
+
+def _malformed_footprint(i: int) -> MalformedFootprint:
+    media = _media_footprint(i, session=0)
+    return MalformedFootprint(
+        timestamp=media.timestamp, src=media.src, dst=media.dst, src_mac=media.src_mac,
+        dst_mac=media.dst_mac, wire_bytes=64, claimed_protocol=Protocol.SIP, reason=f"bad {i}",
+    )
+
+
+class TestRingModel:
+    """A session ring holds exactly what ``deque(maxlen=ring_capacity)``
+    would: the last ``ring_capacity`` records, oldest first."""
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        sessions=st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ring_equals_a_bounded_deque_after_any_appends(self, capacity, sessions):
+        recorder = ForensicsRecorder(ring_capacity=capacity, max_sessions=8)
+        oracle: dict[tuple, deque] = {}
+        for i, session in enumerate(sessions):
+            footprint = _media_footprint(i, session=session)
+            recorder.record_frame(i + 1, b"x", footprint.timestamp, footprint)
+            key = ("flow", footprint.dst.ip.packed, footprint.dst.port)
+            oracle.setdefault(key, deque(maxlen=capacity)).append(i + 1)
+        assert {
+            key: [record.frame_no for record in ring.records]
+            for key, ring in recorder._sessions.items()
+        } == {key: list(ring) for key, ring in oracle.items()}
+        assert all(type(ring.records) is list for ring in recorder._sessions.values())
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        live=st.integers(min_value=0, max_value=8),
+        loaded=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_loading_the_quarantine_trims_the_same_way(self, capacity, live, loaded):
+        source = ForensicsRecorder(ring_capacity=64)
+        for i in range(loaded):
+            fp = _malformed_footprint(100 + i)
+            source.record_frame(100 + i, b"m", fp.timestamp, fp)
+        recorder = ForensicsRecorder(ring_capacity=capacity)
+        for i in range(live):
+            fp = _malformed_footprint(i)
+            recorder.record_frame(i + 1, b"m", fp.timestamp, fp)
+        recorder.load_malformed_state(source.malformed_state())
+        oracle = deque(maxlen=capacity)
+        oracle.extend(range(1, live + 1))
+        oracle.extend(range(100, 100 + loaded))
+        assert [record.frame_no for record in recorder.malformed_records()] == list(oracle)
 
 
 class IdentityMapRecorder(ForensicsRecorder):

@@ -140,11 +140,12 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v2 pickled ``Trail`` with a ``max_length`` slot and no
-        ``first_seen``; a v2 snapshot must not be resurrected."""
-        assert CHECKPOINT_VERSION == 3
-        blob = b"SCDV" + pickle.dumps({"version": 2})
-        with pytest.raises(CheckpointError, match="version 2"):
+        """v4 changed what a pickled ``HeaderTable`` holds: a parsed
+        message's table is its header block, not its item list (v3).
+        The gate refuses a snapshot of any other shape, v3 included."""
+        assert CHECKPOINT_VERSION == 4
+        blob = b"SCDV" + pickle.dumps({"version": 3})
+        with pytest.raises(CheckpointError, match="version 3"):
             ScidiveEngine().restore(blob)
 
 

@@ -5,11 +5,15 @@ list, and ``SipMessage`` remembers each typed header it has parsed.  Both
 are derived state: whatever the UA stack does to a message's headers,
 reads must equal what a fresh parse of the encoded message returns, and
 none of it may be pickled, checkpointed or left behind process-wide.
+A parsed table compacts back to its header block once its message is
+processed; every read of a compacted table must equal a fresh parse too.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from repro.sip import message as message_mod
 from repro.sip.headers import HeaderError, HeaderTable, canonical_name
 from repro.sip.message import SipRequest, SipResponse, parse_message
 from repro.voip.testbed import CLIENT_A_IP
+from tests.core.test_distiller_trail import sip_frame
 from tests.core.test_state import _sdp
 from tests.resilience.test_checkpoint import _attack_frames, _replay
 
@@ -204,7 +209,7 @@ class TestSdpParsedOncePerMessage:
         blob = pickle.dumps(message)
         assert blob == pickle.dumps(untouched) and b"Endpoint" not in blob
         message.sdp_audio_endpoint()
-        message.forget_typed()
+        message.compact()
         assert message._typed is None
 
 
@@ -267,6 +272,130 @@ class TestHeaderIndex:
         assert not hasattr(canonical_name, "cache_info")
 
 
+# -- compacted tables: reads equal a fresh parse --------------------------------
+
+HEADER_SPELLINGS = {
+    "Via": ["Via", "v", "VIA", "via"],
+    "From": ["From", "f", "FROM"],
+    "To": ["To", "t", "to"],
+    "Call-ID": ["Call-ID", "i", "call-id", "CALL-ID"],
+    "CSeq": ["CSeq", "cseq"],
+    "Contact": ["Contact", "m", "contact"],
+    "Subject": ["Subject", "s"],
+    "X-Trace": ["X-Trace", "x-trace"],
+}
+HEADER_VALUES = {
+    "Via": ["SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bKa", "SIP/2.0/TCP host.example;branch=b;rport"],
+    "From": ["Alice <sip:alice@example.com>;tag=a1", "<sip:broken"],
+    "To": ["<sip:bob@example.com>", "sip:bob@example.net;tag=b2"],
+    "Call-ID": ["c1@example", "other-id"],
+    "CSeq": ["7 INVITE", "not-a-cseq"],
+    "Contact": ["<sip:alice@10.0.0.1:5070>", "sip:carol@10.0.0.2"],
+    "Subject": ["hello   there", ""],
+    "X-Trace": ["a;b=c", "  padded  "],
+}
+_REPEATABLE = ("Via", "Contact", "Subject", "X-Trace")
+
+
+@st.composite
+def wire_messages(draw) -> bytes:
+    """A strictly parseable message: compact and mixed-case names,
+    repeated Via (and other repeatable headers), folded lines, CRLF or
+    LF-only framing, and a body with or without Content-Length."""
+    names = draw(st.lists(st.sampled_from(sorted(HEADER_SPELLINGS)), max_size=10))
+    names = [n for i, n in enumerate(names) if n in _REPEATABLE or n not in names[:i]]
+    lines = []
+    for name in names:
+        value = draw(st.sampled_from(HEADER_VALUES[name]))
+        cuts = [i for i, char in enumerate(value) if char in " ;"]
+        if cuts and draw(st.booleans()):
+            # Fold the value onto a continuation line where whitespace may go.
+            cut = draw(st.sampled_from(cuts))
+            value = value[:cut] + draw(st.sampled_from(["\n ", "\n\t", "\n   "])) + value[cut:]
+        spelling = draw(st.sampled_from(HEADER_SPELLINGS[name]))
+        lines.append(f"{spelling}:{draw(st.sampled_from(['', ' ', '  ']))}{value}")
+    body = draw(st.sampled_from([b"", b"v=0\r\n", b"hello body"]))
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.sampled_from(['Content-Length', 'l', 'content-length']))}: {len(body)}")
+    start = draw(st.sampled_from(["INVITE sip:bob@example.com SIP/2.0", "SIP/2.0 180 Ringing"]))
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    text = eol.join([start, *(line.replace("\n", eol) for line in lines)]) + eol + eol
+    return text.encode() + body
+
+
+def _compacted(wire: bytes):
+    message = parse_message(wire)
+    typed_view(message)
+    message.compact()
+    assert message.headers._index is None and message._typed is None
+    return message
+
+
+READS = {
+    "get": lambda m: [m.headers.get(n) for n in (*TYPED_NAMES, "X-Trace", "s", "l", "X-None")],
+    "get_all": lambda m: [m.headers.get_all(n) for n in (*TYPED_NAMES, "x-trace", "Subject")],
+    "in": lambda m: [n in m.headers for n in (*TYPED_NAMES, "X-Trace", "X-None")],
+    "len": lambda m: len(m.headers),
+    "items": lambda m: m.headers.items(),
+    "repeated": lambda m: m.headers.repeated(),
+    "eq": lambda m: m.headers,
+    "repr": lambda m: repr(m.headers),
+    "copy": lambda m: m.headers.copy().items(),
+    "encode": lambda m: m.encode(),
+    "typed": typed_view,
+    "pickle": lambda m: pickle.loads(pickle.dumps(m)).headers.items(),
+}
+
+
+class TestCompactedTableReadsEqualAFreshParse:
+    @given(wire=wire_messages())
+    @settings(max_examples=200, deadline=None)
+    def test_every_read_after_compact_equals_a_fresh_parse(self, wire):
+        for name, read in READS.items():
+            fresh = parse_message(wire)
+            assert read(_compacted(wire)) == read(fresh), name
+        fresh = parse_message(wire)
+        assert _compacted(wire) == fresh and repr(_compacted(wire)) == repr(fresh)
+
+    @given(wire=wire_messages(), ops=st.lists(mutation, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_a_mutated_table_never_compacts_again(self, wire, ops):
+        message, fresh = _compacted(wire), parse_message(wire)
+        for op, name, pick in ops:
+            _apply(message.headers, op, name, pick)
+            _apply(fresh.headers, op, name, pick)
+            message.compact()
+            assert message.headers._block is None
+            assert message.headers._index is not None
+            assert message.headers.items() == fresh.headers.items()
+            assert typed_view(message) == typed_view(fresh)
+            assert pickle.loads(pickle.dumps(message.headers)) == fresh.headers
+
+    @given(wire=wire_messages())
+    @settings(max_examples=100, deadline=None)
+    def test_only_a_strict_parse_keeps_its_block(self, wire):
+        assert parse_message(wire).headers._block is not None
+        for make in (lambda: parse_message(wire, strict=False), _built):
+            message, untouched = make(), make()
+            assert message.headers._block is None
+            message.compact()
+            assert message.headers._index is not None
+            assert message.headers == untouched.headers
+
+    def test_a_compacted_table_pickles_as_its_block(self):
+        message = _compacted(_WIRE)
+        table = message.headers
+        blob = pickle.dumps(table)
+        assert table._index is None, "pickling must not re-read the table"
+        clone = pickle.loads(blob)
+        assert clone._index is None and clone._block == table._block
+        assert clone == parse_message(_WIRE).headers
+        materialised = parse_message(_WIRE).headers
+        clone = pickle.loads(pickle.dumps(materialised))
+        assert clone._index is None and clone == materialised
+        assert pickle.loads(pickle.dumps(_built().headers)) == _built().headers
+
+
 class TestEngineKeepsNoTypedValues:
     @pytest.fixture(scope="class")
     def engine(self) -> ScidiveEngine:
@@ -293,3 +422,66 @@ class TestEngineKeepsNoTypedValues:
         for message in self._messages(engine):
             typed_view(message)
         assert len(engine.checkpoint()) == before
+
+
+def _flood_invite(n: int) -> bytes:
+    """One INVITE of a one-source flood: a fresh call per message."""
+    callee = f"sub{n % 500:06d}@carrier.example"
+    return sip_frame(
+        (
+            f"INVITE sip:{callee} SIP/2.0\r\n"
+            f"Via: SIP/2.0/UDP 10.66.0.5:5060;branch=z9hG4bK{n:08x}\r\n"
+            "Max-Forwards: 70\r\n"
+            f"From: <sip:mal0005@intruder.invalid>;tag=t{n:07x}\r\n"
+            f"To: <sip:{callee}>\r\n"
+            f"Call-ID: wl-{n:08x}@carrier.example\r\n"
+            "CSeq: 1 INVITE\r\n"
+            "Contact: <sip:mal0005@10.66.0.5:5060>\r\n"
+            "Content-Length: 0\r\n\r\n"
+        ).encode()
+    )
+
+
+class TestFloodInviteHeap:
+    """The deterministic guard behind the peak-RSS claim: a flood
+    INVITE's message is kept as its header block once processed."""
+
+    INVITES = 2_000
+    # Bytes of engine heap per INVITE (3.4 KB while every retained
+    # message kept its materialised header table).
+    HEAP_PER_INVITE = 2_600
+
+    @pytest.fixture(scope="class")
+    def flood(self):
+        frames = [_flood_invite(n) for n in range(self.INVITES)]
+        engine = ScidiveEngine()
+        engine.process_frame(_flood_invite(self.INVITES), 0.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for n, frame in enumerate(frames):
+                engine.process_frame(frame, 1.0 + n * 1e-4)
+            gc.collect()
+            heap = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return engine, heap
+
+    def test_no_retained_table_is_materialised(self, flood):
+        engine, _ = flood
+        in_trails = [
+            fp.message.headers
+            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
+            for fp in trail.footprints
+        ]
+        in_rings = [
+            record.footprint.message.headers
+            for ring in engine.forensics._sessions.values()
+            for record in ring.records if hasattr(record.footprint, "message")
+        ]
+        assert len(in_trails) > self.INVITES and len(in_rings) > self.INVITES
+        assert all(table._index is None for table in in_trails + in_rings)
+
+    def test_heap_per_invite(self, flood):
+        _, heap = flood
+        assert heap / self.INVITES <= self.HEAP_PER_INVITE
