@@ -424,7 +424,7 @@ def _timed_cluster_replay(trace, *, traced: bool):
 
     The measurement is the workers' scheduler-aware CPU self-accounting
     (``busy_seconds``: ``thread_time`` inside the worker loop), not wall
-    clock — wall clock over a threaded cluster on a shared runner swings
+    clock — wall clock over a multi-process cluster on a shared runner swings
     10-20% with CPU-frequency drift and GIL scheduling, an order of
     magnitude more than the ~5% effect being gated.  The serial backend
     runs the identical routing, gating, span and merge code (the tracing
@@ -490,7 +490,7 @@ def _cluster_trace_equivalence(seed: int) -> dict:
     reference = run_bye_attack(seed=seed)
     cluster = ScidiveCluster(
         workers=2,
-        backend="threads",
+        backend="process",
         vantage_ip=reference.engine.vantage_ip,
         trace_enabled=True,
         trace_sample_rate=1,

@@ -82,7 +82,7 @@ def _flooded_stream(trace: Trace, flood_frames: int, seed: int):
 def _cluster(workers: int, overload: bool = True) -> ScidiveCluster:
     return ScidiveCluster(
         workers=workers,
-        backend="threads",
+        backend="process",
         batch_size=16,
         vantage_ip=CLIENT_A_IP,
         queue_depth=8,

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         help="worker counts to sweep",
     )
     parser.add_argument(
-        "--backend", default="process", choices=["process", "threads", "serial"]
+        "--backend", default="process", choices=["process", "serial"]
     )
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument(

@@ -90,6 +90,10 @@ from repro.experiments.harness import (
 )
 from repro.experiments.report import format_stage_summary, format_table
 
+# ScidiveCluster's backends (repro.cluster.cluster.BACKENDS), spelled out
+# so building the parser does not import the cluster.
+CLUSTER_BACKENDS = ("process", "serial")
+
 ATTACK_SCENARIOS: dict[str, Callable[..., ExperimentResult]] = {
     "bye-attack": run_bye_attack,
     "call-hijack": run_call_hijack,
@@ -156,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8],
                        help="worker counts to sweep")
     bench.add_argument("--cluster-backend", default="process",
-                       choices=["process", "threads", "serial"],
+                       choices=CLUSTER_BACKENDS,
                        help="worker transport (default: process)")
     bench.add_argument("--batch-size", type=int, default=64)
     bench.add_argument("--sessions", type=int, default=96,
@@ -176,10 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="attacks to replay (default: all four paper attacks)")
     chaos.add_argument("--workers", type=int, default=0,
                        help="0 = single engine; N = ScidiveCluster with N "
-                            "workers, checkpointing on, crash injection")
-    chaos.add_argument("--cluster-backend", default="threads",
-                       choices=["process", "threads"],
-                       help="worker transport (with --workers > 0)")
+                            "process workers, checkpointing on, crash "
+                            "injection")
     chaos.add_argument("--no-crashes", action="store_true",
                        help="skip worker crash injection (cluster mode)")
     chaos.add_argument("--mutation-rate", type=float, default=0.25,
@@ -361,8 +363,8 @@ def _add_workload_eval_flags(parser: argparse.ArgumentParser) -> None:
                         help="detection systems to score")
     parser.add_argument("--workers", type=int, default=4,
                         help="cluster worker count")
-    parser.add_argument("--cluster-backend", default="threads",
-                        choices=["process", "threads", "serial"],
+    parser.add_argument("--cluster-backend", default="process",
+                        choices=CLUSTER_BACKENDS,
                         help="cluster worker transport")
     parser.add_argument("--overload", action="store_true",
                         help="run the scored cluster with the adaptive "
@@ -438,7 +440,7 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=64,
                         help="frames per worker batch (with --workers > 1)")
     parser.add_argument("--cluster-backend", default="process",
-                        choices=["process", "threads", "serial"],
+                        choices=CLUSTER_BACKENDS,
                         help="worker transport (with --workers > 1)")
     parser.add_argument("--overload", action="store_true",
                         help="enable the adaptive overload controller: "
@@ -1012,7 +1014,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     overrides: dict = {
         "seed": args.seed,
         "workers": args.workers,
-        "backend": args.cluster_backend,
         "inject_crashes": not args.no_crashes,
         "mutation_rate": args.mutation_rate,
         "flood_frames": args.flood,

@@ -13,12 +13,15 @@ the pieces:
   Call-ID, normalised destination media endpoint, accounting call id)
   without full protocol decoding, plus the fragment-aware
   :class:`SessionSharder` router.
-* :mod:`repro.cluster.cluster` — :class:`ScidiveCluster`: N worker
-  engines behind bounded batch queues (``process``, ``threads`` or
+* :mod:`repro.cluster.cluster` — :class:`ScidiveCluster`, the router:
+  N worker engines behind bounded batch queues (``process`` or
   ``serial`` backends), with backpressure policies, crash detection
   with automatic respawn, graceful draining shutdown and a merged
   cluster-level view (alerts, :class:`~repro.core.engine.EngineStats`,
   metrics registries).
+* :mod:`repro.cluster.worker` — the worker half: one message handler
+  (batches, the rule-reload barrier, stop, crash) that both backends
+  run, over a ``multiprocessing`` queue or inline.
 * :mod:`repro.cluster.benchmark` — the shard-scaling sweep shared by
   ``benchmarks/bench_shard_scaling.py`` and ``repro bench-shards``.
 """

@@ -16,20 +16,11 @@ cross-protocol state stays complete while its duplicate alerts are
 discarded.  That keeps alert output an exact multiset match with a
 single engine for session-scoped and media-scoped rules.
 
-Backends:
-
-``process``
-    One OS process per worker over ``multiprocessing`` queues — the real
-    deployment shape.  Supports crash detection with automatic respawn
-    (the bounded input queue survives a respawn, so queued batches are
-    not lost — only state accumulated by the dead worker is).
-``threads``
-    One thread per worker, plain ``queue.Queue``.  Same moving parts
-    without process overhead; useful under coverage tools and on
-    platforms where fork is awkward.
-``serial``
-    No concurrency at all: batches execute synchronously at submit time.
-    Fully deterministic — the reference backend for equivalence tests.
+Backends: ``process`` (one OS process per worker, the deployment
+shape, with crash detection and respawn) and ``serial`` (the worker runs
+at submit time on the caller's thread; deterministic, the reference for
+equivalence tests).  Both run one worker message handler; see
+:mod:`repro.cluster.worker`.
 
 Backpressure: input queues are bounded (``queue_depth`` batches).
 ``overflow="block"`` applies backpressure to the producer;
@@ -42,7 +33,7 @@ IDS-under-flood posture: falling behind must not mean unbounded memory,
 and load shedding must degrade the media plane before the signalling
 plane.
 
-Crash safety: with ``checkpoint_every > 0`` each queue-backed worker
+Crash safety: with ``checkpoint_every > 0`` each process worker
 serializes its engine's detection state
 (:meth:`~repro.core.engine.ScidiveEngine.checkpoint`) to
 ``checkpoint_dir/worker-N.ckpt`` every N batches (atomic
@@ -74,11 +65,16 @@ import os
 import queue as _queue
 import shutil as _shutil
 import tempfile as _tempfile
-import threading
 import time as _time
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.sharding import PLANE_SIGNALLING, SessionSharder, shard_index
+from repro.cluster.worker import (
+    _pack_errors,
+    _ProcessWorker,
+    _SerialWorker,
+    _span_payload,
+)
 from repro.core.alerts import Alert, Severity
 from repro.core.engine import EngineStats, ScidiveEngine
 from repro.obs.registry import MetricsRegistry
@@ -88,7 +84,6 @@ from repro.obs.tracing import (
     Tracer,
     sort_timeline,
 )
-from repro.resilience.checkpoint import RulePackMismatch
 from repro.resilience.overload import (
     STATE_VALUES,
     OverloadConfig,
@@ -97,17 +92,10 @@ from repro.resilience.overload import (
     format_source,
     shed_plan,
 )
-from repro.rulespec import (
-    RulePack,
-    compile_pack,
-    core_pack,
-    lint_text,
-    load_pack,
-    parse_pack,
-)
+from repro.rulespec import RulePack, core_pack, load_pack, parse_pack
 from repro.sim.trace import Trace
 
-BACKENDS = ("process", "threads", "serial")
+BACKENDS = ("process", "serial")
 OVERFLOW_POLICIES = ("block", "drop")
 
 # Self-diagnostic rule id for a shard whose worker exhausted its restart
@@ -135,7 +123,7 @@ class ClusterConfig:
     max_restarts: int = 3
     result_timeout: float = 30.0
     # Detection-state checkpointing (repro.resilience): every N batches a
-    # queue-backed worker snapshots its engine to checkpoint_dir.  0 = off.
+    # process worker snapshots its engine to checkpoint_dir.  0 = off.
     # checkpoint_dir=None with checkpointing on → a private temp dir,
     # created at start() and removed at stop().
     checkpoint_every: int = 0
@@ -154,7 +142,7 @@ class ClusterConfig:
     trace_enabled: bool = False
     trace_sample_rate: int = DEFAULT_TRACE_SAMPLE_RATE
     trace_max_spans: int = 250_000
-    # When set, each queue-backed worker runs a sampling stack profiler
+    # When set, each process worker runs a sampling stack profiler
     # and writes worker-N.collapsed (flamegraph-ready) into this dir.
     profile_dir: str | None = None
     # Closed-loop overload control (repro.resilience.overload): the
@@ -201,13 +189,6 @@ class ClusterConfig:
         return self
 
 
-def _pack_errors(text: str, path: str) -> str:
-    """Error-severity diagnostics for pack text, path-anchored, joined."""
-    return "; ".join(
-        str(issue) for issue in lint_text(text, path) if issue.severity == "error"
-    )
-
-
 def _config_rulepack(config: ClusterConfig) -> RulePack:
     """The rule pack a worker should compile, rebuilt from the config's
     picklable fields (no pack text or path = the shipped pack)."""
@@ -250,392 +231,6 @@ def default_engine_factory(worker_id: int, config: ClusterConfig) -> ScidiveEngi
         metrics_enabled=False,
         rulepack=rulepack,
     )
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-
-def _span_payload(spans, worker) -> list[dict]:
-    """Spans → plain wire dicts, stamped with the recording worker."""
-    out = []
-    for span in spans:
-        record = span.to_dict()
-        record["worker"] = worker
-        out.append(record)
-    return out
-
-
-def _engine_tracer(engine) -> Tracer | None:
-    obs = getattr(engine, "observability", None)
-    return getattr(obs, "tracer", None) if obs is not None else None
-
-
-def _gate_tracer(engine, config: ClusterConfig) -> Tracer | None:
-    """Configure a worker engine's tracer for cluster duty: gated on the
-    router's per-frame TraceContext, bounded by the cluster config."""
-    tracer = _engine_tracer(engine)
-    if tracer is not None:
-        tracer.gate = True
-        tracer.context_parent = "queue-wait"
-        tracer.max_spans = config.trace_max_spans
-    return tracer
-
-
-def _engine_report(
-    worker_id: int,
-    engine: ScidiveEngine,
-    batches: int,
-    owned: int,
-    shadowed: int,
-    worker_cpu_seconds: float = 0.0,
-    restored: bool = False,
-    checkpoints: int = 0,
-) -> dict:
-    """The worker's final payload: plain dicts + alert objects, so the
-    transport never pickles engines or metric objects."""
-    engine.snapshot_gauges()
-    registry = engine.metrics_registry()
-    tracer = _engine_tracer(engine)
-    return {
-        "worker_id": worker_id,
-        "alerts": list(engine.alert_log.alerts),
-        "stats": engine.stats.as_dict(),
-        "shadow_stats": engine.shadow_stats.as_dict(),
-        "batches": batches,
-        "frames_owned": owned,
-        "frames_shadowed": shadowed,
-        "worker_cpu_seconds": worker_cpu_seconds,
-        "restored": restored,
-        "checkpoints": checkpoints,
-        "metrics": registry.as_dict() if registry is not None else None,
-        "spans": (
-            _span_payload(tracer.drain(), worker_id) if tracer is not None else []
-        ),
-        "spans_dropped": tracer.dropped if tracer is not None else 0,
-    }
-
-
-def _checkpoint_path(config: ClusterConfig, worker_id: int) -> str | None:
-    if not config.checkpoint_every or not config.checkpoint_dir:
-        return None
-    return os.path.join(config.checkpoint_dir, f"worker-{worker_id}.ckpt")
-
-
-def _write_checkpoint(path: str, blob: bytes) -> None:
-    """Atomic publish: a crash (even ``os._exit``) mid-write leaves the
-    previous checkpoint intact, never a torn file."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-
-
-def _worker_main(worker_id, config, factory, in_q, out_q, hard_crash) -> None:
-    """Worker loop: drain batches until ``stop``, then post the report.
-
-    ``("crash", code)`` is the failure-injection hook: a ``process``
-    worker dies with ``os._exit`` (no cleanup, like a real segfault or
-    OOM kill); a ``threads`` worker just returns without reporting, the
-    closest a thread gets to vanishing.
-
-    With checkpointing on, a respawned worker finds its predecessor's
-    snapshot on disk and restores it before touching the queue, so the
-    batches that survived in the bounded queue resume against the state
-    they were routed for.
-    """
-    engine = factory(worker_id, config)
-    tracer = _gate_tracer(engine, config)
-    profiler = None
-    if config.profile_dir:
-        from repro.obs.profile import StackSampler
-
-        profiler = StackSampler()
-        profiler.start()
-    ckpt_path = _checkpoint_path(config, worker_id)
-    restored = False
-    checkpoints = 0
-    if ckpt_path is not None and os.path.exists(ckpt_path):
-        try:
-            with open(ckpt_path, "rb") as fh:
-                blob = fh.read()
-            try:
-                engine.restore(blob)
-            except RulePackMismatch:
-                # The snapshot predates (or postdates) a hot rule-pack
-                # reload: the session/dialog state is still the shard's
-                # history, so carry it across the version gate rather
-                # than choosing amnesia.  Rule state rebinds by rule id
-                # where shapes match; the rest starts cold.
-                engine.restore(blob, force=True)
-            restored = True
-        except Exception:
-            # Unusable snapshot (torn file from a pre-atomic era, version
-            # drift): amnesia beats refusing to detect at all.
-            pass
-    batches = owned = shadowed = 0
-    process_frame = engine.process_frame
-    process_shadow = engine.process_frame_shadow
-    # Scheduler-aware CPU accounting: a process worker timesharing a
-    # core with its siblings must not bill descheduled time as busy
-    # time, or the critical-path model degenerates on small machines.
-    clock = _time.process_time if hard_crash else _time.thread_time
-    cpu_start = clock()
-    # One staged (epoch, RulePack) awaiting the router's commit.  Staging
-    # is the worker's half of the two-phase reload barrier: parse and
-    # pre-compile *now* (so the prepare-ack is a real promise the commit
-    # cannot break), swap only on commit.
-    staged_pack: tuple[int, RulePack] | None = None
-    while True:
-        message = in_q.get()
-        kind = message[0]
-        if kind == "batch":
-            batches += 1
-            if tracer is None:
-                for frame, timestamp, is_owner, _tid in message[1]:
-                    if is_owner:
-                        process_frame(frame, timestamp)
-                        owned += 1
-                    else:
-                        process_shadow(frame, timestamp)
-                        shadowed += 1
-            else:
-                # Queue-wait: wall clock between the router's enqueue
-                # stamp and this dequeue (wall time is the only clock
-                # comparable across processes).
-                wait = max(0.0, _time.time() - message[2])
-                for frame, timestamp, is_owner, tid in message[1]:
-                    tracer.context = tid
-                    if is_owner:
-                        if tid:
-                            tracer.record(
-                                "queue-wait", wait,
-                                frame=engine.stats.frames + 1,
-                                sim_time=timestamp, parent="route",
-                            )
-                        process_frame(frame, timestamp)
-                        owned += 1
-                    else:
-                        process_shadow(frame, timestamp)
-                        shadowed += 1
-                tracer.context = ""
-                if tracer.spans:
-                    # Drain at the batch boundary: bounded worker memory,
-                    # and FIFO ordering guarantees every spans message
-                    # precedes this worker's final result.
-                    out_q.put(
-                        ("spans", worker_id,
-                         _span_payload(tracer.drain(), worker_id))
-                    )
-            if ckpt_path is not None and batches % config.checkpoint_every == 0:
-                _write_checkpoint(ckpt_path, engine.checkpoint())
-                checkpoints += 1
-        elif kind == "rules_prepare":
-            _, epoch, pack_text, pack_path = message
-            staged_pack = None
-            pack, _ = parse_pack(pack_text, pack_path)
-            if pack is None:
-                errors = _pack_errors(pack_text, pack_path)
-                out_q.put(("rules_ready", worker_id, epoch, False, errors))
-            else:
-                try:
-                    # Compile once up front: an ok-ack must mean the
-                    # commit cannot fail.
-                    compile_pack(pack)
-                except Exception as exc:
-                    out_q.put(("rules_ready", worker_id, epoch, False, str(exc)))
-                else:
-                    staged_pack = (epoch, pack)
-                    out_q.put(("rules_ready", worker_id, epoch, True, ""))
-        elif kind == "rules_commit":
-            epoch = message[1]
-            if staged_pack is not None and staged_pack[0] == epoch:
-                engine.load_rulepack(staged_pack[1])
-                staged_pack = None
-            out_q.put(("rules_done", worker_id, epoch))
-        elif kind == "rules_abort":
-            staged_pack = None
-        elif kind == "stop":
-            if profiler is not None:
-                profiler.stop()
-                os.makedirs(config.profile_dir, exist_ok=True)
-                profiler.write_collapsed(
-                    os.path.join(config.profile_dir,
-                                 f"worker-{worker_id}.collapsed")
-                )
-            report = _engine_report(
-                worker_id,
-                engine,
-                batches,
-                owned,
-                shadowed,
-                clock() - cpu_start,
-                restored,
-                checkpoints,
-            )
-            out_q.put(("result", worker_id, report))
-            return
-        elif kind == "crash":
-            if hard_crash:
-                os._exit(message[1])
-            return  # thread "crash": vanish without a report
-
-
-class _QueueWorker:
-    """Shared shape of the process and thread backends."""
-
-    def __init__(self, worker_id, config, factory, out_q) -> None:
-        self.worker_id = worker_id
-        self.config = config
-        self.factory = factory
-        self.out_q = out_q
-        self.restarts = 0
-        # Set by the cluster when the restart budget is spent: the shard
-        # is degraded, its batches fail over, and stop() skips it.
-        self.dead = False
-        self.in_q = self._make_queue(config.queue_depth)
-
-    def _make_queue(self, depth):
-        raise NotImplementedError
-
-    def start(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def alive(self) -> bool:
-        raise NotImplementedError
-
-    def respawn(self) -> None:
-        """Restart on the *same* input queue: queued batches survive the
-        crash; only the dead worker's accumulated state is lost."""
-        self.restarts += 1
-        self.start()
-
-    def join(self, timeout: float) -> None:
-        raise NotImplementedError
-
-
-class _ProcessWorker(_QueueWorker):
-    def __init__(self, worker_id, config, factory, out_q, ctx) -> None:
-        self._ctx = ctx
-        super().__init__(worker_id, config, factory, out_q)
-        self._proc = None
-
-    def _make_queue(self, depth):
-        return self._ctx.Queue(maxsize=depth)
-
-    def start(self) -> None:
-        self._proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                self.worker_id,
-                self.config,
-                self.factory,
-                self.in_q,
-                self.out_q,
-                True,
-            ),
-            daemon=True,
-            name=f"scidive-worker-{self.worker_id}",
-        )
-        self._proc.start()
-
-    @property
-    def alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
-
-    def join(self, timeout: float) -> None:
-        if self._proc is not None:
-            self._proc.join(timeout)
-
-
-class _ThreadWorker(_QueueWorker):
-    def __init__(self, worker_id, config, factory, out_q) -> None:
-        super().__init__(worker_id, config, factory, out_q)
-        self._thread = None
-
-    def _make_queue(self, depth):
-        return _queue.Queue(maxsize=depth)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=_worker_main,
-            args=(
-                self.worker_id,
-                self.config,
-                self.factory,
-                self.in_q,
-                self.out_q,
-                False,
-            ),
-            daemon=True,
-            name=f"scidive-worker-{self.worker_id}",
-        )
-        self._thread.start()
-
-    @property
-    def alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def join(self, timeout: float) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-
-class _SerialWorker:
-    """The deterministic backend: batches execute at submit time."""
-
-    def __init__(self, worker_id, config, factory) -> None:
-        self.worker_id = worker_id
-        self.restarts = 0
-        self.dead = False  # serial workers cannot die; kept for symmetry
-        self.engine = factory(worker_id, config)
-        self._tracer = _gate_tracer(self.engine, config)
-        self.batches = self.owned = self.shadowed = 0
-        self.cpu_seconds = 0.0
-        self.report: dict | None = None
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-    def put(self, message) -> None:
-        kind = message[0]
-        if kind == "batch":
-            cpu0 = _time.thread_time()
-            self.batches += 1
-            tracer = self._tracer
-            for frame, timestamp, is_owner, tid in message[1]:
-                if tracer is not None:
-                    tracer.context = tid
-                    if tid and is_owner:
-                        # Inline execution: queue-wait is the (near-zero)
-                        # gap between wire() and this put.
-                        tracer.record(
-                            "queue-wait",
-                            max(0.0, _time.time() - message[2]),
-                            frame=self.engine.stats.frames + 1,
-                            sim_time=timestamp, parent="route",
-                        )
-                if is_owner:
-                    self.engine.process_frame(frame, timestamp)
-                    self.owned += 1
-                else:
-                    self.engine.process_frame_shadow(frame, timestamp)
-                    self.shadowed += 1
-            if tracer is not None:
-                tracer.context = ""
-            self.cpu_seconds += _time.thread_time() - cpu0
-        elif kind == "stop":
-            self.report = _engine_report(
-                self.worker_id,
-                self.engine,
-                self.batches,
-                self.owned,
-                self.shadowed,
-                self.cpu_seconds,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -711,35 +306,20 @@ class WorkerReport:
 
     @property
     def busy_seconds(self) -> float:
-        """CPU spent on owned plus shadow work — this worker's share of
-        the cluster's critical path.
-
-        Prefers the worker's scheduler-aware self-measurement
-        (``process_time``/``thread_time``), which does not count time
-        the worker spent descheduled while siblings shared a core; the
-        engine's wall-clock ``cpu_seconds`` is the fallback."""
-        if self.worker_cpu_seconds > 0:
-            return self.worker_cpu_seconds
-        return self.stats.cpu_seconds + self.shadow_stats.cpu_seconds
+        """CPU spent on owned plus shadow batches — this worker's share
+        of the cluster's critical path.  The worker loop's own
+        ``thread_time`` sum, which does not count time the worker spent
+        descheduled while siblings shared a core."""
+        return self.worker_cpu_seconds
 
     @classmethod
     def from_payload(cls, payload: dict, restarts: int) -> "WorkerReport":
-        return cls(
-            worker_id=payload["worker_id"],
-            alerts=list(payload["alerts"]),
-            stats=EngineStats.from_dict(payload["stats"]),
-            shadow_stats=EngineStats.from_dict(payload["shadow_stats"]),
-            batches=payload["batches"],
-            frames_owned=payload["frames_owned"],
-            frames_shadowed=payload["frames_shadowed"],
-            restarts=restarts,
-            worker_cpu_seconds=payload.get("worker_cpu_seconds", 0.0),
-            restored=payload.get("restored", False),
-            checkpoints=payload.get("checkpoints", 0),
-            metrics=payload.get("metrics"),
-            spans=list(payload.get("spans", ())),
-            spans_dropped=payload.get("spans_dropped", 0),
-        )
+        """The worker loop's ``result`` payload carries these fields by
+        name; only the two stats dicts need rebuilding."""
+        fields = dict(payload, restarts=restarts)
+        fields["stats"] = EngineStats.from_dict(payload["stats"])
+        fields["shadow_stats"] = EngineStats.from_dict(payload["shadow_stats"])
+        return cls(**fields)
 
     @classmethod
     def crashed_report(cls, worker_id: int, restarts: int) -> "WorkerReport":
@@ -793,7 +373,7 @@ class ScidiveCluster:
 
     or incrementally::
 
-        with ScidiveCluster(workers=2, backend="threads") as cluster:
+        with ScidiveCluster(workers=2, backend="serial") as cluster:
             for record in trace:
                 cluster.submit_frame(record.frame, record.timestamp)
         result = cluster.result
@@ -895,25 +475,14 @@ class ScidiveCluster:
         n = config.workers
         self._pending = [[] for _ in range(n)]
         if config.backend == "serial":
-            self._workers = [
-                _SerialWorker(i, config, self.engine_factory) for i in range(n)
-            ]
-        elif config.backend == "threads":
-            self._out_q = _queue.Queue()
-            self._workers = [
-                _ThreadWorker(i, config, self.engine_factory, self._out_q)
-                for i in range(n)
-            ]
+            self._out_q, worker_type = _queue.SimpleQueue(), _SerialWorker
         else:
-            ctx = _mp.get_context()
-            self._out_q = ctx.Queue()
-            self._workers = [
-                _ProcessWorker(i, config, self.engine_factory, self._out_q, ctx)
-                for i in range(n)
-            ]
-        if config.backend != "serial":
-            for worker in self._workers:
-                worker.start()
+            self._out_q, worker_type = _mp.Queue(), _ProcessWorker
+        self._workers = [
+            worker_type(i, config, self.engine_factory, self._out_q) for i in range(n)
+        ]
+        for worker in self._workers:
+            worker.start()
         self._started = True
         return self
 
@@ -1038,7 +607,7 @@ class ScidiveCluster:
         worker = self._workers[wid]
         if isinstance(worker, _SerialWorker):
             t0 = _time.perf_counter()
-            worker.put(self._wire(items))
+            worker.in_q.put(self._wire(items))
             self._inline_seconds += _time.perf_counter() - t0
             stats.batches_submitted += 1
             return
@@ -1148,7 +717,26 @@ class ScidiveCluster:
                 stats.batches_submitted += 1
                 return
             except _queue.Full:
-                continue
+                # Read results while backpressured: a traced run fills
+                # the results pipe, and a worker whose crash hook is
+                # flushing into it never exits.  Mid-run nothing else is
+                # awaited there, so whatever is not a span drain is stray.
+                while self._next_result() is not None:
+                    pass
+
+    def _next_result(self, timeout: float = 0.0):
+        """The next message on the results queue that is not a span
+        drain, or None once it stays empty for ``timeout`` seconds.
+        Span drains interleave with acks and reports on the one queue;
+        they are banked for the stop()-time merge."""
+        while True:
+            try:
+                message = self._out_q.get(timeout=timeout or None, block=timeout > 0)
+            except _queue.Empty:
+                return None
+            if message[0] != "spans":
+                return message
+            self._worker_spans.extend(message[2])
 
     def _ensure_alive(self, worker) -> bool:
         """True if the worker can take work (respawning it if needed);
@@ -1245,23 +833,12 @@ class ScidiveCluster:
 
     def _queue_fill(self) -> float:
         """Worst per-worker input-queue fill fraction (0..1)."""
-        depth = self.config.queue_depth
-        worst = 0
-        for worker in self._workers:
-            in_q = getattr(worker, "in_q", None)
-            if in_q is None:
-                continue
-            try:
-                size = in_q.qsize()
-            except NotImplementedError:  # pragma: no cover - macOS mp queues
-                continue
-            if size > worst:
-                worst = size
-        return min(1.0, worst / depth)
+        worst = max(0, *self.queue_depths())
+        return min(1.0, worst / self.config.queue_depth)
 
     def _inline_burn_rate(self) -> float:
         """Latency-budget burn where it is observable: the serial backend
-        runs engines in-process; queued backends drive on fill alone."""
+        runs engines in-process; process workers drive on fill alone."""
         if self.config.backend != "serial":
             return 0.0
         worst = 0.0
@@ -1275,7 +852,7 @@ class ScidiveCluster:
         """Brownout policy for in-process engines: floor the per-frame
         optional work (rule cost sampling off, summary sketches widened)
         while degraded, heal the saved rates on the return to normal.
-        Queued backends get the router-side half only (trace sampling
+        Process workers get the router-side half only (trace sampling
         suppression in :meth:`_trace_id`)."""
         if self.config.backend != "serial":
             return
@@ -1360,25 +937,20 @@ class ScidiveCluster:
         self._rules_epoch += 1
         epoch = self._rules_epoch
         self.flush()
-        if self.config.backend == "serial":
-            for worker in self._workers:
-                worker.engine.load_rulepack(pack)
-        else:
-            self._reload_queued(epoch, text, path)
+        self._reload_queued(epoch, text, path)
         self.rulepack = pack
         self.config = replace(self.config, pack_text=text, pack_path=path)
         # Workers respawn from the config *they* hold (respawn() →
         # start() → _worker_main(worker.config)), so rebind every worker
         # to the updated config: a crash after this reload must rebuild
         # under the new pack, not the one the worker was spawned with.
-        if self.config.backend != "serial":
-            for worker in self._workers:
-                worker.config = self.config
+        for worker in self._workers:
+            worker.config = self.config
         self.cluster_stats.rulepack_reloads += 1
         return pack
 
     def _reload_queued(self, epoch: int, text: str, path: str) -> None:
-        """Drive the prepare/commit barrier for the queue-backed backends."""
+        """Drive the prepare/commit barrier on every live worker."""
         live = [worker for worker in self._workers if not worker.dead]
         if not live:
             raise ClusterError("every worker shard is dead; cannot reload rules")
@@ -1408,8 +980,9 @@ class ScidiveCluster:
 
     def _send_control(self, worker, message: tuple) -> None:
         """Blocking control-plane put: backpressure while the worker
-        drains its queue; a death mid-put is left to the ack collector,
-        which respawns and re-sends."""
+        drains its queue; a death mid-put is left to the collector
+        (:meth:`_collect_acks`, :meth:`_stop_queued`), which respawns
+        and re-sends."""
         while True:
             try:
                 worker.in_q.put(message, timeout=0.05)
@@ -1445,16 +1018,8 @@ class ScidiveCluster:
                 raise ClusterError(
                     f"timed out waiting for {kind} acks: {sorted(pending)}"
                 )
-            try:
-                message = self._out_q.get(timeout=0.1)
-            except _queue.Empty:
-                message = None
+            message = self._next_result(timeout=0.1)
             if message is not None:
-                if message[0] == "spans":
-                    # Span drains interleave with control acks on the one
-                    # result queue; bank them for the stop()-time merge.
-                    self._worker_spans.extend(message[2])
-                    continue
                 if (
                     message[0] == kind
                     and message[2] == epoch
@@ -1499,11 +1064,7 @@ class ScidiveCluster:
             for wid, pending in enumerate(self._pending):
                 self.cluster_stats.frames_dropped += len(pending)
                 self._pending[wid] = []
-        reports = (
-            self._stop_serial()
-            if self.config.backend == "serial"
-            else self._stop_queued()
-        )
+        reports = self._stop_queued()
         self.cluster_stats.fragments_expired = self.sharder.fragments_expired
         self._stopped = True
         self.result = self._merge(reports)
@@ -1512,36 +1073,21 @@ class ScidiveCluster:
             self._own_checkpoint_dir = None
         return self.result
 
-    def _stop_serial(self) -> dict:
-        reports = {}
-        for worker in self._workers:
-            worker.put(("stop",))
-            reports[worker.worker_id] = (worker.report, worker.restarts)
-        return reports
-
     def _stop_queued(self) -> dict:
         reports: dict = {}
+        pending: dict = {}
         for worker in self._workers:
             if worker.dead:
                 # Degraded mid-run: nothing will ever report for it.
                 reports[worker.worker_id] = (None, worker.restarts)
             else:
-                self._send_stop(worker)
-        pending = {
-            worker.worker_id: worker
-            for worker in self._workers
-            if not worker.dead
-        }
+                self._send_control(worker, ("stop",))
+                pending[worker.worker_id] = worker
         deadline = _time.monotonic() + self.config.result_timeout
         while pending:
-            try:
-                message = self._out_q.get(timeout=0.1)
-            except _queue.Empty:
-                pass
-            else:
-                if message[0] == "spans":
-                    self._worker_spans.extend(message[2])
-                elif message[0] == "result":
+            message = self._next_result(timeout=0.1)
+            if message is not None:
+                if message[0] == "result":
                     wid, payload = message[1], message[2]
                     worker = pending.pop(wid, None)
                     if worker is not None:
@@ -1557,7 +1103,7 @@ class ScidiveCluster:
                 if worker.restarts < self.config.max_restarts:
                     worker.respawn()
                     self.cluster_stats.worker_restarts += 1
-                    self._send_stop(worker)
+                    self._send_control(worker, ("stop",))
                 else:
                     reports[wid] = (None, worker.restarts)
                     del pending[wid]
@@ -1568,17 +1114,6 @@ class ScidiveCluster:
         for worker in self._workers:
             worker.join(timeout=1.0)
         return reports
-
-    def _send_stop(self, worker) -> None:
-        while True:
-            try:
-                worker.in_q.put(("stop",), timeout=0.05)
-                return
-            except _queue.Full:
-                if not worker.alive:
-                    # Dead with a full queue: the respawn path in
-                    # _stop_queued will retry after the restart.
-                    return
 
     def _merge(self, reports: dict) -> ClusterResult:
         worker_reports = []
@@ -1718,12 +1253,8 @@ class ScidiveCluster:
         executes inline and never queues)."""
         depths: list[int] = []
         for worker in self._workers:
-            in_q = getattr(worker, "in_q", None)
-            if in_q is None:
-                depths.append(0)
-                continue
             try:
-                depths.append(in_q.qsize())
+                depths.append(worker.in_q.qsize())
             except NotImplementedError:  # pragma: no cover - macOS mp queues
                 depths.append(-1)
         return depths
@@ -1795,7 +1326,7 @@ class ScidiveCluster:
     def live_registry(self) -> MetricsRegistry:
         """A registry snapshot servable at any point in the run.
 
-        Mid-run, worker registries live in other processes/threads, so
+        Mid-run, worker registries live in other processes, so
         only the router-side ``scidive_cluster_*`` families are
         available; once :meth:`stop` has merged the worker reports the
         full merged view (per-stage histograms, per-rule alert counts,

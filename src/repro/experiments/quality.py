@@ -310,7 +310,7 @@ def run_engine_alerts(trace: Trace) -> tuple[list[Alert], float]:
 def run_cluster_alerts(
     trace: Trace,
     workers: int = 4,
-    backend: str = "threads",
+    backend: str = "process",
     overload: bool = False,
 ) -> tuple[list[Alert], float]:
     from repro.cluster import ScidiveCluster
@@ -538,7 +538,7 @@ def evaluate_workload(
     truth: GroundTruth,
     systems: tuple[str, ...] = DEFAULT_SYSTEMS,
     workers: int = 4,
-    cluster_backend: str = "threads",
+    cluster_backend: str = "process",
     cluster_overload: bool = False,
     sweeps: bool = False,
 ) -> QualityReport:

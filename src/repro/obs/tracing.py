@@ -16,8 +16,8 @@ Cross-process tracing (:mod:`repro.cluster`) builds on three additions:
 * :class:`TraceContext` — the propagated identity of one traced
   session: a deterministic ``trace_id`` plus the parent span name.  The
   router derives it from the shard key, so a sampled session is sampled
-  *end-to-end* and the same sessions are sampled on the serial, threads
-  and process backends alike (head-based sampling, no coordination).
+  *end-to-end* and the same sessions are sampled on the serial and
+  process backends alike (head-based sampling, no coordination).
 * Per-span ``trace_id``/``parent`` fields, emitted only when set so
   single-engine traces keep their original JSONL schema.
 * A per-tracer *context gate*: cluster workers set

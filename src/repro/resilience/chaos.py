@@ -81,9 +81,9 @@ class ChaosConfig:
 
     seed: int = 7
     attacks: tuple[str, ...] = tuple(sorted(REQUIRED_RULES))
-    # 0 = single engine; >= 1 = ScidiveCluster with that many workers.
+    # 0 = single engine; >= 1 = ScidiveCluster with that many process
+    # workers (serial workers cannot crash, so chaos never uses them).
     workers: int = 0
-    backend: str = "threads"
     inject_crashes: bool = True      # cluster mode only
     mutation_rate: float = 0.25      # P(media frame spawns a mutant copy)
     synth_sip: int = 16              # hostile signalling frames per attack
@@ -172,7 +172,7 @@ class ChaosReport:
             "ok": self.ok,
             "seed": self.config.seed,
             "workers": self.config.workers,
-            "backend": self.config.backend if self.config.workers else "engine",
+            "backend": "process" if self.config.workers else "engine",
             "attacks": [outcome.as_dict() for outcome in self.outcomes],
             "violations": self.violations,
         }
@@ -429,7 +429,7 @@ def _run_cluster(stream, outcome: AttackOutcome, config: ChaosConfig) -> None:
         )
     cluster = ScidiveCluster(
         workers=config.workers,
-        backend=config.backend,
+        backend="process",
         batch_size=16,
         vantage_ip=CLIENT_A_IP,
         checkpoint_every=1,
@@ -530,7 +530,7 @@ def format_report(report: ChaosReport) -> str:
     """Human-readable verdict for the ``repro chaos`` CLI."""
     config = report.config
     mode = (
-        f"{config.workers} workers ({config.backend})"
+        f"{config.workers} workers (process)"
         if config.workers
         else "single engine"
     )

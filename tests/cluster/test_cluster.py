@@ -7,7 +7,7 @@ import collections
 import pytest
 
 from repro.cluster import ClusterConfig, ScidiveCluster
-from repro.cluster.cluster import ClusterError
+from repro.cluster.cluster import BACKENDS, ClusterError
 from repro.core.engine import EngineStats, ScidiveEngine
 from repro.experiments.harness import (
     run_bye_attack,
@@ -44,7 +44,7 @@ def _single_engine_alerts(trace) -> collections.Counter:
 
 class TestDetectionEquivalence:
     @pytest.mark.parametrize("name", sorted(ATTACKS))
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_four_workers_match_single_engine(self, name, backend):
         trace = _attack_trace(name)
         cluster = ScidiveCluster(
@@ -103,7 +103,7 @@ class TestMerging:
     def test_worker_reports_cover_every_worker(self):
         trace = _attack_trace("fake-im")
         result = ScidiveCluster(
-            workers=3, backend="threads", vantage_ip=CLIENT_A_IP
+            workers=3, backend="serial", vantage_ip=CLIENT_A_IP
         ).process_trace(trace)
         assert sorted(r.worker_id for r in result.workers) == [0, 1, 2]
         assert sum(r.frames_owned for r in result.workers) > 0
@@ -136,6 +136,9 @@ class TestEngineStatsMerge:
 
 class TestLifecycleAndFailure:
     def test_config_validation(self):
+        from repro.cli import CLUSTER_BACKENDS
+
+        assert BACKENDS == CLUSTER_BACKENDS == ("process", "serial")
         with pytest.raises(ClusterError):
             ClusterConfig(workers=0).validate()
         with pytest.raises(ClusterError):
@@ -146,7 +149,7 @@ class TestLifecycleAndFailure:
     def test_drop_overflow_counts_dropped_frames(self):
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
-            workers=1, backend="threads", batch_size=1, queue_depth=1,
+            workers=1, backend="process", batch_size=1, queue_depth=1,
             overflow="drop", vantage_ip=CLIENT_A_IP,
         )
         result = cluster.process_trace(trace)
@@ -176,7 +179,7 @@ class TestLifecycleAndFailure:
     def test_context_manager_stops_on_exit(self):
         trace = _attack_trace("bye-attack")
         with ScidiveCluster(
-            workers=2, backend="threads", vantage_ip=CLIENT_A_IP
+            workers=2, backend="process", vantage_ip=CLIENT_A_IP
         ) as cluster:
             for record in trace.records:
                 cluster.submit_frame(record.frame, record.timestamp)

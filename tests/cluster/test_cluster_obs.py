@@ -32,7 +32,7 @@ class TestMetricOnlyWorkers:
 
     def test_merged_registry_contains_worker_stage_and_delay_metrics(self, bye_trace):
         trace, vantage = bye_trace
-        cluster = ScidiveCluster(workers=2, backend="threads",
+        cluster = ScidiveCluster(workers=2, backend="serial",
                                  vantage_ip=vantage, metrics_enabled=True)
         result = cluster.process_trace(trace)
         assert result.registry is not None
@@ -57,7 +57,7 @@ class TestSummaryRollUp:
         from repro.obs.server import _quantile_view
 
         trace, vantage = bye_trace
-        cluster = ScidiveCluster(workers=4, backend="threads",
+        cluster = ScidiveCluster(workers=4, backend="serial",
                                  vantage_ip=vantage, metrics_enabled=True)
         result = cluster.process_trace(trace)
 
@@ -95,7 +95,7 @@ class TestClusterCliFlags:
     def test_metrics_out_writes_merged_registry(self, tmp_path, capsys):
         out = tmp_path / "cluster-metrics.txt"
         assert main(["scenario", "bye-attack", "--workers", "2",
-                     "--cluster-backend", "threads",
+                     "--cluster-backend", "process",
                      "--metrics-out", str(out)]) == 0
         assert "merged cluster metrics written" in capsys.readouterr().out
         families = parse_prometheus(out.read_text())
@@ -107,7 +107,7 @@ class TestClusterCliFlags:
 
         trace = tmp_path / "trace.jsonl"
         assert main(["scenario", "bye-attack", "--workers", "2",
-                     "--cluster-backend", "threads",
+                     "--cluster-backend", "process",
                      "--trace-out", str(trace)]) == 0
         assert "merged spans written" in capsys.readouterr().out
         records = read_trace_jsonl(trace)

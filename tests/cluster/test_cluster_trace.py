@@ -37,7 +37,7 @@ def attack_runs():
     return {name: runner(seed=7) for name, runner in PAPER_ATTACKS.items()}
 
 
-def _traced_run(reference, workers=4, backend="threads", **overrides):
+def _traced_run(reference, workers=4, backend="process", **overrides):
     overrides.setdefault("trace_sample_rate", 1)
     cluster = ScidiveCluster(
         workers=workers,
@@ -93,26 +93,32 @@ class TestMergedTimeline:
 class TestCrossBackendConsistency:
     def test_trace_ids_agree_across_backends(self, attack_runs):
         """A sampled session carries one trace id whether its spans were
-        recorded in-process (serial), in threads, or in workers reached
-        over a multiprocessing queue."""
+        recorded in-process (serial) or in workers reached over a
+        multiprocessing queue — and both backends run the same worker
+        handler, so every worker served the same batches."""
         reference = attack_runs["bye-attack"]
         per_backend = {}
-        for backend in ("serial", "threads", "process"):
+        per_worker = {}
+        for backend in ("serial", "process"):
             result = _traced_run(reference, backend=backend)
             counts = collections.Counter(
                 record["trace"] for record in result.trace
             )
             per_backend[backend] = counts
+            per_worker[backend] = [
+                (w.worker_id, w.batches, w.frames_owned, w.frames_shadowed)
+                for w in result.workers
+            ]
             assert result.alert_multiset() == collections.Counter(
                 reference.alerts
             )
-        assert per_backend["serial"] == per_backend["threads"]
-        assert per_backend["threads"] == per_backend["process"]
+        assert per_backend["serial"] == per_backend["process"]
+        assert per_worker["serial"] == per_worker["process"]
 
     def test_worker_and_router_spans_interleave(self, attack_runs):
         """Route spans come from the router, stage spans from workers —
         the merged record set must contain both for one trace id."""
-        result = _traced_run(attack_runs["bye-attack"], backend="threads")
+        result = _traced_run(attack_runs["bye-attack"])
         tid = next(r["trace"] for r in result.trace if r["span"] == "match")
         sources = {
             record["worker"]
@@ -123,13 +129,42 @@ class TestCrossBackendConsistency:
         assert any(worker != "router" for worker in sources)
 
 
+class TestTracedCrash:
+    def test_traced_process_run_survives_a_worker_crash(self, attack_runs):
+        """Span drains fill the results pipe mid-run; a crashed worker
+        flushes its results before it exits, so the router must keep
+        reading them while it waits, or neither side ever moves."""
+        reference = attack_runs["rtp-attack"]
+        records = reference.testbed.ids_tap.trace.records
+        cluster = ScidiveCluster(
+            workers=2,
+            backend="process",
+            batch_size=16,
+            queue_depth=4,
+            vantage_ip=reference.engine.vantage_ip,
+            trace_enabled=True,
+            trace_sample_rate=1,
+            result_timeout=10.0,
+        ).start()
+        for n, record in enumerate(records):
+            if n == 2 * len(records) // 3:
+                cluster.flush()
+                cluster.inject_crash(0)
+            cluster.submit_frame(record.frame, record.timestamp)
+        result = cluster.stop()
+        assert result.cluster.worker_restarts >= 1
+        assert {"route", "queue-wait", "match"} <= {
+            record["span"] for record in result.trace
+        }
+
+
 class TestSampling:
     def test_head_sampling_is_a_strict_end_to_end_subset(self, attack_runs):
         """At 1-in-N, unsampled sessions contribute zero spans anywhere in
         the pipeline; sampled sessions keep their complete journey."""
         reference = attack_runs["bye-attack"]
-        full = _traced_run(reference, backend="threads")
-        sampled = _traced_run(reference, backend="threads",
+        full = _traced_run(reference, backend="serial")
+        sampled = _traced_run(reference, backend="serial",
                               trace_sample_rate=2)
         full_traces = {record["trace"] for record in full.trace}
         sampled_traces = {record["trace"] for record in sampled.trace}
@@ -147,7 +182,7 @@ class TestSampling:
 
     def test_sampling_never_changes_alerts(self, attack_runs):
         reference = attack_runs["rtp-attack"]
-        result = _traced_run(reference, backend="threads",
+        result = _traced_run(reference, backend="serial",
                              trace_sample_rate=1000)
         assert result.alert_multiset() == collections.Counter(reference.alerts)
 
@@ -159,7 +194,7 @@ class TestSpanCapAccounting:
         reference = attack_runs["bye-attack"]
         cluster = ScidiveCluster(
             workers=2,
-            backend="threads",
+            backend="process",
             vantage_ip=reference.engine.vantage_ip,
             trace_enabled=True,
             trace_sample_rate=1,
@@ -176,7 +211,7 @@ class TestSpanCapAccounting:
         reference = attack_runs["bye-attack"]
         cluster = ScidiveCluster(
             workers=2,
-            backend="threads",
+            backend="process",
             vantage_ip=reference.engine.vantage_ip,
             metrics_enabled=True,
             trace_enabled=True,

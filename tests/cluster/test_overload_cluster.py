@@ -67,7 +67,7 @@ def _overload_cluster(backend: str) -> ScidiveCluster:
 
 
 class TestShedOrderingAcrossBackends:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_innocent_frames_survive_a_flood(self, backend):
         cluster = _overload_cluster(backend)
         cluster.start()
@@ -87,11 +87,10 @@ class TestShedOrderingAcrossBackends:
         # survives the flood on every backend.
         assert any(a.rule_id == "BYE-001" for a in result.alerts)
 
-    @pytest.mark.parametrize("backend", ["threads", "process"])
-    def test_queued_backends_reach_shed_and_name_the_flooder(self, backend):
-        # Serial has no queues, so fill never rises; the queued backends
+    def test_queued_backends_reach_shed_and_name_the_flooder(self):
+        # Serial has no queues, so fill never rises; the process backend
         # must escalate to shed and door-drop the flooding source.
-        cluster = _overload_cluster(backend)
+        cluster = _overload_cluster("process")
         cluster.start()
         for frame, ts in _flooded_stream(3000):
             cluster.submit_frame(frame, ts)
@@ -111,7 +110,7 @@ class TestShedOrderingAcrossBackends:
         )
 
     def test_health_and_status_expose_the_plane(self):
-        cluster = _overload_cluster("threads")
+        cluster = _overload_cluster("process")
         cluster.start()
         for frame, ts in _flooded_stream(1500):
             cluster.submit_frame(frame, ts)
@@ -150,7 +149,7 @@ class TestShedUnderPressureOrdering:
     INNOCENT = b"\x0a\x64\x00\x05"
 
     def _pressured_cluster(self) -> ScidiveCluster:
-        cluster = _overload_cluster("threads")
+        cluster = _overload_cluster("serial")
         cluster.start()
         # Adjudicate HEAVY before staging any drops.
         for _ in range(200):

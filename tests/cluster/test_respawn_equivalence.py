@@ -78,9 +78,10 @@ def _crash_both_workers_mid_trace(trace, backend: str):
 
 class TestRespawnEquivalence:
     @pytest.mark.parametrize("name", sorted(ATTACKS))
-    def test_threads_crash_recovery_is_lossless(self, name):
+    def test_crash_recovery_is_lossless_on_every_attack(self, name):
+        # Real processes: checkpoints must survive os._exit().
         trace = _attack_trace(name)
-        result = _crash_both_workers_mid_trace(trace, "threads")
+        result = _crash_both_workers_mid_trace(trace, "process")
         assert result.cluster.worker_restarts == 2
         restored = [r.restored for r in result.workers]
         assert restored == [True, True]
@@ -100,7 +101,7 @@ class TestRespawnEquivalence:
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
             workers=2,
-            backend="threads",
+            backend="process",
             batch_size=16,
             vantage_ip=CLIENT_A_IP,
             checkpoint_every=1,
@@ -116,7 +117,7 @@ class TestDegradedShard:
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
             workers=2,
-            backend="threads",
+            backend="process",
             batch_size=16,
             vantage_ip=CLIENT_A_IP,
             max_restarts=0,
@@ -149,7 +150,7 @@ class TestDegradedShard:
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
             workers=1,
-            backend="threads",
+            backend="process",
             batch_size=4,
             vantage_ip=CLIENT_A_IP,
             max_restarts=0,

@@ -57,7 +57,7 @@ def _reload_mid_trace(cluster: ScidiveCluster, trace, pack=RULES_PACK):
 
 class TestReloadUnderLoad:
     @pytest.mark.parametrize("name", sorted(ATTACKS))
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_four_workers_lose_nothing_across_reload(self, name, backend):
         trace = _attack_trace(name)
         cluster = ScidiveCluster(
@@ -74,22 +74,6 @@ class TestReloadUnderLoad:
         assert any(a.rule_id == rule_id for a in result.alerts)
         assert result.cluster.rulepack_reloads == 1
 
-    def test_process_backend_reloads_on_one_attack(self):
-        # One process-backend pass keeps the suite fast while still
-        # exercising the control queue, pickled pack text and respawn
-        # plumbing for real.
-        trace = _attack_trace("bye-attack")
-        cluster = ScidiveCluster(
-            workers=4,
-            backend="process",
-            batch_size=16,
-            vantage_ip=CLIENT_A_IP,
-            pack_path=RULES_PACK,
-        )
-        result = _reload_mid_trace(cluster, trace)
-        assert result.alert_multiset() == _single_engine_alerts(trace)
-        assert result.cluster.rulepack_reloads == 1
-
 
 class TestReloadRejection:
     def test_bad_path_fails_fast_on_the_router(self, tmp_path):
@@ -102,7 +86,7 @@ class TestReloadRejection:
             encoding="utf-8",
         )
         cluster = ScidiveCluster(
-            workers=2, backend="threads", vantage_ip=CLIENT_A_IP,
+            workers=2, backend="process", vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,
         )
         with cluster:
@@ -110,10 +94,11 @@ class TestReloadRejection:
                 cluster.reload_rulepack(str(broken))
             assert cluster.cluster_stats.rulepack_reloads == 0
 
-    def test_worker_rejection_aborts_and_old_pack_stays_live(self):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_worker_rejection_aborts_and_old_pack_stays_live(self, backend):
         # A hand-built RulePack skips the router's lint, so the workers
         # themselves reject it at prepare — the barrier must abort and
-        # leave every worker on the old pack.
+        # leave every worker on the old pack, on either backend.
         broken_pack = RulePack(
             name="broken",
             version="1.0.0",
@@ -126,7 +111,7 @@ class TestReloadRejection:
         half = len(records) // 2
         cluster = ScidiveCluster(
             workers=4,
-            backend="threads",
+            backend=backend,
             batch_size=16,
             vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,
@@ -167,7 +152,7 @@ class TestRespawnAfterReload:
         )
         with ScidiveCluster(
             workers=4,
-            backend="threads",
+            backend="process",
             vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,
         ) as cluster:
@@ -194,7 +179,7 @@ class TestRespawnAfterReload:
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
             workers=4,
-            backend="threads",
+            backend="process",
             batch_size=16,
             vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,
@@ -221,7 +206,7 @@ class TestReloadSurfacing:
         trace = _attack_trace("bye-attack")
         with ScidiveCluster(
             workers=2,
-            backend="threads",
+            backend="process",
             vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,
         ) as cluster:
@@ -244,7 +229,7 @@ class TestReloadSurfacing:
         trace = _attack_trace("bye-attack")
         cluster = ScidiveCluster(
             workers=4,
-            backend="threads",
+            backend="process",
             batch_size=16,
             vantage_ip=CLIENT_A_IP,
             pack_path=RULES_PACK,

@@ -101,7 +101,7 @@ def cluster_trace_file(tmp_path_factory):
     """One traced 2-worker run shared by the journey-audit tests."""
     path = tmp_path_factory.mktemp("journey") / "trace.jsonl"
     assert main(["scenario", "bye-attack", "--seed", "7", "--workers", "2",
-                 "--cluster-backend", "threads",
+                 "--cluster-backend", "serial",
                  "--trace-out", str(path)]) == 0
     return path
 
@@ -156,7 +156,7 @@ class TestProfileCommand:
 def test_profile_out_attaches_worker_profilers(tmp_path, capsys):
     profile_dir = tmp_path / "profiles"
     assert main(["scenario", "bye-attack", "--seed", "7", "--workers", "2",
-                 "--cluster-backend", "threads",
+                 "--cluster-backend", "process",
                  "--profile-out", str(profile_dir)]) == 0
     assert "worker profiles" in capsys.readouterr().out
     collapsed = sorted(p.name for p in profile_dir.glob("*.collapsed"))

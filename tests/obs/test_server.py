@@ -123,7 +123,7 @@ class TestSingleEngine:
 
 
 class TestCluster:
-    @pytest.mark.parametrize("backend,workers", [("threads", 4), ("serial", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 4), ("serial", 2)])
     def test_endpoints_serve_the_bound_cluster(self, bye_run, backend, workers):
         result, _ = bye_run
         trace = result.testbed.ids_tap.trace
@@ -180,7 +180,7 @@ class TestTraceEndpoint:
         result, _ = bye_run
         trace = result.testbed.ids_tap.trace
         cluster = ScidiveCluster(
-            workers=2, backend="threads",
+            workers=2, backend="process",
             vantage_ip=result.engine.vantage_ip,
             trace_enabled=True, trace_sample_rate=1,
         )

@@ -23,7 +23,7 @@ class TestChaosRun:
 
     def test_cluster_mode_with_crashes(self):
         report = run_chaos(ChaosConfig(
-            seed=7, attacks=("fake-im",), workers=2, backend="threads",
+            seed=7, attacks=("fake-im",), workers=2,
             synth_sip=4, fragment_bombs=4, skew_frames=3,
         ))
         assert report.ok, report.violations
@@ -51,7 +51,7 @@ class TestChaosRun:
 class TestChaosFlood:
     def test_flood_sheds_without_losing_detection(self):
         report = run_chaos(ChaosConfig(
-            seed=7, attacks=("bye-attack",), workers=2, backend="threads",
+            seed=7, attacks=("bye-attack",), workers=2,
             inject_crashes=False, flood_frames=6000,
         ))
         assert report.ok, report.violations
@@ -72,7 +72,7 @@ class TestChaosFlood:
         they are excluded; each run's shed/detect invariants are still
         enforced by the judge (``report.ok``)."""
         config = ChaosConfig(
-            seed=11, attacks=("fake-im",), workers=2, backend="threads",
+            seed=11, attacks=("fake-im",), workers=2,
             inject_crashes=False, flood_frames=4000,
         )
 

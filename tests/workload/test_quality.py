@@ -48,7 +48,7 @@ def test_cluster_equivalent_to_engine(small_workload):
     trace = small_workload.trace
     engine = ScidiveEngine(vantage_ip=None)
     engine.process_trace(trace)
-    cluster = ScidiveCluster(workers=4, backend="threads", vantage_ip=None)
+    cluster = ScidiveCluster(workers=4, backend="serial", vantage_ip=None)
     result = cluster.process_trace(trace)
     expected = collections.Counter(alert_key(a) for a in engine.alerts)
     got = collections.Counter(alert_key(a) for a in result.alerts)
