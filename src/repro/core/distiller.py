@@ -35,7 +35,7 @@ from repro.core.footprint import (
 )
 from repro.h323.h225 import H225_PORT, H225Error, H225Message, looks_like_h225
 from repro.h323.ras import RAS_PORT
-from repro.net.addr import Endpoint, IPv4Address, MacAddress
+from repro.net.addr import Endpoint, IPv4Address, MacAddress, ValueTable
 from repro.net.fragmentation import Reassembler
 from repro.net.packet import (
     ETHERTYPE_IPV4,
@@ -49,17 +49,11 @@ from repro.net.packet import (
 from repro.rtp.packet import RtpError, decode_header, looks_like_rtp
 from repro.rtp.rtcp import RtcpError, decode_compound, looks_like_rtcp
 from repro.sip.message import SipParseError, looks_like_sip, parse_message
+from repro.sip.uri import URI_TABLE
 
 ACCOUNTING_PORT = 9090
 
 _ETH_HEADER_LEN = 14  # dst MAC, src MAC, ethertype
-
-# Entries each of a Distiller's address tables may hold.  A carrier hour
-# shows under 2k distinct endpoints, so real traffic never fills one; a
-# spoofed-source flood does, and the table is then dropped whole — live
-# flows re-enter on their next frame, which at a ~98 % hit rate costs
-# less than keeping any per-entry eviction order would.
-ADDRESS_TABLE_CAP = 8192
 
 # Returned by a decoder that consumed the datagram without producing a
 # footprint: the chain stops, the frame counts as ignored.
@@ -178,31 +172,6 @@ DEFAULT_DECODERS: tuple[Decoder, ...] = (
 )
 
 
-class _AddressTable(dict):
-    """Wire value → the one address object that stands for it.
-
-    A footprint's ``src`` / ``dst`` / MACs are frozen values compared by
-    value everywhere, so every footprint of a flow can share them: a
-    trail then pins a few hundred address objects instead of six per
-    packet, and the collector has that much less to walk.  A miss goes
-    through ``build`` — the validating constructor — so no check is
-    skipped; a full table is dropped (see ``ADDRESS_TABLE_CAP``).
-    """
-
-    __slots__ = ("build", "drops")
-
-    def __init__(self, build: Callable[[Any], Any]) -> None:
-        self.build = build
-        self.drops = 0
-
-    def __missing__(self, key):
-        if len(self) >= ADDRESS_TABLE_CAP:
-            self.clear()
-            self.drops += 1
-        value = self[key] = self.build(key)
-        return value
-
-
 @dataclass(slots=True)
 class DistillerStats:
     frames: int = 0
@@ -253,18 +222,26 @@ class Distiller:
     # Address objects by wire value: ``raw4`` → IPv4Address, ``(raw4,
     # port)`` → Endpoint, ``raw6`` → MacAddress.  Derived state, bounded,
     # never checkpointed.
-    _ips: _AddressTable = field(init=False, repr=False, compare=False)
-    _endpoints: _AddressTable = field(init=False, repr=False, compare=False)
-    _macs: _AddressTable = field(init=False, repr=False, compare=False)
+    _ips: ValueTable = field(init=False, repr=False, compare=False)
+    _endpoints: ValueTable = field(init=False, repr=False, compare=False)
+    _macs: ValueTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ips = self._ips = _AddressTable(IPv4Address.from_bytes)
-        self._endpoints = _AddressTable(lambda key: Endpoint(ips[key[0]], key[1]))
-        self._macs = _AddressTable(MacAddress.from_bytes)
+        ips = self._ips = ValueTable(IPv4Address.from_bytes)
+        self._endpoints = ValueTable(lambda key: Endpoint(ips[key[0]], key[1]))
+        self._macs = ValueTable(MacAddress.from_bytes)
 
     def table_stats(self) -> dict[str, int]:
-        """Address-table sizes and full-table drops, for gauge export
-        (repro.obs) — kept out of the checkpointed ``DistillerStats``."""
+        """Value-table sizes and full-table drops, plus oversize
+        fragments refused, for gauge export (repro.obs) — kept out of the
+        checkpointed ``DistillerStats``.
+
+        ``uri_table`` / ``uri_table_drops`` are not this engine's: they
+        read the SIP parser's one table per process
+        (repro.sip.uri.URI_TABLE), so engines sharing a process (the
+        ``serial`` cluster backend, tests) all report the same values and
+        summing them over engines counts the table more than once.  The
+        other entries are per engine."""
         return {
             "ip_table": len(self._ips),
             "endpoint_table": len(self._endpoints),
@@ -272,6 +249,9 @@ class Distiller:
             "address_table_drops": (
                 self._ips.drops + self._endpoints.drops + self._macs.drops
             ),
+            "uri_table": len(URI_TABLE),
+            "uri_table_drops": URI_TABLE.drops,
+            "reassembly_oversize": self._reassembler.oversize,
         }
 
     def distill(self, frame: bytes, timestamp: float) -> AnyFootprint | None:

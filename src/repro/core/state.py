@@ -19,7 +19,9 @@ trackers:
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.core.footprint import SipFootprint
 from repro.net.addr import Endpoint
@@ -33,6 +35,11 @@ from repro.sip.constants import (
     STATUS_UNAUTHORIZED,
 )
 from repro.sip.message import SipRequest, SipResponse
+
+
+# What a never-written per-call container reads as: read-only, so a
+# stray write fails instead of landing in every call at once.
+NO_MEDIA: Mapping[str, Endpoint] = MappingProxyType({})
 
 
 class CallPhase(enum.Enum):
@@ -63,7 +70,13 @@ class Teardown:
 
 @dataclass(slots=True)
 class ObservedCall:
-    """The IDS's reconstruction of one call's state."""
+    """The IDS's reconstruction of one call's state.
+
+    ``media`` and ``redirects`` are allocated on their first write, made
+    through :meth:`set_media` / :meth:`add_redirect`: most calls of a
+    flood never carry SDP, and an empty dict and list per call is most
+    of what such a call costs.  Until then they read as empty.
+    """
 
     call_id: str
     caller: str = ""
@@ -71,9 +84,32 @@ class ObservedCall:
     phase: CallPhase = CallPhase.SETUP
     invite_seen_at: float | None = None
     established_at: float | None = None
-    media: dict[str, Endpoint] = field(default_factory=dict)  # AoR -> endpoint
     teardown: Teardown | None = None
-    redirects: list[MediaRedirect] = field(default_factory=list)
+    _media: dict[str, Endpoint] | None = field(default=None, init=False, repr=False)
+    _redirects: list[MediaRedirect] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def media(self) -> Mapping[str, Endpoint]:
+        """AoR -> negotiated media endpoint."""
+        return self._media or NO_MEDIA
+
+    @property
+    def redirects(self) -> Sequence[MediaRedirect]:
+        return self._redirects or ()
+
+    def set_media(self, party: str, endpoint: Endpoint) -> Endpoint | None:
+        """Record ``party``'s media endpoint; returns the one it replaced."""
+        media = self._media
+        if media is None:
+            media = self._media = {}
+        old = media.get(party)
+        media[party] = endpoint
+        return old
+
+    def add_redirect(self, redirect: MediaRedirect) -> None:
+        if self._redirects is None:
+            self._redirects = []
+        self._redirects.append(redirect)
 
     def party_for_media_source(self, src: Endpoint) -> str | None:
         for aor, endpoint in self.media.items():
@@ -155,7 +191,7 @@ class SipStateTracker:
             self.calls[call_id] = call
             endpoint = message.sdp_audio_endpoint()
             if endpoint is not None:
-                call.media[from_aor] = endpoint
+                call.set_media(from_aor, endpoint)
                 self._media_changed(call, None, endpoint)
             return
         if to_tag is not None and call.phase == CallPhase.ESTABLISHED:
@@ -164,7 +200,7 @@ class SipStateTracker:
             if endpoint is not None:
                 old = call.media.get(from_aor)
                 if old != endpoint:
-                    call.redirects.append(
+                    call.add_redirect(
                         MediaRedirect(
                             time=footprint.timestamp,
                             party=from_aor,
@@ -173,7 +209,7 @@ class SipStateTracker:
                             source=footprint.src,
                         )
                     )
-                    call.media[from_aor] = endpoint
+                    call.set_media(from_aor, endpoint)
                     self._media_changed(call, old, endpoint)
 
     # -- responses ------------------------------------------------------------
@@ -196,8 +232,7 @@ class SipStateTracker:
             answerer = call.callee
         endpoint = message.sdp_audio_endpoint()
         if endpoint is not None:
-            old = call.media.get(answerer)
-            call.media[answerer] = endpoint
+            old = call.set_media(answerer, endpoint)
             self._media_changed(call, old, endpoint)
         if call.phase == CallPhase.SETUP:
             call.phase = CallPhase.ESTABLISHED

@@ -16,6 +16,7 @@ annotated with the owning Call-ID.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -29,6 +30,7 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
+from repro.core.state import NO_MEDIA
 from repro.fastpickle import install_fast_pickle
 from repro.net.addr import Endpoint
 from repro.sip.message import SipRequest
@@ -122,13 +124,28 @@ install_fast_pickle(Trail)
 
 @dataclass(slots=True)
 class Session:
-    """All trails of one logical call, keyed by Call-ID."""
+    """All trails of one logical call, keyed by Call-ID.
+
+    ``media_endpoints`` is allocated on its first write, made through
+    :meth:`set_media_endpoint`; until then it reads as empty.
+    """
 
     call_id: str
     trails: list[Trail] = field(default_factory=list)
-    # Media endpoints negotiated over SDP, keyed by the advertising
-    # party's address-of-record ("" when the AoR is unknown).
-    media_endpoints: dict[str, Endpoint] = field(default_factory=dict)
+    _media_endpoints: dict[str, Endpoint] | None = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def media_endpoints(self) -> Mapping[str, Endpoint]:
+        """Media endpoints negotiated over SDP, keyed by the advertising
+        party's address-of-record ("" when the AoR is unknown)."""
+        return self._media_endpoints or NO_MEDIA
+
+    def set_media_endpoint(self, party: str, endpoint: Endpoint) -> None:
+        if self._media_endpoints is None:
+            self._media_endpoints = {}
+        self._media_endpoints[party] = endpoint
 
     def trail_for(self, protocol: Protocol) -> Trail | None:
         for trail in self.trails:
@@ -315,7 +332,7 @@ class TrailManager:
         message = footprint.message
         if message.media is not None:
             party = message.calling_party or message.called_party or ""
-            session.media_endpoints[party] = message.media
+            session.set_media_endpoint(party, message.media)
             self._media_index[_media_index_key(message.media)] = session_id
 
     def _link_media(self, footprint: AnyFootprint, trail: Trail) -> None:
@@ -367,7 +384,7 @@ class TrailManager:
                 party = message.to_addr.uri.address_of_record
         except Exception:
             party = ""
-        session.media_endpoints[party] = endpoint
+        session.set_media_endpoint(party, endpoint)
         index_key = _media_index_key(endpoint)
         self._media_index[index_key] = session.call_id
         # Retroactively adopt any flow trail already touching the

@@ -19,6 +19,11 @@ from repro.net.packet import IPv4Packet, PacketError
 
 DEFAULT_REASSEMBLY_TIMEOUT = 30.0  # seconds, mirroring common OS defaults
 
+# The largest payload an IPv4 datagram can carry: a 16-bit total length
+# less the 20-byte minimum header.  A fragment reaching past it belongs
+# to no datagram that can ever be whole.
+MAX_DATAGRAM_PAYLOAD = 0xFFFF - 20
+
 
 def fragment(packet: IPv4Packet, mtu: int = 1500) -> list[IPv4Packet]:
     """Split ``packet`` into fragments that fit ``mtu`` (incl. 20B header).
@@ -100,6 +105,9 @@ class Reassembler:
         self._partials: dict[tuple[IPv4Address, IPv4Address, int, int], _PartialPacket] = {}
         self.expired = 0
         self.reassembled = 0
+        # Fragments whose end lies past MAX_DATAGRAM_PAYLOAD; each drops
+        # its partial instead of holding it until the timeout.
+        self.oversize = 0
         # A lower bound on every pending partial's first_seen (exact after
         # each scan, +inf when none was ever held): until ``now`` is more
         # than ``timeout`` past it, nothing can be stale and _expire is
@@ -110,12 +118,17 @@ class Reassembler:
         """Feed one IPv4 packet; return a whole packet when available.
 
         Non-fragments pass straight through.  Returns ``None`` while a
-        fragmented packet is still incomplete.
+        fragmented packet is still incomplete, and for an oversize
+        fragment, which drops the partial it belongs to.
         """
         self._expire(now)
         if not packet.is_fragment:
             return packet
         key = (packet.src, packet.dst, packet.protocol, packet.identification)
+        if packet.fragment_offset * 8 + len(packet.payload) > MAX_DATAGRAM_PAYLOAD:
+            self._partials.pop(key, None)
+            self.oversize += 1
+            return None
         partial = self._partials.get(key)
         if partial is None:
             partial = _PartialPacket(first_seen=now)

@@ -6,14 +6,21 @@ Grammar handled::
 
 ``sips:`` is accepted and preserved, URI parameters and headers are
 kept in insertion order.  Comparison follows the loose matching the IDS
-needs: :meth:`SipUri.address_of_record` strips everything except
+needs: :attr:`SipUri.address_of_record` strips everything except
 ``user@host`` so forged requests with cosmetic parameter differences
 still correlate with the right session.
+
+:meth:`SipUri.parse` returns one shared object per distinct input text,
+from :data:`URI_TABLE`: a flood repeats a handful of request, From and
+To URIs, and every message, call and trail that keeps one then keeps
+the same object and the same address-of-record string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.net.addr import ValueTable
 
 
 class UriError(ValueError):
@@ -30,9 +37,29 @@ class SipUri:
     scheme: str = "sip"
     params: tuple[tuple[str, str | None], ...] = field(default=())
     headers: tuple[tuple[str, str], ...] = field(default=())
+    # ``user@host`` with ports/params stripped — the stable identity.
+    # Derived once per object, so every holder of a shared URI shares
+    # this string too.
+    address_of_record: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "address_of_record",
+            f"{self.user}@{self.host}" if self.user else self.host,
+        )
+
+    @staticmethod
+    def parse(text: str) -> "SipUri":
+        """The URI ``text`` spells (``<...>`` and outer whitespace
+        allowed): the shared object for that exact text, parsed and
+        validated on its first sight (raises :class:`UriError`)."""
+        return URI_TABLE[text]
 
     @classmethod
-    def parse(cls, text: str) -> "SipUri":
+    def parse_uncached(cls, text: str) -> "SipUri":
+        """Parse and validate ``text`` into a new :class:`SipUri` — the
+        URI table's constructor; callers want :meth:`parse`."""
         text = text.strip()
         if text.startswith("<") and text.endswith(">"):
             text = text[1:-1]
@@ -96,11 +123,6 @@ class SipUri:
 
     # -- matching helpers used by the IDS --------------------------------
 
-    @property
-    def address_of_record(self) -> str:
-        """``user@host`` with ports/params stripped — the stable identity."""
-        return f"{self.user}@{self.host}" if self.user else self.host
-
     def param(self, name: str) -> str | None:
         for key, value in self.params:
             if key == name.lower():
@@ -117,3 +139,8 @@ class SipUri:
             params=params,
             headers=self.headers,
         )
+
+
+# Input text → its one parsed SipUri, shared by every parser in the
+# process (exported as the Distiller's uri_table gauges).
+URI_TABLE = ValueTable(SipUri.parse_uncached)

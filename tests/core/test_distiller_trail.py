@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distiller import ADDRESS_TABLE_CAP, Distiller
+from repro.core.distiller import Distiller
 from repro.core.footprint import (
     AccountingFootprint,
     MalformedFootprint,
@@ -20,7 +20,7 @@ from repro.core.footprint import (
 )
 from repro.core.trail import TRAIL_TAIL, Session, TrailManager, _media_index_key
 from repro.h323.h225 import H225_PORT, H225Message, MessageType
-from repro.net.addr import Endpoint, IPv4Address, MacAddress
+from repro.net.addr import VALUE_TABLE_CAP, Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import fragment
 from repro.net.packet import (
     EthernetFrame,
@@ -391,9 +391,9 @@ class TestAddressTables:
             )
             footprint = distiller.distill(frame, n * 0.001)
             assert footprint == Distiller().distill(frame, n * 0.001)
-            assert max(map(len, self._tables(distiller))) <= ADDRESS_TABLE_CAP
+            assert max(map(len, self._tables(distiller))) <= VALUE_TABLE_CAP
         stats = distiller.table_stats()
-        assert stats["address_table_drops"] >= 3 * (50_000 // ADDRESS_TABLE_CAP - 1)
+        assert stats["address_table_drops"] >= 3 * (50_000 // VALUE_TABLE_CAP - 1)
         assert stats["endpoint_table"] == len(distiller._endpoints) > 0
 
 
@@ -417,7 +417,7 @@ class FullScanTrailManager(TrailManager):
                 party = message.to_addr.uri.address_of_record
         except Exception:
             party = ""
-        session.media_endpoints[party] = endpoint
+        session.set_media_endpoint(party, endpoint)
         self._media_index[_media_index_key(endpoint)] = session.call_id
         for trail in self.trails.values():
             if trail.protocol in (Protocol.RTP, Protocol.RTCP) and trail.call_id is None:

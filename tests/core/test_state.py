@@ -158,7 +158,7 @@ class TestSipStateTracker:
             _sdp("10.0.0.20", 40000),  # unchanged media
         )
         self._feed(tracker, reinv, src=B, dst=A)
-        assert tracker.calls["c1"].redirects == []
+        assert not tracker.calls["c1"].redirects
 
     def test_call_for_media(self):
         tracker = SipStateTracker()

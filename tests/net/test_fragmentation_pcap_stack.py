@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
+from repro.core.distiller import Distiller
+from repro.core.engine import ScidiveEngine
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.capture import Sniffer
-from repro.net.fragmentation import Reassembler, fragment
-from repro.net.packet import IPPROTO_UDP, IPv4Packet, PacketError
+from repro.net.fragmentation import MAX_DATAGRAM_PAYLOAD, Reassembler, fragment
+from repro.net.packet import (
+    ETHERTYPE_IPV4,
+    IPPROTO_UDP,
+    EthernetFrame,
+    IPv4Packet,
+    PacketError,
+)
 from repro.net.pcap import PcapError, read_pcap, write_pcap
 from repro.net.stack import HostStack
 from repro.sim.eventloop import EventLoop
 from repro.sim.hub import Hub
 from repro.sim.trace import Trace
+from repro.workload import ATTACK_KINDS, DEFAULT_SCENARIO, AttackMix, generate_workload
 
 SRC = IPv4Address.parse("10.0.0.1")
 DST = IPv4Address.parse("10.0.0.2")
@@ -145,6 +156,77 @@ class TestFragmentation:
         for frag in frags[1:]:
             whole = reasm.push(frag, 0.0)
         assert whole is not None and whole.payload == payload
+
+
+class TestOversizeReassembly:
+    """A datagram can carry at most 65,535 - 20 payload bytes; a fragment
+    reaching past that can never complete, so it must not hold state."""
+
+    def test_fragment_past_the_ipv4_maximum_drops_its_partial(self):
+        head = IPv4Packet(SRC, DST, IPPROTO_UDP, b"h" * 64, identification=11, flags_mf=True)
+        # Offset 8189 (65,512 bytes) + 80 bytes claims a 65,592-byte datagram.
+        tail = IPv4Packet(SRC, DST, IPPROTO_UDP, b"t" * 80, identification=11, fragment_offset=8189)
+        reasm = Reassembler()
+        assert reasm.push(head, 0.0) is None and reasm.pending == 1
+        assert reasm.push(tail, 0.0) is None
+        assert (reasm.pending, reasm.oversize, reasm.expired) == (0, 1, 0)
+        # Alone, it opens no partial either.
+        assert reasm.push(tail, 1.0) is None
+        assert (reasm.pending, reasm.oversize) == (0, 2)
+
+    def test_largest_datagram_still_reassembles(self):
+        payload = bytes(range(256)) * (MAX_DATAGRAM_PAYLOAD // 256) + b"z" * (
+            MAX_DATAGRAM_PAYLOAD % 256
+        )
+        assert len(payload) == 65_515
+        frags = fragment(IPv4Packet(SRC, DST, IPPROTO_UDP, payload, identification=12), 1500)
+        reasm = Reassembler()
+        results = [reasm.push(frag, 0.0) for frag in reversed(frags)]
+        assert results[-1] is not None and results[-1].payload == payload
+        assert (reasm.pending, reasm.oversize, reasm.reassembled) == (0, 0, 1)
+
+    def test_distiller_counts_the_frame_as_held_and_exports_the_drop(self):
+        mac_a, mac_b = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
+        tail = IPv4Packet(SRC, DST, IPPROTO_UDP, b"t" * 80, identification=13, fragment_offset=8189)
+        frame = EthernetFrame(
+            dst=mac_b, src=mac_a, ethertype=ETHERTYPE_IPV4, payload=tail.encode()
+        ).encode()
+        distiller = Distiller()
+        assert distiller.distill(frame, 0.0) is None
+        assert distiller.stats.fragments_held == 1
+        assert distiller.table_stats()["reassembly_oversize"] == 1
+        assert distiller._reassembler.pending == 0
+
+    def test_fragmented_trace_alerts_equal_the_unfragmented(self):
+        """The frag-mixed transform in small: every frame over a 128-byte
+        MTU fragmented, half the fragment runs shuffled."""
+        spec = DEFAULT_SCENARIO.with_overrides(
+            name="frag-small", subscribers=4, duration=60.0, seed=5,
+            attacks=tuple(AttackMix(kind=kind, count=1) for kind in ATTACK_KINDS),
+        )
+        trace = generate_workload(spec).trace
+        rng = Random(5)
+        fragmented: list[tuple[float, bytes]] = []
+        for record in trace:
+            eth = EthernetFrame.decode(record.frame)
+            pieces = fragment(IPv4Packet.decode(eth.payload), 128)
+            if rng.random() < 0.5:
+                rng.shuffle(pieces)
+            fragmented += [
+                (record.timestamp, EthernetFrame(eth.dst, eth.src, ETHERTYPE_IPV4, piece.encode()).encode())
+                for piece in pieces
+            ]
+        assert len(fragmented) > len(trace)
+
+        def alerts(frames) -> list:
+            engine = ScidiveEngine()
+            for timestamp, frame in frames:
+                engine.process_frame(frame, timestamp)
+            return sorted(engine.alerts, key=lambda a: (a.time, a.rule_id))
+
+        whole = alerts((r.timestamp, r.frame) for r in trace)
+        assert len({alert.rule_id for alert in whole}) >= 5
+        assert alerts(fragmented) == whole
 
 
 class TestPcap:

@@ -61,6 +61,8 @@ def test_stats_table(capsys):
     assert "spans dropped" in out
     assert "endpoint table" in out
     assert "address table drops" in out
+    assert "uri table drops" in out
+    assert "reassembly oversize" in out
     assert "trail footprints retained" in out
 
 

@@ -12,6 +12,7 @@ from repro.experiments.harness import run_bye_attack
 from repro.experiments.workloads import WorkloadSpec, capture_workload
 from repro.obs import Observability, parse_prometheus
 from repro.obs import current, disable, enable
+from repro.sip.uri import URI_TABLE
 from repro.voip.testbed import CLIENT_A_IP
 
 # Frame-path span stages every processed frame must pass through.
@@ -73,6 +74,11 @@ class TestCountersMatchStats:
         assert 0 < retained <= TRAIL_TAIL * engine.trails.trail_count
         tables = engine.distiller.table_stats()
         assert tables["endpoint_table"] > 0 and tables["address_table_drops"] == 0
+        # The URI table is per process: its size and drops are what the
+        # SIP parser's table holds, whatever ran before in this process.
+        assert 0 < tables["uri_table"] == len(URI_TABLE)
+        assert tables["uri_table_drops"] == URI_TABLE.drops
+        assert tables["reassembly_oversize"] == 0
         for counter, value in tables.items():
             key = f'scidive_distiller_frames{{engine="scidive",counter="{counter}"}}'
             assert families["scidive_distiller_frames"][key] == value

@@ -12,7 +12,9 @@ import pickle
 
 import pytest
 
+from repro.core.distiller import Distiller
 from repro.core.engine import ScidiveEngine
+from repro.core.footprint import SipFootprint
 from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
     run_bye_attack,
@@ -108,6 +110,56 @@ class TestRoundtrip:
         assert other._ctx.sip_state is other.sip_state
         assert other._ctx.registrations is other.registrations
 
+    def test_reinvite_after_restore_writes_fresh_containers(self):
+        """Checkpoint right before the hijack's re-INVITE: the restored
+        call's media and redirects must take the write (they were
+        allocated lazily, or not at all) and match the uninterrupted
+        run, without touching the engine the snapshot came from."""
+        frames = _attack_frames("call-hijack")
+        distiller = Distiller()
+        reinvite = next(
+            n for n, (frame, ts) in enumerate(frames)
+            if isinstance(fp := distiller.distill(frame, ts), SipFootprint)
+            and fp.message.is_request and fp.message.method == "INVITE"
+            and fp.message.to_addr.tag is not None
+        )
+        baseline = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        _replay(baseline, frames)
+        first = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        _replay(first, frames[:reinvite])
+        assert not any(call.redirects for call in first.sip_state.calls.values())
+        second = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        second.restore(first.checkpoint())
+        _replay(second, frames[reinvite:])
+
+        def view(engine: ScidiveEngine) -> dict:
+            return {
+                "redirects": {
+                    cid: list(call.redirects) for cid, call in engine.sip_state.calls.items()
+                },
+                "media": {cid: dict(call.media) for cid, call in engine.sip_state.calls.items()},
+                "call_for_media": {
+                    endpoint: engine.sip_state.call_for_media(endpoint).call_id
+                    for call in engine.sip_state.calls.values()
+                    for endpoint in call.media.values()
+                },
+                "media_index": dict(engine.trails._media_index),
+                "session_media": {
+                    cid: dict(s.media_endpoints) for cid, s in engine.trails.sessions.items()
+                },
+                "alerts": collections.Counter(engine.alert_log.alerts),
+            }
+
+        expected = view(baseline)
+        assert any(expected["redirects"].values()) and expected["alerts"]
+        assert view(second) == expected
+        # The snapshot's source is untouched by the restored engine's writes.
+        assert not any(call.redirects for call in first.sip_state.calls.values())
+        for cid, call in second.sip_state.calls.items():
+            original = first.sip_state.calls.get(cid)
+            if original is not None and call._media is not None:
+                assert call._media is not original._media
+
     def test_alert_log_restored_in_place(self):
         # Subscribers attached before restore must keep seeing the log.
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
@@ -140,12 +192,13 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v4 changed what a pickled ``HeaderTable`` holds: a parsed
-        message's table is its header block, not its item list (v3).
-        The gate refuses a snapshot of any other shape, v3 included."""
-        assert CHECKPOINT_VERSION == 4
-        blob = b"SCDV" + pickle.dumps({"version": 3})
-        with pytest.raises(CheckpointError, match="version 3"):
+        """v5 changed the slots of ``SipUri`` (a stored address of
+        record) and of ``ObservedCall`` / ``Session`` (containers made on
+        first write); v4 changed what a pickled ``HeaderTable`` holds.
+        The gate refuses a snapshot of any other shape, v4 included."""
+        assert CHECKPOINT_VERSION == 5
+        blob = b"SCDV" + pickle.dumps({"version": 4})
+        with pytest.raises(CheckpointError, match="version 4"):
             ScidiveEngine().restore(blob)
 
 

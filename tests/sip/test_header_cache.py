@@ -26,6 +26,7 @@ from repro.sip import headers as headers_mod
 from repro.sip import message as message_mod
 from repro.sip.headers import HeaderError, HeaderTable, canonical_name
 from repro.sip.message import SipRequest, SipResponse, parse_message
+from repro.sip.uri import URI_TABLE
 from repro.voip.testbed import CLIENT_A_IP
 from tests.core.test_distiller_trail import sip_frame
 from tests.core.test_state import _sdp
@@ -448,12 +449,16 @@ class TestFloodInviteHeap:
 
     INVITES = 2_000
     # Bytes of engine heap per INVITE (3.4 KB while every retained
-    # message kept its materialised header table).
-    HEAP_PER_INVITE = 2_600
+    # message kept its materialised header table, 2.5 KB while each kept
+    # its own parsed request URI and each call its own empty containers).
+    HEAP_PER_INVITE = 2_100
 
     @pytest.fixture(scope="class")
     def flood(self):
         frames = [_flood_invite(n) for n in range(self.INVITES)]
+        # The URI table is per process: start it empty so neither the
+        # census nor the heap figure depends on what earlier tests parsed.
+        URI_TABLE.clear()
         engine = ScidiveEngine()
         engine.process_frame(_flood_invite(self.INVITES), 0.0)
         gc.collect()
@@ -485,3 +490,31 @@ class TestFloodInviteHeap:
     def test_heap_per_invite(self, flood):
         _, heap = flood
         assert heap / self.INVITES <= self.HEAP_PER_INVITE
+
+    def test_retained_uris_are_one_object_per_text(self, flood):
+        engine, _ = flood
+        messages = [
+            fp.message
+            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
+            for fp in trail.footprints
+        ]
+        assert len(messages) > self.INVITES
+        request_uris = [message.uri for message in messages]
+        # The flood calls 500 subscribers from one source.
+        assert len({id(uri) for uri in request_uris}) == len(set(map(str, request_uris))) <= 500
+        # From/To URIs, through the AoR strings the calls keep (reading
+        # from_addr here would re-materialise the compacted tables).
+        calls = engine.sip_state.calls.values()
+        assert len({id(call.caller) for call in calls}) == 1
+        assert len({id(call.callee) for call in calls}) <= 500
+
+    def test_no_sdp_less_call_holds_an_empty_container(self, flood):
+        engine, _ = flood
+        calls = list(engine.sip_state.calls.values())
+        sessions = list(engine.trails.sessions.values())
+        assert len(calls) > self.INVITES and len(sessions) > self.INVITES
+        assert all(c._media is None and c._redirects is None for c in calls)
+        assert all(s._media_endpoints is None for s in sessions)
+        # ... and each still reads as empty.
+        assert not any(c.media or c.redirects for c in calls)
+        assert not any(s.media_endpoints for s in sessions)
