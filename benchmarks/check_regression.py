@@ -1,8 +1,7 @@
 """CI perf-regression gate: fresh bench JSON vs the committed baseline.
 
-Each bench script writes a machine-readable JSON (``BENCH_dispatch.json``
-from ``bench_dispatch.py``, ``BENCH_shards.json`` from
-``bench_shard_scaling.py``, ``BENCH_forensics.json`` from
+Each bench script writes a machine-readable JSON (``BENCH_shards.json``
+from ``bench_shard_scaling.py``, ``BENCH_forensics.json`` from
 ``bench_forensics.py``, ``BENCH_resilience.json`` from
 ``bench_resilience.py``, ``BENCH_obs.json`` from
 ``bench_observability_overhead.py``, ``BENCH_overload.json`` from
@@ -11,19 +10,19 @@ benches and calls this script to compare the headline metric against the
 baseline with a relative tolerance::
 
     python benchmarks/check_regression.py \
-        --baseline BENCH_dispatch.json --fresh fresh_dispatch.json
-    python benchmarks/check_regression.py \
         --baseline BENCH_shards.json --fresh fresh_shards.json --tolerance 0.2
+    python benchmarks/check_regression.py \
+        --baseline BENCH_forensics.json --fresh fresh_forensics.json
 
-The headline metric is chosen by the ``bench`` field: ``speedup``
-(indexed vs broadcast dispatch), ``scaling_at_gate`` (modeled shard
-scaling) or ``throughput_ratio`` (forensics on vs off; checkpointing
-on vs off for the resilience bench; summaries+cost-sampling on vs
-metrics-only for the observability bench; ``frames_per_second`` for the
-workload-generator bench; ``shed_precision`` — the adjudicated-heavy
-source's share of shed frames — for the overload bench).  A fresh
-value below ``baseline * (1 - tolerance)`` fails, as
-does a fresh run whose own equivalence checks failed.
+The headline metric is chosen by the ``bench`` field:
+``scaling_at_gate`` (modeled shard scaling) or ``throughput_ratio``
+(forensics on vs off; checkpointing on vs off for the resilience bench;
+summaries+cost-sampling on vs metrics-only for the observability bench;
+``frames_per_second`` for the workload-generator bench;
+``shed_precision`` — the adjudicated-heavy source's share of shed
+frames — for the overload bench).  A fresh value below
+``baseline * (1 - tolerance)`` fails, as does a fresh run whose own
+equivalence checks failed.
 
 The script also gates detection *quality*: when the baseline JSON is a
 ``repro workload run --json`` report (it has a ``systems`` table,
@@ -41,7 +40,6 @@ import json
 import sys
 
 HEADLINE = {
-    "dispatch": "speedup",
     "shard_scaling": "scaling_at_gate",
     "forensics": "throughput_ratio",
     "resilience": "throughput_ratio",

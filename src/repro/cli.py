@@ -26,8 +26,7 @@ Usage::
     python -m repro list
 
 ``scenario`` drives the full simulated testbed (attack or benign),
-``replay`` runs the IDS offline over a standard pcap (``--broadcast``
-disables indexed dispatch for A/B comparison), ``stats`` runs a
+``replay`` runs the IDS offline over a standard pcap, ``stats`` runs a
 scenario with full observability and prints the per-stage/per-rule
 report, ``table1`` regenerates the paper's attack matrix, ``modules``
 lists the registered protocol modules with their generators and rules.
@@ -136,8 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--vantage", default=None,
                         help="protected endpoint IP (default: network-wide)")
     replay.add_argument("--json", help="write alerts to this JSON-lines file")
-    replay.add_argument("--broadcast", action="store_true",
-                        help="disable indexed dispatch (reference fan-out mode)")
     replay.add_argument("--rules", default=None, metavar="PACK",
                         help="compile the detection policy from this .rules "
                              "pack instead of the built-in rule classes")
@@ -690,7 +687,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         want_obs = bool(args.metrics_out or args.trace_out or server)
         ctx = obs.Observability.create(trace=bool(args.trace_out)) if want_obs else None
         engine = ScidiveEngine(vantage_ip=args.vantage, observability=ctx,
-                               indexed_dispatch=not args.broadcast,
                                rulepack=args.rules)
         overload = None
         if getattr(args, "overload", False):
@@ -713,11 +709,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 engine.snapshot_gauges()
             else:
                 engine.process_trace(trace)
-        mode = "broadcast" if args.broadcast else "indexed"
+        mode = "indexed dispatch"
         if engine.rulepack is not None:
-            mode += f" dispatch, pack {engine.rulepack.label}"
-        else:
-            mode += " dispatch"
+            mode += f", pack {engine.rulepack.label}"
         print(f"replayed {len(trace)} frames ({mode}): "
               f"{engine.stats.footprints} footprints, "
               f"{engine.stats.events} events, {len(engine.alerts)} alerts")

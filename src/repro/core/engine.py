@@ -7,12 +7,11 @@ endpoint (``vantage_ip``).  It consumes frames either *online*
 :class:`~repro.sim.trace.Trace`), which mirrors the paper's
 hub-tap deployment.
 
-Dispatch is *indexed* by default: each footprint visits only the
+Dispatch is *indexed*: each footprint visits only the
 generators whose declared ``protocols`` include its protocol (the
 engine builds per-protocol dispatch tables lazily), and each event
 visits only the rules whose ``trigger_events`` include its name (the
-RuleSet maintains that index).  ``indexed_dispatch=False`` restores the
-broadcast fan-out as a reference implementation.
+RuleSet maintains that index).
 
 There is exactly one footprint-processing code path.  Instrumentation
 is a :class:`~repro.core.hooks.FootprintHook` object — ``None`` when
@@ -130,7 +129,6 @@ class ScidiveEngine:
         observability: "_obs.Observability | None" = None,
         metrics_enabled: bool | None = None,
         modules: "list[ProtocolModule] | None" = None,
-        indexed_dispatch: bool = True,
         hook: FootprintHook | None = None,
         forensics: "ForensicsRecorder | bool | None" = None,
         firewall: "StageFirewall | bool | None" = None,
@@ -139,7 +137,6 @@ class ScidiveEngine:
         rulepack: "object | str | None" = None,
     ) -> None:
         self.name = name
-        self.indexed_dispatch = indexed_dispatch
         # Protocol modules are the registration unit: when given, they
         # supply whichever of distiller/generators/ruleset the caller
         # did not pass explicitly.
@@ -153,7 +150,7 @@ class ScidiveEngine:
 
             if not isinstance(rulepack, RulePack):
                 rulepack = load_pack(rulepack)
-            ruleset = compile_pack(rulepack, indexed=indexed_dispatch)
+            ruleset = compile_pack(rulepack)
         if modules is not None:
             from repro.core.protocols import (
                 distiller_from,
@@ -166,15 +163,13 @@ class ScidiveEngine:
             if generators is None:
                 generators = generators_from(modules)
             if ruleset is None:
-                ruleset = ruleset_from(modules, indexed=indexed_dispatch)
+                ruleset = ruleset_from(modules)
         self.distiller = distiller if distiller is not None else Distiller()
         self.trails = TrailManager()
         self.sip_state = SipStateTracker()
         self.registrations = RegistrationTracker()
         self.generators = generators if generators is not None else default_generators()
-        self.ruleset = (
-            ruleset if ruleset is not None else paper_ruleset(indexed=indexed_dispatch)
-        )
+        self.ruleset = ruleset if ruleset is not None else paper_ruleset()
         # The pack behind self.ruleset (None for a hand-built RuleSet)
         # — read from the compiled set so a caller passing ruleset=
         # compile_pack(...) directly is also covered.
@@ -201,7 +196,7 @@ class ScidiveEngine:
         self.event_log: list[Event] = []
         # Optional peers for cooperative detection (see core.correlation).
         self.event_subscribers: list = []
-        # Optional active-response hooks (see core.response).
+        # Optional per-alert callbacks (owner alerts only, not shadow).
         self.alert_subscribers: list = []
         # Housekeeping: expire idle state every N footprints (0 = never).
         self.housekeeping_every: int = 10_000
@@ -307,22 +302,19 @@ class ScidiveEngine:
     def generators_for(self, protocol: Protocol) -> tuple[EventGenerator, ...]:
         """The generators a footprint of this protocol visits, in order.
 
-        Indexed mode filters by each generator's declared ``protocols``
-        (None = wildcard, always visited); broadcast mode returns the
-        full list.  Tables rebuild when ``self.generators`` is rebound.
+        Filters by each generator's declared ``protocols`` (None =
+        wildcard, always visited).  Tables rebuild when
+        ``self.generators`` is rebound.
         """
         if self._dispatch_source is not self.generators:
             self._dispatch_source = self.generators
             self._dispatch = {}
         entry = self._dispatch.get(protocol)
         if entry is None:
-            if self.indexed_dispatch:
-                entry = tuple(
-                    g for g in self.generators
-                    if g.protocols is None or protocol in g.protocols
-                )
-            else:
-                entry = tuple(self.generators)
+            entry = tuple(
+                g for g in self.generators
+                if g.protocols is None or protocol in g.protocols
+            )
             self._dispatch[protocol] = entry
         return entry
 
@@ -494,7 +486,7 @@ class ScidiveEngine:
                     subscriber(self.name, event)
                 if hook is not None:
                     m0 = perf()
-                alerts.extend(self.ruleset.match(event, self.trails, self.alert_log))
+                alerts.extend(self.ruleset.match(event, self.alert_log))
                 if hook is not None:
                     match_seconds += perf() - m0
             if timed:
@@ -534,7 +526,7 @@ class ScidiveEngine:
             self._hook.injected(event.name)
         for subscriber in self.event_subscribers:
             subscriber(self.name, event)
-        alerts = self.ruleset.match(event, self.trails, self.alert_log)
+        alerts = self.ruleset.match(event, self.alert_log)
         self.stats.alerts += len(alerts)
         for alert in alerts:
             for subscriber in self.alert_subscribers:
@@ -608,22 +600,20 @@ class ScidiveEngine:
         footprint on.
 
         Nothing outside the ruleset is disturbed: trails, SIP state,
-        registrations, generators, the alert/event logs and the event
-        history all carry over, and with ``carry_state`` (the default)
-        per-rule detection state — cooldowns, threshold buckets,
-        sequence progress, conjunction members — transfers to same-id,
-        same-shape rules in the new pack, so armed stateful watches
-        survive the reload.  Returns the new RuleSet.
+        registrations, generators and the alert/event logs all carry
+        over, and with ``carry_state`` (the default) per-rule detection
+        state — cooldowns, threshold buckets, sequence progress,
+        conjunction members — transfers to same-id, same-shape rules in
+        the new pack, so armed stateful watches survive the reload.
+        Returns the new RuleSet.
         """
         from repro.rulespec import RulePack, compile_pack, load_pack
 
         if not isinstance(pack, RulePack):
             pack = load_pack(pack)
-        new_set = compile_pack(pack, indexed=self.indexed_dispatch)
+        new_set = compile_pack(pack)
         old_set = self.ruleset
-        # Continuity: rules match over the same recent-event window and
-        # cost/skip accounting keeps accumulating across the reload.
-        new_set.history = old_set.history
+        # Continuity: cost/skip accounting keeps accumulating across the reload.
         new_set.dispatch_skipped = old_set.dispatch_skipped
         new_set.cost_sample_rate = old_set.cost_sample_rate
         new_set.firewall = self.firewall

@@ -228,12 +228,12 @@ def generators_from(modules: Iterable[ProtocolModule]) -> list[EventGenerator]:
     return generators
 
 
-def ruleset_from(modules: Iterable[ProtocolModule], indexed: bool = True) -> RuleSet:
+def ruleset_from(modules: Iterable[ProtocolModule]) -> RuleSet:
     """Instantiate every module's rules into one indexed RuleSet."""
     rules: list[Rule] = []
     for module in modules:
         rules.extend(module.rules())
-    return RuleSet(rules=rules, indexed=indexed)
+    return RuleSet(rules=rules)
 
 
 def distiller_from(modules: Iterable[ProtocolModule], **overrides) -> Distiller:

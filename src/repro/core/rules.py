@@ -17,23 +17,21 @@ Three rule shapes cover every rule in the paper:
   same session within a window.  The billing-fraud rule is this: three
   conditions spanning SIP, accounting and RTP must concur.
 
-Rules may also reach past events and into raw trails via
-:class:`RuleContext` ("the Ruleset can also perform the matching based on
-crude information directly from the Trails"), at a cost — the
-engine-throughput benchmark quantifies the difference.
+:class:`SequenceRule` (the pack's ``sequence`` / ``watch`` shapes) is
+the paper's generic shape: a rule that "matches sequences of events".
+A rule sees only its triggering event; what it matches on is what the
+Event Generator put there (paper §1).
 """
 
 from __future__ import annotations
 
 import time as _time
 from abc import ABC, abstractmethod
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import deque
 from typing import Callable
 
 from repro.core.alerts import Alert, AlertLog, Severity
 from repro.core.events import Event
-from repro.core.trail import TrailManager
 
 Predicate = Callable[[Event], bool]
 GroupKey = Callable[[Event], str]
@@ -54,14 +52,6 @@ def _touch_lru(table: dict, key: str, max_groups: int):
     while len(table) >= max_groups:
         table.pop(next(iter(table)))
     return value
-
-
-@dataclass(slots=True)
-class RuleContext:
-    """What a rule may consult besides the triggering event."""
-
-    trails: TrailManager
-    history: "EventHistory"
 
 
 class Rule(ABC):
@@ -101,8 +91,8 @@ class Rule(ABC):
         self.cooldown = cooldown
         self._last_alert: dict[str, float] = {}
         # Candidate evaluations: how often the dispatcher handed this
-        # rule an event it could plausibly fire on (under indexed
-        # dispatch, events outside trigger_events never reach it).
+        # rule an event it could plausibly fire on (events outside
+        # trigger_events never reach it).
         self.matches_attempted = 0
         self.alerts_raised = 0
         # Sampled cost accounting (see RuleSet.cost_sample_rate):
@@ -129,7 +119,7 @@ class Rule(ABC):
         self.source_location = ""
 
     @abstractmethod
-    def on_event(self, event: Event, ctx: RuleContext) -> Alert | None:
+    def on_event(self, event: Event) -> Alert | None:
         """Inspect one event; return an alert or None."""
 
     def reset(self) -> None:
@@ -208,7 +198,7 @@ class SingleEventRule(Rule):
         self.predicate = predicate
         self.message_template = message or f"{name}: triggered by {event_name}"
 
-    def on_event(self, event: Event, ctx: RuleContext) -> Alert | None:
+    def on_event(self, event: Event) -> Alert | None:
         if event.name != self.event_name:
             return None
         if self.predicate is not None and not self.predicate(event):
@@ -257,7 +247,7 @@ class ThresholdRule(Rule):
         super().reset()
         self._buckets.clear()
 
-    def on_event(self, event: Event, ctx: RuleContext) -> Alert | None:
+    def on_event(self, event: Event) -> Alert | None:
         if event.name != self.event_name:
             return None
         if self.predicate is not None and not self.predicate(event):
@@ -317,7 +307,7 @@ class SequenceRule(Rule):
         super().reset()
         self._progress.clear()
 
-    def on_event(self, event: Event, ctx: RuleContext) -> Alert | None:
+    def on_event(self, event: Event) -> Alert | None:
         progress = _touch_lru(self._progress, event.session, MAX_RULE_GROUPS)
         step, matched = progress if progress is not None else (0, [])
         if matched and event.time - matched[0].time > self.window:
@@ -374,7 +364,7 @@ class ConjunctionRule(Rule):
         super().reset()
         self._seen.clear()
 
-    def on_event(self, event: Event, ctx: RuleContext) -> Alert | None:
+    def on_event(self, event: Event) -> Alert | None:
         if event.name not in self.required:
             return None
         group = self.correlate(event)
@@ -402,41 +392,18 @@ class ConjunctionRule(Rule):
         return alert
 
 
-class EventHistory:
-    """Bounded record of recent events, queryable by rules and benches."""
-
-    def __init__(self, max_events: int = 100_000) -> None:
-        self.max_events = max_events
-        self.events: deque[Event] = deque(maxlen=max_events)
-        self.counts: dict[str, int] = defaultdict(int)
-
-    def record(self, event: Event) -> None:
-        self.events.append(event)
-        self.counts[event.name] += 1
-
-    def recent(self, name: str, since: float) -> list[Event]:
-        return [e for e in self.events if e.name == name and e.time >= since]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
 class RuleSet:
     """All active rules plus the dispatch loop.
 
-    With ``indexed=True`` (the default) the set maintains a
-    trigger-event → rules index built from each rule's declared
-    ``trigger_events``: an event only visits the rules that could fire
-    on its name, plus any wildcard rules (``trigger_events is None``).
-    ``indexed=False`` restores the broadcast behaviour — every event
-    visits every rule — which the equivalence suite and the dispatch
-    benchmark use as the reference implementation.
+    The set maintains a trigger-event → rules index built from each
+    rule's declared ``trigger_events``: an event only visits the rules
+    that could fire on its name, plus any wildcard rules
+    (``trigger_events is None``).  A set whose rules are all wildcards
+    sends every event to every rule — the tests' dispatch oracle.
     """
 
-    def __init__(self, rules: list[Rule] | None = None, indexed: bool = True) -> None:
+    def __init__(self, rules: list[Rule] | None = None) -> None:
         self.rules: list[Rule] = list(rules) if rules else []
-        self.history = EventHistory()
-        self.indexed = indexed
         # The rule pack this set was compiled from (repro.rulespec), or
         # None for a hand-built set.
         self.pack = None
@@ -444,16 +411,13 @@ class RuleSet:
         self.dispatch_skipped = 0
         self._index: dict[str, tuple[Rule, ...]] = {}
         self._wildcard: tuple[Rule, ...] = ()
-        # Enabled rules only, in self.rules order — what broadcast
-        # dispatch iterates and what dispatch_skipped counts against.
+        # Enabled rules only, in self.rules order — what dispatch_skipped
+        # counts against.
         self._active: tuple[Rule, ...] = ()
         # The (identity, length) the index was built from; add/remove and
         # direct list manipulation both change one of them.
         self._index_rules: list[Rule] | None = None
         self._index_len = -1
-        # RuleContext is immutable per (trails, history) pair; rebuilding
-        # it per event shows up in the dispatch benchmark.
-        self._ctx: RuleContext | None = None
         # Exception firewall (repro.resilience.firewall), wired by the
         # engine.  None = a throwing rule propagates (standalone use).
         self.firewall = None
@@ -510,8 +474,8 @@ class RuleSet:
         ``enabled`` flag in place (:meth:`set_enabled` does).  Disabled
         rules are excluded here — at index-build time — so the per-event
         hot path never tests the flag.  Candidate lists preserve
-        ``self.rules`` order so alert ordering is identical to broadcast
-        dispatch.
+        ``self.rules`` order, so alerts come out in rule order whichever
+        rules an event visits.
         """
         active = tuple(r for r in self.rules if r.enabled)
         self._active = active
@@ -536,26 +500,14 @@ class RuleSet:
             self.rebuild_index()
         return self._index.get(event_name, self._wildcard)
 
-    def match(self, event: Event, trails: TrailManager, log: AlertLog) -> list[Alert]:
+    def match(self, event: Event, log: AlertLog) -> list[Alert]:
         """Run one event through the candidate rules; emit and return alerts."""
-        # EventHistory.record, inlined: this runs once per event.
-        history = self.history
-        history.events.append(event)
-        history.counts[event.name] += 1
-        ctx = self._ctx
-        if ctx is None or ctx.trails is not trails or ctx.history is not self.history:
-            ctx = self._ctx = RuleContext(trails=trails, history=self.history)
-        # Both dispatch modes draw candidates from the rebuilt view so
-        # disabled rules drop out everywhere at the same instant.
+        # Inlined candidates_for(): one dict probe per event once the
+        # index is built.
         if self._index_rules is not self.rules or self._index_len != len(self.rules):
             self.rebuild_index()
-        if self.indexed:
-            # Inlined candidates_for(): one dict probe per event once the
-            # index is built.
-            candidates = self._index.get(event.name, self._wildcard)
-            self.dispatch_skipped += len(self._active) - len(candidates)
-        else:
-            candidates = self._active
+        candidates = self._index.get(event.name, self._wildcard)
+        self.dispatch_skipped += len(self._active) - len(candidates)
         rate = self.cost_sample_rate
         timed = False
         if rate:
@@ -573,11 +525,11 @@ class RuleSet:
             try:
                 if timed:
                     t0 = perf()
-                    alert = rule.on_event(event, ctx)
+                    alert = rule.on_event(event)
                     rule.cost_seconds += (perf() - t0) * scale
                     rule.cost_samples += 1
                 else:
-                    alert = rule.on_event(event, ctx)
+                    alert = rule.on_event(event)
             except Exception as exc:
                 # A throwing rule must not abort the frame path (nor
                 # starve the later candidates).  The firewall counts it;
@@ -607,17 +559,15 @@ class RuleSet:
     def reset(self) -> None:
         """Forget everything match-state: every rule's cooldowns,
         counters and group/LRU tables (threshold buckets, sequence
-        progress, conjunction members), the event history, and the
-        cached context/index.  The index invalidation matters for
-        pack-compiled rules: ``enabled`` flips mutate rules in place,
-        which the lazy (identity, length) staleness check cannot see, so
-        a reset must force the rebuild rather than trust it."""
+        progress, conjunction members) and the cached index.  The index
+        invalidation matters for pack-compiled rules: ``enabled`` flips
+        mutate rules in place, which the lazy (identity, length)
+        staleness check cannot see, so a reset must force the rebuild
+        rather than trust it."""
         for rule in self.rules:
             rule.reset()
-        self.history = EventHistory()
         self.dispatch_skipped = 0
         self._cost_tick = 0
-        self._ctx = None  # held a reference to the replaced history
         self._index_rules = None
 
     def rule_stats(self) -> list[dict[str, object]]:

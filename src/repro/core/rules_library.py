@@ -60,18 +60,16 @@ TABLE1_RULES = (
 )
 
 
-def paper_ruleset(indexed: bool = True) -> RuleSet:
+def paper_ruleset() -> RuleSet:
     """Exactly the rules demonstrated in the paper (Table 1 + §3.2/§3.3):
-    the shipped pack, freshly compiled.  ``indexed=False`` builds the
-    same rules without the trigger-event index (broadcast dispatch —
-    the equivalence-suite reference)."""
+    the shipped pack, freshly compiled."""
     from repro.rulespec import compile_pack, core_pack
 
-    return compile_pack(core_pack(), indexed=indexed)
+    return compile_pack(core_pack())
 
 
-def table1_ruleset(indexed: bool = True) -> RuleSet:
+def table1_ruleset() -> RuleSet:
     """Only the four Table 1 attack rules (for the accuracy matrix)."""
     from repro.rulespec import compile_pack, core_pack
 
-    return compile_pack(core_pack().derive(keep=TABLE1_RULES), indexed=indexed)
+    return compile_pack(core_pack().derive(keep=TABLE1_RULES))

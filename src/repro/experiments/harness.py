@@ -26,7 +26,6 @@ from repro.attacks import (
 from repro.core.alerts import Alert
 from repro.core.engine import ScidiveEngine
 from repro.core.event_generators import default_generators
-from repro.core.metrics import Trial
 from repro.obs.logsetup import get_logger
 from repro.sim.link import LinkModel
 from repro.voip.scenarios import im_exchange, mobility_call, normal_call, registration_churn
@@ -74,14 +73,6 @@ class ExperimentResult:
             return None
         times = [a.time for a in self.alerts_for(rule_id) if a.time >= self.injection_time]
         return min(times) - self.injection_time if times else None
-
-    def as_trial(self, rule_id: str | None = None) -> Trial:
-        return Trial(
-            attack_injected=self.attack_report is not None,
-            injection_time=self.injection_time,
-            alerts=list(self.alerts),
-            rule_id=rule_id,
-        )
 
 
 def _build(

@@ -1,7 +1,7 @@
 """Metrics registry: Counters, Gauges, Histograms with label support.
 
-The operational counterpart of :mod:`repro.core.metrics` (which scores
-detection *quality*): this module counts what the engine *does* —
+The operational counterpart of :mod:`repro.experiments.quality` (which
+scores detection *quality*): this module counts what the engine *does* —
 frames, footprints, events, alerts, per-stage latencies — so capacity
 and hot-path questions ("where do frames spend time?", "how much state
 has accumulated?") have answers.  Dependency-free by design: metrics

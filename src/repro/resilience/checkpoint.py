@@ -52,14 +52,13 @@ half-compatible ghost.
 
 Snapshots are *bounded*.  Trails are bounded live — a trail *is* its
 recent ``TRAIL_TAIL`` footprints plus counters (:mod:`repro.core.trail`),
-so what is checkpointed is exactly what is live.  Only the event log and
-the rule history are trimmed at dump time, to their most recent
-``CHECKPOINT_EVENT_TAIL`` events: they are evidence/archival depth —
-detection reads them through short time windows
-(``EventHistory.recent``; sequence/threshold rule state is checkpointed
-separately in full) — while on a media flood they dominate the snapshot
-by orders of magnitude.  Without the bounds a snapshot costs
-O(everything ever seen); with them, O(live detection state).
+so what is checkpointed is exactly what is live.  Only the event log is
+trimmed at dump time, to its most recent ``CHECKPOINT_EVENT_TAIL``
+events: it is evidence/archival depth — no rule reads it (sequence /
+threshold rule state is checkpointed separately in full) — while on a
+media flood it dominates the snapshot by orders of magnitude.  Without
+the bounds a snapshot costs O(everything ever seen); with them, O(live
+detection state).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # Snapshot bound (see module docstring): archival event depth is
 # truncated to a recent tail, live detection state is captured in full.
@@ -130,24 +129,6 @@ def _restore_generator(generator, mode: str, state) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _history_state(history) -> dict:
-    """EventHistory as a bounded dict (the object holds every event)."""
-    return {
-        "max_events": history.max_events,
-        "counts": dict(history.counts),
-        "events": list(history.events)[-CHECKPOINT_EVENT_TAIL:],
-    }
-
-
-def _restore_history(state: dict):
-    from repro.core.rules import EventHistory
-
-    history = EventHistory(max_events=state["max_events"])
-    history.counts.update(state["counts"])
-    history.events.extend(state["events"])
-    return history
-
-
 def engine_checkpoint(engine: "ScidiveEngine") -> bytes:
     """Serialize ``engine``'s detection state (see module docstring)."""
     payload = {
@@ -173,7 +154,6 @@ def engine_checkpoint(engine: "ScidiveEngine") -> bytes:
             rule.rule_id: rule.checkpoint_state()
             for rule in engine.ruleset.rules
         },
-        "rule_history": _history_state(engine.ruleset.history),
         "dispatch_skipped": engine.ruleset.dispatch_skipped,
         "distiller_stats": engine.distiller.stats,
         "reassembler": engine.distiller._reassembler,
@@ -264,9 +244,7 @@ def engine_restore(engine: "ScidiveEngine", blob: bytes, force: bool = False) ->
         state = rule_states.get(rule.rule_id)
         if state is not None:
             rule.restore_state(state)
-    engine.ruleset.history = _restore_history(payload["rule_history"])
     engine.ruleset.dispatch_skipped = payload["dispatch_skipped"]
-    engine.ruleset._ctx = None  # held a reference to the old history
     engine.distiller.stats = payload["distiller_stats"]
     engine.distiller._reassembler = payload["reassembler"]
     engine._since_housekeeping = payload["since_housekeeping"]

@@ -23,8 +23,9 @@ Three layers:
 The paper's own rules are the pack shipped inside this package
 (``packs/scidive-core.rules``).  :func:`core_pack` returns it, parsed
 once per process, and it is what every engine runs unless told
-otherwise; ``ScidiveConfig``, ``table1_ruleset`` and the quality sweeps
-are :meth:`RulePack.derive` selections and re-tunings of it.
+otherwise; ``table1_ruleset`` and the quality sweeps are
+:meth:`RulePack.derive` selections and re-tunings of it, and
+:func:`compile_pack` always yields an indexed ``RuleSet``.
 """
 
 from repro.rulespec.compiler import compile_pack, compile_rule

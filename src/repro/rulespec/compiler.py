@@ -237,8 +237,8 @@ def compile_rule(rdef: RuleDef, pack: RulePack | None = None) -> Rule:
     return rule
 
 
-def compile_pack(pack: RulePack, indexed: bool = True) -> RuleSet:
-    """Compile a whole pack into an (indexed) RuleSet.
+def compile_pack(pack: RulePack) -> RuleSet:
+    """Compile a whole pack into an indexed RuleSet.
 
     Every compiled rule carries the pack's identity label and its own
     source location, which flow into alerts, checkpoints and evidence
@@ -251,6 +251,6 @@ def compile_pack(pack: RulePack, indexed: bool = True) -> RuleSet:
         raise RulePackError([
             LintIssue(0, "compile-error", str(exc), path=pack.source_path)
         ]) from exc
-    ruleset = RuleSet(rules=rules, indexed=indexed)
+    ruleset = RuleSet(rules=rules)
     ruleset.pack = pack
     return ruleset

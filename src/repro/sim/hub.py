@@ -48,15 +48,6 @@ class Hub:
         self._attachments: list[_Attachment] = []
         self.frames_switched = 0
         self.frames_dropped = 0
-        self.frames_filtered = 0
-        # Inline enforcement points (e.g. a firewall installed by the
-        # active-response subsystem): each gets (frame) and may veto
-        # delivery by returning False.
-        self._filters: list = []
-
-    def install_filter(self, predicate) -> None:
-        """Add an allow/deny predicate applied to every frame."""
-        self._filters.append(predicate)
 
     def attach(self, iface: NetworkInterface, link: LinkModel | None = None) -> None:
         """Plug an interface into the hub with an optional link model."""
@@ -66,10 +57,6 @@ class Hub:
     def transmit(self, sender: NetworkInterface, frame: bytes) -> None:
         """Broadcast ``frame`` to every other attached interface."""
         now = self.loop.now()
-        for predicate in self._filters:
-            if not predicate(frame):
-                self.frames_filtered += 1
-                return
         dst_mac = _destination_mac(frame)
         self.frames_switched += 1
         for attachment in self._attachments:

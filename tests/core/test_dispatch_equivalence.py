@@ -2,8 +2,9 @@
 
 The per-protocol generator tables and the trigger-event rule index are
 pure routing optimisations: for any trace, an indexed engine must emit
-byte-identical alert sequences to the broadcast reference — with
-observability on or off.  Exercised on the paper's four headline attacks
+byte-identical alert sequences to the broadcast reference (the
+wildcard oracle, :mod:`tests.core.dispatch_oracle`) — with observability
+on or off.  Exercised on the paper's four headline attacks
 (Figures 5–8).
 """
 
@@ -20,6 +21,7 @@ from repro.experiments.harness import (
 )
 from repro.obs import Observability
 from repro.voip.testbed import CLIENT_A_IP
+from tests.core.dispatch_oracle import wildcard_engine
 
 ATTACKS = {
     "bye-attack": (run_bye_attack, "BYE-001"),
@@ -38,8 +40,9 @@ def attack_traces():
 
 def _alert_signature(trace, indexed: bool, metrics: bool):
     ctx = Observability.create(trace=False) if metrics else None
-    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=ctx,
-                           indexed_dispatch=indexed)
+    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=ctx)
+    if not indexed:
+        wildcard_engine(engine)
     engine.process_trace(trace)
     signature = [(a.rule_id, a.time, a.session, a.message) for a in engine.alerts]
     return engine, signature

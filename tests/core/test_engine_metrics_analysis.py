@@ -1,4 +1,4 @@
-"""Tests for the assembled engine, metrics and the §4.3 analytic models."""
+"""Tests for the assembled engine and the §4.3 analytic models."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import math
 import pytest
 
 from repro.core import analysis
-from repro.core.alerts import Alert, Severity
 from repro.core.engine import ScidiveEngine
-from repro.core.metrics import MetricsAccumulator, Trial, wilson_interval
 from repro.core.rules_library import RULE_BYE_ATTACK
 from repro.sim.distributions import Constant, Exponential, Uniform
 from repro.voip.scenarios import normal_call
@@ -69,58 +67,6 @@ class TestScidiveEngine:
         assert engine_at_a.alerts == []
         # Protocol state survives: session knowledge retained.
         assert engine_at_a.trails.session_count >= 1
-
-
-def _alert(rule_id: str, t: float) -> Alert:
-    return Alert(
-        rule_id=rule_id, rule_name=rule_id, time=t, session="s",
-        severity=Severity.HIGH, attack_class="x", message="m",
-    )
-
-
-class TestMetrics:
-    def test_detection_delay(self):
-        trial = Trial(attack_injected=True, injection_time=10.0,
-                      alerts=[_alert("R", 10.3), _alert("R", 11.0)])
-        assert trial.detected
-        assert trial.detection_delay == pytest.approx(0.3)
-
-    def test_alert_before_injection_not_detection(self):
-        trial = Trial(attack_injected=True, injection_time=10.0, alerts=[_alert("R", 9.0)])
-        assert not trial.detected
-        assert trial.detection_delay is None
-
-    def test_rule_filter(self):
-        trial = Trial(attack_injected=True, injection_time=0.0,
-                      alerts=[_alert("OTHER", 1.0)], rule_id="R")
-        assert not trial.detected
-
-    def test_false_alarm(self):
-        trial = Trial(attack_injected=False, injection_time=None, alerts=[_alert("R", 1.0)])
-        assert trial.false_alarmed and not trial.detected
-
-    def test_summary_statistics(self):
-        acc = MetricsAccumulator()
-        for delay in [0.1, 0.2, 0.3]:
-            acc.add(Trial(True, 0.0, [_alert("R", delay)]))
-        acc.add(Trial(True, 0.0, []))  # miss
-        acc.add(Trial(False, None, []))  # clean benign
-        acc.add(Trial(False, None, [_alert("R", 1.0)]))  # false alarm
-        summary = acc.summary()
-        assert summary.attack_trials == 4
-        assert summary.detected == 3
-        assert summary.p_missed == pytest.approx(0.25)
-        assert summary.p_false == pytest.approx(0.5)
-        assert summary.mean_delay == pytest.approx(0.2)
-        assert summary.median_delay == pytest.approx(0.2)
-        assert summary.delay_percentile(100) == pytest.approx(0.3)
-
-    def test_wilson_interval_sane(self):
-        lo, hi = wilson_interval(5, 10)
-        assert 0.0 < lo < 0.5 < hi < 1.0
-        lo0, hi0 = wilson_interval(0, 100)
-        assert lo0 == 0.0 and hi0 < 0.05
-        assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
 class TestAnalysis:

@@ -26,10 +26,10 @@ from repro.core.protocols import (
 )
 from repro.core.rules import RuleSet, SingleEventRule
 from repro.core.rules_library import paper_ruleset
-from repro.core.trail import TrailManager
 from repro.rulespec import core_pack
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
+from tests.core.dispatch_oracle import wildcard_engine, wildcard_ruleset
 
 SRC_MAC = MacAddress("02:00:00:00:00:01")
 DST_MAC = MacAddress("02:00:00:00:00:02")
@@ -149,7 +149,7 @@ class TestGeneratorDispatchTables:
         assert "dialog" not in {g.name for g in engine.generators_for(Protocol.SIP)}
 
     def test_broadcast_mode_dispatches_everything_everywhere(self):
-        engine = ScidiveEngine(indexed_dispatch=False)
+        engine = wildcard_engine(ScidiveEngine())
         for protocol in Protocol:
             assert engine.generators_for(protocol) == tuple(engine.generators)
 
@@ -189,24 +189,22 @@ class TestRuleIndex:
     def test_dispatch_skipped_counts_avoided_evaluations(self):
         ruleset = RuleSet([SingleEventRule("A", "a", "EventA"),
                            SingleEventRule("B", "b", "EventB")])
-        trails, log = TrailManager(), AlertLog()
-        ruleset.match(_event("EventA"), trails, log)
+        ruleset.match(_event("EventA"), AlertLog())
         assert ruleset.dispatch_skipped == 1  # B never consulted
         assert ruleset.rules[0].matches_attempted == 1
         assert ruleset.rules[1].matches_attempted == 0
 
     def test_broadcast_counts_every_rule_as_attempted(self):
-        ruleset = RuleSet([SingleEventRule("A", "a", "EventA"),
-                           SingleEventRule("B", "b", "EventB")],
-                          indexed=False)
-        ruleset.match(_event("EventA"), TrailManager(), AlertLog())
+        ruleset = wildcard_ruleset(RuleSet([SingleEventRule("A", "a", "EventA"),
+                                            SingleEventRule("B", "b", "EventB")]))
+        ruleset.match(_event("EventA"), AlertLog())
         assert ruleset.dispatch_skipped == 0
         assert all(r.matches_attempted == 1 for r in ruleset.rules)
 
     def test_reset_zeroes_dispatch_skipped(self):
         ruleset = RuleSet([SingleEventRule("A", "a", "EventA"),
                            SingleEventRule("B", "b", "EventB")])
-        ruleset.match(_event("EventA"), TrailManager(), AlertLog())
+        ruleset.match(_event("EventA"), AlertLog())
         ruleset.reset()
         assert ruleset.dispatch_skipped == 0
         assert all(r.matches_attempted == 0 for r in ruleset.rules)

@@ -7,7 +7,6 @@ import pytest
 from repro.core.alerts import AlertLog
 from repro.core.events import Event
 from repro.core.rules import RuleSet, SingleEventRule
-from repro.core.trail import TrailManager
 
 
 def ev(name: str, t: float) -> Event:
@@ -16,9 +15,8 @@ def ev(name: str, t: float) -> Event:
 
 def run(ruleset: RuleSet, events: list[Event]) -> AlertLog:
     log = AlertLog()
-    trails = TrailManager()
     for event in events:
-        ruleset.match(event, trails, log)
+        ruleset.match(event, log)
     return log
 
 
@@ -51,9 +49,9 @@ class TestSampling:
         import time
 
         class SlowRule(SingleEventRule):
-            def on_event(self, event, ctx):
+            def on_event(self, event):
                 time.sleep(0.001)
-                return super().on_event(event, ctx)
+                return super().on_event(event)
 
         rule = SlowRule("R1", "slow", "Boom", cooldown=1e9)
         rs = RuleSet([rule])

@@ -19,15 +19,13 @@ from repro.core.rules import (
     ThresholdRule,
     _touch_lru,
 )
-from repro.core.trail import TrailManager
 
 
 def _flood(rule, events):
     ruleset = RuleSet([rule])
     log = AlertLog()
-    trails = TrailManager()
     for event in events:
-        ruleset.match(event, trails, log)
+        ruleset.match(event, log)
     return log
 
 

@@ -13,7 +13,6 @@ from repro.core.rules import (
     SingleEventRule,
     ThresholdRule,
 )
-from repro.core.trail import TrailManager
 
 
 def ev(name: str, t: float, session: str = "s1", **attrs) -> Event:
@@ -22,9 +21,8 @@ def ev(name: str, t: float, session: str = "s1", **attrs) -> Event:
 
 def run(ruleset: RuleSet, events: list[Event]):
     log = AlertLog()
-    trails = TrailManager()
     for event in events:
-        ruleset.match(event, trails, log)
+        ruleset.match(event, log)
     return log
 
 
@@ -183,17 +181,6 @@ class TestRuleSet:
         rs = RuleSet([SingleEventRule("R1", "a", "X")])
         rs.remove("R1")
         assert len(rs) == 0
-
-    def test_history_records_all_events(self):
-        rs = RuleSet([])
-        run(rs, [ev("A", 1.0), ev("B", 2.0)])
-        assert rs.history.counts["A"] == 1
-        assert len(rs.history) == 2
-
-    def test_history_recent_query(self):
-        rs = RuleSet([])
-        run(rs, [ev("A", 1.0), ev("A", 5.0)])
-        assert len(rs.history.recent("A", since=3.0)) == 1
 
     def test_reset_clears_rule_state(self):
         rule = ThresholdRule("T1", "t", "Tick", threshold=2, window=100.0)

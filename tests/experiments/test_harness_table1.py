@@ -26,12 +26,6 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_benign("nonsense")
 
-    def test_trial_conversion(self):
-        result = run_bye_attack()
-        trial = result.as_trial("BYE-001")
-        assert trial.attack_injected and trial.detected
-        assert trial.detection_delay == result.detection_delay("BYE-001")
-
     def test_monitoring_window_respected(self):
         # A zero-ish window means the orphan packet lands outside it.
         result = run_bye_attack(monitoring_window=0.0001)

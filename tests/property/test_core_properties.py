@@ -54,11 +54,10 @@ class TestThresholdRuleProperties:
         rule = ThresholdRule("T", "t", "E", threshold=threshold, window=window, cooldown=0.0)
         rs = RuleSet([rule])
         log = AlertLog()
-        trails = TrailManager()
         times = sorted(event_times)
         fired_at = []
         for t in times:
-            if rs.match(Event(name="E", time=t, session="s"), trails, log):
+            if rs.match(Event(name="E", time=t, session="s"), log):
                 fired_at.append(t)
         # Reference: at each event, count events within (t-window, t].
         expected = [
@@ -73,10 +72,9 @@ class TestThresholdRuleProperties:
         rule = ConjunctionRule("C", "c", required, window=1e9, cooldown=0.0)
         rs = RuleSet([rule])
         log = AlertLog()
-        trails = TrailManager()
         seen: set[str] = set()
         for i, name in enumerate(names):
-            alerts = rs.match(Event(name=name, time=float(i), session="s"), trails, log)
+            alerts = rs.match(Event(name=name, time=float(i), session="s"), log)
             if name in required:
                 seen.add(name)
             if alerts:

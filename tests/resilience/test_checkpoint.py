@@ -192,13 +192,17 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v5 changed the slots of ``SipUri`` (a stored address of
-        record) and of ``ObservedCall`` / ``Session`` (containers made on
-        first write); v4 changed what a pickled ``HeaderTable`` holds.
-        The gate refuses a snapshot of any other shape, v4 included."""
-        assert CHECKPOINT_VERSION == 5
-        blob = b"SCDV" + pickle.dumps({"version": 4})
-        with pytest.raises(CheckpointError, match="version 4"):
+        """v6 dropped the ``rule_history`` slot (rules keep no event
+        history of their own); v5 changed the slots of ``SipUri`` (a
+        stored address of record) and of ``ObservedCall`` / ``Session``
+        (containers made on first write).  The gate refuses a snapshot
+        of any other shape, v5 included."""
+        assert CHECKPOINT_VERSION == 6
+        payload = pickle.loads(ScidiveEngine().checkpoint()[len(b"SCDV"):])
+        payload.update(version=5, rule_history={"max_events": 100_000,
+                                                "counts": {}, "events": []})
+        blob = b"SCDV" + pickle.dumps(payload)
+        with pytest.raises(CheckpointError, match="version 5"):
             ScidiveEngine().restore(blob)
 
 

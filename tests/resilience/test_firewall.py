@@ -39,7 +39,7 @@ class _ThrowingRule(Rule):
     def __init__(self) -> None:
         super().__init__("THROW-001", "always throws", Severity.LOW, "test")
 
-    def on_event(self, event, ctx):
+    def on_event(self, event):
         raise RuntimeError("rule exploded")
 
 

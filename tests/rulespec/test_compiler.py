@@ -38,6 +38,7 @@ from repro.experiments.harness import (
 from repro.rulespec import CORE_PACK_PATH as SHIPPED
 from repro.rulespec import CORE_PACK_SOURCE, core_pack, load_pack, parse_pack
 from repro.voip.testbed import CLIENT_A_IP
+from tests.core.dispatch_oracle import wildcard_engine
 
 SCENARIOS = {
     "benign": run_benign,
@@ -122,11 +123,20 @@ class TestCompileShape:
         ]
 
     def test_compiled_ruleset_is_indexed(self, pack):
+        trace = _scenario_trace("rtp-attack")
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
-        engine.process_trace(_scenario_trace("rtp-attack"))
-        # The compiled pack must land in the indexed dispatch path, not
-        # silently fall back to broadcast.
+        engine.process_trace(trace)
+        # The compiled pack must land in the indexed dispatch path: it
+        # skips rules the wildcard oracle visits, and alerts the same.
         assert engine.ruleset.dispatch_skipped > 0
+        reference = wildcard_engine(
+            ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
+        )
+        reference.process_trace(trace)
+        assert reference.ruleset.dispatch_skipped == 0
+        assert [a.message for a in engine.alerts] == [
+            a.message for a in reference.alerts
+        ]
 
     def test_rule_stats_surface_pack_provenance(self, pack):
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
@@ -170,7 +180,6 @@ class TestEnginesShareNoRuleState:
         first, second = ScidiveEngine(), ScidiveEngine()
         for a, b in zip(first.ruleset.rules, second.ruleset.rules):
             assert a.rule_id == b.rule_id and a is not b
-        assert first.ruleset.history is not second.ruleset.history
 
     def test_state_advances_independently(self):
         first, second = self._armed_pair()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.quality import run_engine_alerts
 from repro.workload import (
     ATTACK_KINDS,
     AttackMix,
@@ -31,3 +32,11 @@ SMALL_SPEC = DEFAULT_SCENARIO.with_overrides(
 def small_workload():
     """The shared labeled trace: one of each attack over benign churn."""
     return generate_workload(SMALL_SPEC)
+
+
+@pytest.fixture(scope="session")
+def small_engine_alerts(small_workload):
+    """One single-engine pass over the shared trace, in alert order —
+    the reference every engine-side quality test scores or compares."""
+    alerts, _ = run_engine_alerts(small_workload.trace)
+    return alerts

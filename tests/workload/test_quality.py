@@ -13,7 +13,6 @@ import collections
 import pytest
 
 from repro.cluster import ScidiveCluster
-from repro.core.engine import ScidiveEngine
 from repro.experiments.quality import (
     evaluate_alerts,
     evaluate_workload,
@@ -26,9 +25,8 @@ def alert_key(alert):
     return (alert.rule_id, round(alert.time, 6), alert.session)
 
 
-def test_engine_detects_every_attack(small_workload):
-    alerts, _ = run_engine_alerts(small_workload.trace)
-    quality = evaluate_alerts("engine", alerts, small_workload.truth)
+def test_engine_detects_every_attack(small_workload, small_engine_alerts):
+    quality = evaluate_alerts("engine", small_engine_alerts, small_workload.truth)
     assert quality.missed == 0, [
         o.label.kind for o in quality.outcomes if not o.detected
     ]
@@ -44,13 +42,10 @@ def test_engine_detects_every_attack(small_workload):
         assert outcome.detecting_rule in outcome.label.expected_rules
 
 
-def test_cluster_equivalent_to_engine(small_workload):
-    trace = small_workload.trace
-    engine = ScidiveEngine(vantage_ip=None)
-    engine.process_trace(trace)
+def test_cluster_equivalent_to_engine(small_workload, small_engine_alerts):
     cluster = ScidiveCluster(workers=4, backend="serial", vantage_ip=None)
-    result = cluster.process_trace(trace)
-    expected = collections.Counter(alert_key(a) for a in engine.alerts)
+    result = cluster.process_trace(small_workload.trace)
+    expected = collections.Counter(alert_key(a) for a in small_engine_alerts)
     got = collections.Counter(alert_key(a) for a in result.alerts)
     assert got == expected
 
@@ -72,15 +67,16 @@ def test_full_report_shape(small_workload):
     )
 
 
-def test_engine_false_alarm_rate_low(small_workload):
-    alerts, _ = run_engine_alerts(small_workload.trace)
-    quality = evaluate_alerts("engine", alerts, small_workload.truth)
+def test_engine_false_alarm_rate_low(small_workload, small_engine_alerts):
+    quality = evaluate_alerts("engine", small_engine_alerts, small_workload.truth)
     # Benign churn must stay quiet: alerts not attributed to any attack
     # window are false alarms, and there should be none on this trace.
     assert quality.false_alarms == []
 
 
-def test_pcap_roundtrip_scores_identically(small_workload, tmp_path):
+def test_pcap_roundtrip_scores_identically(
+    small_workload, small_engine_alerts, tmp_path
+):
     # `repro workload report` reads the trace back from trace.pcap; the
     # pcap's microsecond timestamps must score exactly like the
     # in-memory trace (labels are quantized to the same grid at
@@ -94,9 +90,7 @@ def test_pcap_roundtrip_scores_identically(small_workload, tmp_path):
     assert [r.timestamp for r in reread] == [
         r.timestamp for r in small_workload.trace
     ]
-    direct = evaluate_alerts(
-        "engine", run_engine_alerts(small_workload.trace)[0], small_workload.truth
-    )
+    direct = evaluate_alerts("engine", small_engine_alerts, small_workload.truth)
     rescored = evaluate_alerts(
         "engine", run_engine_alerts(reread)[0], small_workload.truth
     )
