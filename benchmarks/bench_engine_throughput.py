@@ -87,12 +87,15 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
         """No event generators: every RTP footprint triggers a raw scan
         of the session's SIP trail for teardown/redirect evidence, and
         every SIP footprint re-scans its own trail — the 'searching for
-        specific Footprints, possibly in multiple Trails' cost."""
+        specific Footprints, possibly in multiple Trails' cost.  SCIDIVE's
+        trails index footprints without keeping them, so the naive engine
+        keeps its own per-trail footprint history to scan."""
         from repro.core.footprint import Protocol, RtpFootprint, SipFootprint
 
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, generators=[])
         started = time.perf_counter()
         distiller = engine.distiller
+        history: dict[tuple, list] = {}  # trail key -> its footprints
         raw_hits = 0
         for record in workload:
             fp = distiller.distill(record.frame, record.timestamp)
@@ -102,10 +105,13 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
                 engine.sip_state.observe(fp)
                 engine.registrations.observe(fp)
             trail = engine.trails.push(fp)
+            history.setdefault(trail.key, []).append(fp)
             if isinstance(fp, RtpFootprint) and trail.call_id:
                 session = engine.trails.sessions.get(trail.call_id)
                 if session is not None:
-                    sip_trail = session.trail_for(Protocol.SIP)
+                    sip_trail = next(
+                        (t for t in session.trails if t.protocol == Protocol.SIP), None
+                    )
                     if sip_trail is not None:
                         # Re-derive media legitimacy from raw footprints:
                         # scan the SIP trail, re-parse every SDP body, and
@@ -113,7 +119,7 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
                         # SCIDIVE's cached session state avoids per packet.
                         from repro.sip.sdp import SdpError, SessionDescription
 
-                        for sip_fp in sip_trail.footprints:
+                        for sip_fp in history[sip_trail.key]:
                             if not isinstance(sip_fp, SipFootprint):
                                 continue
                             message = sip_fp.message
@@ -135,7 +141,7 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
                                 raw_hits += 1
             elif isinstance(fp, SipFootprint):
                 # Re-derive session state by scanning the trail.
-                for older in trail.footprints:
+                for older in history[trail.key]:
                     if isinstance(older, SipFootprint) and older.method == fp.method:
                         raw_hits += 1
         elapsed = time.perf_counter() - started

@@ -70,51 +70,31 @@ def _session_port_key(endpoint: Endpoint) -> tuple[int, int]:
 # members hash in Python but compare by identity.)
 _MEDIA_PROTOCOLS = (Protocol.RTP, Protocol.RTCP)
 
-# How many recent footprints a trail keeps (paper §3.1: trail state is
-# "constrained in practice by the amount of memory available").  Nothing
-# under src/ reads past footprints[-1]; rules that "match on crude
-# information directly from the Trails" see this recent tail, and deep
-# history is the flight recorder's job (repro.obs.forensics).
-TRAIL_TAIL = 32
-
-
 @dataclass(slots=True)
 class Trail:
-    """The recent tail of one (sub)session's footprints, plus counters.
+    """An index entry for one (sub)session: identity, linkage, a count.
 
-    ``footprints`` holds at most ``TRAIL_TAIL`` entries, oldest first;
-    ``len(trail) + trail.evicted`` is every footprint ever filed.  A plain
-    list trimmed in place rather than a ``deque(maxlen=...)``: a flood
-    makes one single-footprint trail per frame, and an empty bounded
-    deque alone is 760 B against a one-element list's 88.
+    A trail keeps no footprints (paper §3.1: trail state is "constrained
+    in practice by the amount of memory available").  It records how
+    many were filed and the last one's endpoints and timestamp — all
+    the unlinked-media index and idle expiry read.  Per-packet history
+    is the flight recorder's job (repro.obs.forensics).
     """
 
     key: TrailKey
     protocol: Protocol
     first_seen: float  # timestamp of the footprint that created the trail
-    footprints: list[AnyFootprint] = field(default_factory=list)
     call_id: str | None = None  # cross-protocol linkage, once known
-    evicted: int = 0
+    count: int = 0  # footprints filed
+    src: Endpoint | None = None  # the last footprint's endpoints and time
+    dst: Endpoint | None = None
+    last_seen: float = 0.0
 
     def append(self, footprint: AnyFootprint) -> None:
-        tail = self.footprints
-        if len(tail) >= TRAIL_TAIL:
-            # Drop the oldest half in place: one pointer move per
-            # footprint amortised, and no second list.
-            del tail[: TRAIL_TAIL // 2]
-            self.evicted += TRAIL_TAIL // 2
-        tail.append(footprint)
-
-    def __len__(self) -> int:
-        return len(self.footprints)
-
-    @property
-    def last(self) -> AnyFootprint | None:
-        return self.footprints[-1] if self.footprints else None
-
-    @property
-    def last_seen(self) -> float | None:
-        return self.footprints[-1].timestamp if self.footprints else None
+        self.src = footprint.src
+        self.dst = footprint.dst
+        self.last_seen = footprint.timestamp
+        self.count += 1
 
 
 # A flood checkpoints one Trail per frame: pickle them as a value list,
@@ -147,15 +127,6 @@ class Session:
             self._media_endpoints = {}
         self._media_endpoints[party] = endpoint
 
-    def trail_for(self, protocol: Protocol) -> Trail | None:
-        for trail in self.trails:
-            if trail.protocol == protocol:
-                return trail
-        return None
-
-    def trails_for(self, protocol: Protocol) -> list[Trail]:
-        return [t for t in self.trails if t.protocol == protocol]
-
     def attach(self, trail: Trail) -> None:
         if trail not in self.trails:
             self.trails.append(trail)
@@ -175,7 +146,7 @@ class TrailManager:
         # that arrives after its media adopts them without a walk over
         # every trail.  Invariant: a live trail is filed here iff its
         # protocol is RTP/RTCP and its call_id is None, under the
-        # _session_port_key of both endpoints of its *last* footprint, as
+        # _session_port_key of its src and dst (its last footprint's), as
         # trail key -> (creation serial, trail); serials order a bucket's
         # trails as self.trails orders them.  Derived from self.trails:
         # rebuilt on unpickling, never pickled.
@@ -218,8 +189,7 @@ class TrailManager:
             # Flow-keyed trails never get here with new endpoints; a
             # malformed-on-media-port trail is keyed by source only, so
             # its destination can move.
-            last = trail.footprints[-1]
-            if last.dst != footprint.dst or last.src != footprint.src:
+            if trail.dst != footprint.dst or trail.src != footprint.src:
                 serial = self._unfile_unlinked(trail)
         trail.append(footprint)
         self._link(footprint, trail)
@@ -245,7 +215,7 @@ class TrailManager:
         stale_keys = [
             key
             for key, trail in self.trails.items()
-            if trail.last_seen is not None and now - trail.last_seen > idle_timeout
+            if now - trail.last_seen > idle_timeout
         ]
         for key in stale_keys:
             trail = self.trails.pop(key)
@@ -282,8 +252,6 @@ class TrailManager:
             "media_index": len(self._media_index),
             "unlinked_media_index": len(self._unlinked_media),
             "footprints_filed": self.footprints_filed,
-            # Summed here, off the per-frame path: <= TRAIL_TAIL per trail.
-            "footprints_retained": sum(map(len, self.trails.values())),
             "expired_total": self.expired_total,
         }
 
@@ -350,17 +318,15 @@ class TrailManager:
     # -- the unlinked-media index ------------------------------------------------
 
     def _file_unlinked(self, trail: Trail, serial: int) -> None:
-        last = trail.footprints[-1]
         entry = (serial, trail)
-        for index_key in (_session_port_key(last.src), _session_port_key(last.dst)):
+        for index_key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
             self._unlinked_media.setdefault(index_key, {})[trail.key] = entry
 
     def _unfile_unlinked(self, trail: Trail) -> int | None:
         """Take ``trail`` out of the index (a no-op when it is not filed);
         returns the serial it was filed under."""
-        last = trail.footprints[-1]
         serial = None
-        for index_key in (_session_port_key(last.src), _session_port_key(last.dst)):
+        for index_key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
             bucket = self._unlinked_media.get(index_key)
             if bucket is not None:
                 entry = bucket.pop(trail.key, None)

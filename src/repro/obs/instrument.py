@@ -28,9 +28,9 @@ so cooperating detectors share a registry without colliding):
   — cumulative per-generator wall time and fan-out counts.
 * ``scidive_housekeeping_runs_total`` / ``…_reclaimed_trails_total``.
 * ``scidive_trails`` / ``_sessions`` / ``_sip_dialogs`` /
-  ``_registration_sessions`` — state-size gauges.
-* ``scidive_trail_footprints_retained`` — footprints the live trails'
-  bounded tails hold (≤ ``TRAIL_TAIL`` × ``scidive_trails``).
+  ``_registration_sessions`` — state-size gauges.  A trail holds no
+  footprints (it is an index entry), so there is no retained-footprint
+  gauge: per-packet history lives in the flight recorder's rings.
 * ``scidive_distiller_*`` — distiller counter snapshot gauges, plus its
   address-table sizes and full-table drops.
 """
@@ -55,7 +55,7 @@ class EngineInstrumentation:
         "_frames", "_footprints", "_events", "_alerts", "_injected",
         "_stage", "_generator", "_generator_calls",
         "_housekeeping_runs", "_reclaimed",
-        "_trails", "_trail_footprints", "_sessions", "_dialogs",
+        "_trails", "_sessions", "_dialogs",
         "_registrations", "_distiller",
         "_footprint_children", "_event_children", "_stage_children",
         "_gen_seconds_acc", "_gen_calls_acc",
@@ -123,10 +123,6 @@ class EngineInstrumentation:
         ).labels(**label)
         self._trails = registry.gauge(
             "scidive_trails", "Live trails", ("engine",)
-        ).labels(**label)
-        self._trail_footprints = registry.gauge(
-            "scidive_trail_footprints_retained",
-            "Footprints held by the live trails' bounded tails", ("engine",),
         ).labels(**label)
         self._sessions = registry.gauge(
             "scidive_sessions", "Live cross-protocol sessions", ("engine",)
@@ -325,7 +321,6 @@ class EngineInstrumentation:
         the per-generator time tallies into the registry."""
         sizes = engine.trails.size_stats()
         self._trails.set(sizes["trails"])
-        self._trail_footprints.set(sizes["footprints_retained"])
         self._sessions.set(sizes["sessions"])
         self._dialogs.set(engine.sip_state.call_count)
         self._registrations.set(engine.registrations.session_count)

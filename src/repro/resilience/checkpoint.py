@@ -42,17 +42,18 @@ What a checkpoint contains (and why):
   out: alerts carry their own provenance frames.
 
 The payload is ``pickle`` because the state *is* Python object graphs
-with shared references (the same footprint appears in a trail and in an
-event's evidence); pickle's memo preserves that sharing.  Checkpoints
-are an internal transport between one engine build and an identically
-configured successor — not an interchange format — which is exactly
+with shared references (the same address object is a trail's last
+endpoint, a call's teardown source and an event's evidence); pickle's
+memo preserves that sharing.  Checkpoints are an internal transport
+between one engine build and an identically configured successor — not an interchange format — which is exactly
 pickle's safe habitat.  ``CHECKPOINT_VERSION`` gates shape drift: a
 mismatch raises :class:`CheckpointError` rather than resurrecting a
 half-compatible ghost.
 
-Snapshots are *bounded*.  Trails are bounded live — a trail *is* its
-recent ``TRAIL_TAIL`` footprints plus counters (:mod:`repro.core.trail`),
-so what is checkpointed is exactly what is live.  Only the event log is
+Snapshots are *bounded*.  A trail is an index entry — identity,
+linkage, a footprint count and its last endpoints (:mod:`repro.core.trail`)
+— and holds no footprints, so a trail costs the same in a snapshot
+whether it filed one frame or a million.  Only the event log is
 trimmed at dump time, to its most recent ``CHECKPOINT_EVENT_TAIL``
 events: it is evidence/archival depth — no rule reads it (sequence /
 threshold rule state is checkpointed separately in full) — while on a
@@ -73,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 # Snapshot bound (see module docstring): archival event depth is
 # truncated to a recent tail, live detection state is captured in full.

@@ -18,7 +18,7 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
-from repro.core.trail import TRAIL_TAIL, Session, TrailManager, _media_index_key
+from repro.core.trail import Session, TrailManager, _media_index_key
 from repro.h323.h225 import H225_PORT, H225Message, MessageType
 from repro.net.addr import VALUE_TABLE_CAP, Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import fragment
@@ -201,7 +201,7 @@ class TestTrailManager:
     def test_sip_keyed_by_call_id(self):
         manager, trails = self._distill([(sip_frame(), 0.0), (sip_frame(), 0.1)])
         assert manager.trail_count == 1
-        assert len(trails[0]) == 2
+        assert trails[0].count == 2
         assert trails[0].key == ("sip", "call-7")
 
     def test_rtp_keyed_by_flow(self):
@@ -223,8 +223,8 @@ class TestTrailManager:
         protocols = {t.protocol for t in session.trails}
         assert Protocol.SIP in protocols
         assert Protocol.RTP in protocols
-        rtp_trail = session.trail_for(Protocol.RTP)
-        assert rtp_trail.call_id == "call-7"
+        rtp_trails = [t for t in session.trails if t.protocol == Protocol.RTP]
+        assert [t.call_id for t in rtp_trails] == ["call-7"]
 
     def test_media_owner_lookup(self):
         manager, __ = self._distill([(sip_frame(), 0.0)])
@@ -236,7 +236,7 @@ class TestTrailManager:
         rtcp = build_udp_frame(SRC_MAC, DST_MAC, B, A, 40001, 40001, payload)
         manager, __ = self._distill([(sip_frame(), 0.0), (rtcp, 0.1)])
         session = manager.session_for("call-7")
-        assert session.trail_for(Protocol.RTCP) is not None
+        assert any(t.protocol == Protocol.RTCP for t in session.trails)
 
     def test_accounting_attached_by_call_id(self):
         txn = build_udp_frame(
@@ -245,51 +245,35 @@ class TestTrailManager:
         )
         manager, __ = self._distill([(sip_frame(), 0.0), (txn, 0.5)])
         session = manager.session_for("call-7")
-        assert session.trail_for(Protocol.ACCOUNTING) is not None
+        assert any(t.protocol == Protocol.ACCOUNTING for t in session.trails)
 
     def test_media_endpoints_recorded_per_party(self):
         manager, __ = self._distill([(sip_frame(), 0.0)])
         session = manager.session_for("call-7")
         assert session.media_endpoints["alice@example.com"] == Endpoint(A, 40000)
 
-    def test_trail_eviction_bounds_memory(self):
-        manager = TrailManager()
-        distiller = Distiller()
-        pushed = 3 * TRAIL_TAIL
-        for i in range(pushed):
-            fp = distiller.distill(rtp_frame(seq=i), 1.0 + i * 0.02)
-            trail = manager.push(fp)
-            assert len(trail) <= TRAIL_TAIL
-        assert trail.evicted > 0
-        assert len(trail) + trail.evicted == pushed
-        # The counters outlive the footprints they were read from.
-        assert trail.first_seen == 1.0
-        assert trail.last_seen == fp.timestamp
-        assert trail.last is trail.footprints[-1] is fp
-
     def test_trail_timestamps(self):
         manager, trails = self._distill([(sip_frame(), 1.0), (sip_frame(), 2.0)])
         trail = trails[0]
         assert trail.first_seen == 1.0
         assert trail.last_seen == 2.0
-        assert trail.last is trail.footprints[-1]
 
 
-_TAIL_STEP = st.one_of(
-    st.tuples(st.just("rtp"), st.sampled_from([40000, 40002, 40004]), st.integers(1, 2 * TRAIL_TAIL)),
-    st.tuples(st.just("sip"), st.sampled_from(["c1", "c2"]), st.integers(1, TRAIL_TAIL + 2)),
+_INDEX_STEP = st.one_of(
+    st.tuples(st.just("rtp"), st.sampled_from([40000, 40002, 40004]), st.integers(1, 64)),
+    st.tuples(st.just("sip"), st.sampled_from(["c1", "c2"]), st.integers(1, 34)),
     st.tuples(st.just("expire"), st.sampled_from([0.5, 5.0, 50.0])),
     st.tuples(st.just("checkpoint")),
 )
 
 
-class TestTrailTailModel:
-    """A trail is the last ``len(trail)`` footprints of everything filed
-    under its key since it was created, plus counters for the rest."""
+class TestTrailIndexModel:
+    """A trail indexes everything filed under its key since it was
+    created: how many, when first and last, and the last endpoints."""
 
-    @given(steps=st.lists(_TAIL_STEP, max_size=12))
+    @given(steps=st.lists(_INDEX_STEP, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_tail_and_counters_match_a_model_list(self, steps):
+    def test_index_matches_a_model_list(self, steps):
         distiller, manager = Distiller(), TrailManager()
         model: dict[tuple, list] = {}
         now, filed = 0.0, 0
@@ -313,18 +297,15 @@ class TestTrailTailModel:
                     trail = manager.push(footprint)
                     model.setdefault(trail.key, []).append(footprint)
                     filed += 1
-                    assert trail.last is footprint
+                    assert (trail.src, trail.dst) == (footprint.src, footprint.dst)
             assert manager.trails.keys() == model.keys()
             for key, everything in model.items():
                 trail = manager.trails[key]
-                assert 1 <= len(trail) <= TRAIL_TAIL
-                assert trail.footprints == everything[-len(trail):]
-                assert len(trail) + trail.evicted == len(everything)
+                assert trail.count == len(everything)
                 assert trail.first_seen == everything[0].timestamp
                 assert trail.last_seen == everything[-1].timestamp
-            sizes = manager.size_stats()
-            assert sizes["footprints_filed"] == filed
-            assert sizes["footprints_retained"] == sum(map(len, manager.trails.values()))
+                assert (trail.src, trail.dst) == (everything[-1].src, everything[-1].dst)
+            assert manager.size_stats()["footprints_filed"] == filed
 
 
 class TestAddressTables:
@@ -421,17 +402,16 @@ class FullScanTrailManager(TrailManager):
         self._media_index[_media_index_key(endpoint)] = session.call_id
         for trail in self.trails.values():
             if trail.protocol in (Protocol.RTP, Protocol.RTCP) and trail.call_id is None:
-                last = trail.footprints[-1]
                 if any(
                     Endpoint(e.ip, e.port - 1 if e.port % 2 else e.port) == endpoint
-                    for e in (last.src, last.dst)
+                    for e in (trail.src, trail.dst)
                 ):
                     session.attach(trail)
 
 
 def assert_index_invariant(manager: TrailManager) -> None:
     """Filed == exactly the live unlinked media trails, each under the
-    even-port keys of its last footprint, serials in creation order."""
+    even-port keys of its last endpoints, serials in creation order."""
     filed: dict[tuple, tuple[set, set]] = {}  # trail key -> (index keys, serials)
     for index_key, bucket in manager._unlinked_media.items():
         assert bucket, "empty buckets are deleted"
@@ -443,9 +423,8 @@ def assert_index_invariant(manager: TrailManager) -> None:
     expected = {}
     for key, trail in manager.trails.items():
         if trail.call_id is None and trail.protocol in (Protocol.RTP, Protocol.RTCP):
-            last = trail.footprints[-1]
             expected[key] = {
-                (e.ip.packed, e.port - e.port % 2) for e in (last.src, last.dst)
+                (e.ip.packed, e.port - e.port % 2) for e in (trail.src, trail.dst)
             }
     assert {key: index_keys for key, (index_keys, _) in filed.items()} == expected
     assert all(len(serials) == 1 for _, serials in filed.values())
@@ -569,7 +548,7 @@ _STEP = st.one_of(
 
 def _linkage(manager: TrailManager) -> dict:
     return {
-        "trails": [(key, trail.call_id, len(trail)) for key, trail in manager.trails.items()],
+        "trails": [(key, trail.call_id, trail.count) for key, trail in manager.trails.items()],
         "sessions": {
             call_id: ([t.key for t in session.trails], session.media_endpoints)
             for call_id, session in manager.sessions.items()

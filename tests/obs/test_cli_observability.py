@@ -63,7 +63,8 @@ def test_stats_table(capsys):
     assert "address table drops" in out
     assert "uri table drops" in out
     assert "reassembly oversize" in out
-    assert "trail footprints retained" in out
+    assert "live trails" in out
+    assert "trail footprints retained" not in out
 
 
 def test_stats_prometheus_format(capsys):

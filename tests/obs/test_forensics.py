@@ -18,7 +18,6 @@ from repro.core.events import Event
 from repro.core.export import alert_to_dict
 from repro.core.footprint import MalformedFootprint, Protocol, RtpFootprint
 from repro.core.rules_library import RULE_BYE_ATTACK
-from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
     run_billing_fraud,
     run_bye_attack,
@@ -352,8 +351,8 @@ class TestAlertTimeResolution:
 
 class TestRetainedFootprintCensus:
     """The deterministic guard behind the peak-RSS claim: per-packet
-    history is kept once (the flight recorder's rings) and bounded (the
-    trail tails), whatever the number of frames."""
+    history is kept once, in the flight recorder's bounded rings, whatever
+    the number of frames.  A trail is an index entry and pins none."""
 
     FLOWS, FRAMES = 20, 20_000
     SLACK = 8
@@ -375,16 +374,15 @@ class TestRetainedFootprintCensus:
             )
             engine.process_frame(frame, n * 0.001)
         assert engine.stats.footprints == cls.FRAMES and not engine.alerts
-        assert engine.trails.size_stats()["footprints_retained"] <= cls.FLOWS * TRAIL_TAIL
         return cls._census() - before
 
     def test_with_the_flight_recorder(self):
         live = self._live_rtp_footprints(forensics=True)
-        assert live <= self.FLOWS * (DEFAULT_RING_CAPACITY + TRAIL_TAIL) + self.SLACK
+        assert live <= self.FLOWS * DEFAULT_RING_CAPACITY + self.SLACK
 
     def test_with_forensics_off(self):
         live = self._live_rtp_footprints(forensics=False)
-        assert live <= self.FLOWS * TRAIL_TAIL + self.SLACK
+        assert live <= self.SLACK
 
 
 class TestEvidenceBundles:

@@ -168,5 +168,4 @@ class TestTrailManagerProperties:
             )
             manager.push(fp)
             total += 1
-        # Held in a trail's bounded tail, or counted by it as evicted.
-        assert sum(len(t) + t.evicted for t in manager.trails.values()) == total
+        assert sum(t.count for t in manager.trails.values()) == total

@@ -15,7 +15,6 @@ import pytest
 from repro.core.distiller import Distiller
 from repro.core.engine import ScidiveEngine
 from repro.core.footprint import SipFootprint
-from repro.core.trail import TRAIL_TAIL
 from repro.experiments.harness import (
     run_bye_attack,
     run_call_hijack,
@@ -77,21 +76,22 @@ class TestRoundtrip:
         assert second.stats.frames == baseline.stats.frames
 
     def test_trails_roundtrip_as_they_are_live(self):
-        """Trails are bounded live, so a snapshot carries each one whole:
-        tail, counters and linkage — and taking it leaves them untouched."""
+        """A trail is an index entry, so a snapshot carries each one whole:
+        counters, last endpoints and linkage — and taking it leaves them
+        untouched."""
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         _replay(engine, _attack_frames("rtp-attack"))
 
         def view(candidate: ScidiveEngine) -> dict:
             return {
-                key: (trail.footprints, trail.first_seen, trail.last_seen,
-                      trail.evicted, trail.call_id)
+                key: (trail.count, trail.first_seen, trail.last_seen,
+                      trail.src, trail.dst, trail.call_id)
                 for key, trail in candidate.trails.trails.items()
             }
 
         before = view(engine)
-        assert any(evicted for *_, evicted, _call_id in before.values())
-        assert all(len(tail) <= TRAIL_TAIL for tail, *_ in before.values())
+        assert max(count for count, *_ in before.values()) > 1
+        assert any(call_id is not None for *_, call_id in before.values())
         other = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         other.restore(engine.checkpoint())
         assert view(other) == before == view(engine)
@@ -192,17 +192,15 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v6 dropped the ``rule_history`` slot (rules keep no event
-        history of their own); v5 changed the slots of ``SipUri`` (a
-        stored address of record) and of ``ObservedCall`` / ``Session``
-        (containers made on first write).  The gate refuses a snapshot
-        of any other shape, v5 included."""
-        assert CHECKPOINT_VERSION == 6
+        """v7 changed the slots of ``Trail`` (an index entry: a count and
+        the last endpoints, no footprint tail); v6 dropped the
+        ``rule_history`` slot.  The gate refuses a snapshot of any other
+        shape, v6 included."""
+        assert CHECKPOINT_VERSION == 7
         payload = pickle.loads(ScidiveEngine().checkpoint()[len(b"SCDV"):])
-        payload.update(version=5, rule_history={"max_events": 100_000,
-                                                "counts": {}, "events": []})
+        payload.update(version=6)
         blob = b"SCDV" + pickle.dumps(payload)
-        with pytest.raises(CheckpointError, match="version 5"):
+        with pytest.raises(CheckpointError, match="version 6"):
             ScidiveEngine().restore(blob)
 
 

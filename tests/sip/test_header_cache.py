@@ -25,7 +25,7 @@ from repro.net.addr import Endpoint
 from repro.sip import headers as headers_mod
 from repro.sip import message as message_mod
 from repro.sip.headers import HeaderError, HeaderTable, canonical_name
-from repro.sip.message import SipRequest, SipResponse, parse_message
+from repro.sip.message import SipMessage, SipRequest, SipResponse, parse_message
 from repro.sip.uri import URI_TABLE
 from repro.voip.testbed import CLIENT_A_IP
 from tests.core.test_distiller_trail import sip_frame
@@ -43,6 +43,17 @@ _WIRE = (
     b"m: <sip:alice@10.0.0.10:5060>\r\n"
     b"Content-Length: 0\r\n\r\n"
 )
+
+
+def _recorded_sip(engine: ScidiveEngine) -> list:
+    """The SIP footprints the flight recorder's rings hold: the engine's
+    only per-packet history (a trail keeps none)."""
+    return [
+        record.footprint
+        for ring in engine.forensics._sessions.values()
+        for record in ring.records
+        if record.footprint.protocol is Protocol.SIP
+    ]
 
 
 def _parsed() -> SipRequest:
@@ -173,8 +184,7 @@ class TestSdpParsedOncePerMessage:
         _replay(engine, frames)
         bodies = [
             fp.message.body
-            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
-            for fp in trail.footprints
+            for fp in _recorded_sip(engine)
             if fp.message.body and "sdp" in (fp.message.headers.get("Content-Type") or "")
         ]
         assert bodies and len(parses) == len(bodies)
@@ -406,12 +416,7 @@ class TestEngineKeepsNoTypedValues:
 
     @staticmethod
     def _messages(engine: ScidiveEngine) -> list:
-        return [
-            footprint.message
-            for trail in engine.trails.trails.values()
-            if trail.protocol is Protocol.SIP
-            for footprint in trail.footprints
-        ]
+        return [footprint.message for footprint in _recorded_sip(engine)]
 
     def test_trail_messages_are_left_without_a_cache(self, engine):
         messages = self._messages(engine)
@@ -443,11 +448,35 @@ def _flood_invite(n: int) -> bytes:
     )
 
 
+FLOOD_INVITES = 2_000
+
+
+def _run_flood(forensics: bool) -> tuple[ScidiveEngine, int]:
+    """An engine after ``FLOOD_INVITES`` flood INVITEs, and the heap
+    (bytes) the INVITEs left allocated."""
+    frames = [_flood_invite(n) for n in range(FLOOD_INVITES)]
+    # The URI table is per process: start it empty so neither the
+    # census nor the heap figure depends on what earlier tests parsed.
+    URI_TABLE.clear()
+    engine = ScidiveEngine(forensics=forensics)
+    engine.process_frame(_flood_invite(FLOOD_INVITES), 0.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n, frame in enumerate(frames):
+            engine.process_frame(frame, 1.0 + n * 1e-4)
+        gc.collect()
+        heap = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return engine, heap
+
+
 class TestFloodInviteHeap:
     """The deterministic guard behind the peak-RSS claim: a flood
     INVITE's message is kept as its header block once processed."""
 
-    INVITES = 2_000
+    INVITES = FLOOD_INVITES
     # Bytes of engine heap per INVITE (3.4 KB while every retained
     # message kept its materialised header table, 2.5 KB while each kept
     # its own parsed request URI and each call its own empty containers).
@@ -455,37 +484,13 @@ class TestFloodInviteHeap:
 
     @pytest.fixture(scope="class")
     def flood(self):
-        frames = [_flood_invite(n) for n in range(self.INVITES)]
-        # The URI table is per process: start it empty so neither the
-        # census nor the heap figure depends on what earlier tests parsed.
-        URI_TABLE.clear()
-        engine = ScidiveEngine()
-        engine.process_frame(_flood_invite(self.INVITES), 0.0)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            for n, frame in enumerate(frames):
-                engine.process_frame(frame, 1.0 + n * 1e-4)
-            gc.collect()
-            heap = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        return engine, heap
+        return _run_flood(forensics=True)
 
     def test_no_retained_table_is_materialised(self, flood):
         engine, _ = flood
-        in_trails = [
-            fp.message.headers
-            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
-            for fp in trail.footprints
-        ]
-        in_rings = [
-            record.footprint.message.headers
-            for ring in engine.forensics._sessions.values()
-            for record in ring.records if hasattr(record.footprint, "message")
-        ]
-        assert len(in_trails) > self.INVITES and len(in_rings) > self.INVITES
-        assert all(table._index is None for table in in_trails + in_rings)
+        in_rings = [fp.message.headers for fp in _recorded_sip(engine)]
+        assert len(in_rings) > self.INVITES
+        assert all(table._index is None for table in in_rings)
 
     def test_heap_per_invite(self, flood):
         _, heap = flood
@@ -493,11 +498,7 @@ class TestFloodInviteHeap:
 
     def test_retained_uris_are_one_object_per_text(self, flood):
         engine, _ = flood
-        messages = [
-            fp.message
-            for trail in engine.trails.trails.values() if trail.protocol is Protocol.SIP
-            for fp in trail.footprints
-        ]
+        messages = [fp.message for fp in _recorded_sip(engine)]
         assert len(messages) > self.INVITES
         request_uris = [message.uri for message in messages]
         # The flood calls 500 subscribers from one source.
@@ -518,3 +519,26 @@ class TestFloodInviteHeap:
         # ... and each still reads as empty.
         assert not any(c.media or c.redirects for c in calls)
         assert not any(s.media_endpoints for s in sessions)
+
+
+class TestFloodInviteHeapWithoutRecorder:
+    """With the flight recorder off nothing keeps per-packet history: a
+    trail is an index entry, so a flood INVITE leaves its call state and
+    no message behind."""
+
+    # Bytes of engine heap per INVITE (1.5 KB while every trail kept a
+    # tail of its footprints, and with them each INVITE's message).
+    HEAP_PER_INVITE = 1_000
+
+    @staticmethod
+    def _live_messages() -> int:
+        gc.collect()
+        return sum(isinstance(obj, SipMessage) for obj in gc.get_objects())
+
+    def test_no_message_is_kept_and_heap_per_invite(self):
+        before = self._live_messages()  # other tests' objects may be alive
+        engine, heap = _run_flood(forensics=False)
+        assert engine.forensics is None
+        assert engine.trails.size_stats()["footprints_filed"] == FLOOD_INVITES + 1
+        assert self._live_messages() == before
+        assert heap / FLOOD_INVITES <= self.HEAP_PER_INVITE
