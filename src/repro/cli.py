@@ -686,15 +686,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             return 0
         want_obs = bool(args.metrics_out or args.trace_out or server)
         ctx = obs.Observability.create(trace=bool(args.trace_out)) if want_obs else None
-        engine = ScidiveEngine(vantage_ip=args.vantage, observability=ctx,
-                               rulepack=args.rules)
+        # A single engine has no queue: its latency budget's burn rate is
+        # the overload controller's only input, so --overload gives even
+        # a dark engine a budget.
+        engine = ScidiveEngine(
+            vantage_ip=args.vantage, observability=ctx, rulepack=args.rules,
+            frame_budget=obs.DEFAULT_FRAME_BUDGET if args.overload else None,
+        )
         overload = None
-        if getattr(args, "overload", False):
+        if args.overload:
             from repro.resilience import EngineOverload
 
             overload = EngineOverload(engine)
             # /healthz reads engine.overload; the attribute only exists
-            # on instrumented replays.
+            # on --overload replays.
             engine.overload = overload
         if server is not None:
             # Bind before the replay so /healthz and /metrics answer mid-run.

@@ -22,16 +22,16 @@ at submit time on the caller's thread; deterministic, the reference for
 equivalence tests).  Both run one worker message handler; see
 :mod:`repro.cluster.worker`.
 
-Backpressure: input queues are bounded (``queue_depth`` batches).
-``overflow="block"`` applies backpressure to the producer;
-``overflow="drop"`` sheds load — but not blindly: media- and
-other-plane frames are shed first (``ClusterStats.frames_shed``, by
-plane) while signalling frames are retried with a bounded blocking put,
-because one dropped INVITE or BYE silences a whole dialog's worth of
-stateful detection while a dropped RTP packet costs one sample.  The
-IDS-under-flood posture: falling behind must not mean unbounded memory,
-and load shedding must degrade the media plane before the signalling
-plane.
+Backpressure: input queues are bounded (``queue_depth`` batches) and
+a full queue blocks the producer (``overflow="block"``, the only
+policy), so falling behind never means unbounded memory.  A live worker
+never loses a frame to a full queue: one dropped INVITE or BYE silences
+a whole dialog's worth of stateful detection.  Load is shed in one
+place only — the overload plane's per-source penalty box
+(:mod:`repro.resilience.overload`, ``overload_enabled=True``), which
+drops an adjudicated-heavy source's frames at the router door
+(``ClusterStats.frames_shed["penalty-box"]``) while innocent traffic
+keeps flowing.
 
 Crash safety: with ``checkpoint_every > 0`` each process worker
 serializes its engine's detection state
@@ -68,7 +68,7 @@ import tempfile as _tempfile
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.sharding import PLANE_SIGNALLING, SessionSharder, shard_index
+from repro.cluster.sharding import SessionSharder, shard_index
 from repro.cluster.worker import (
     _pack_errors,
     _ProcessWorker,
@@ -89,14 +89,17 @@ from repro.resilience.overload import (
     OverloadConfig,
     OverloadController,
     SourceAccountant,
+    apply_brownout,
+    engine_burn_rate,
     format_source,
-    shed_plan,
 )
 from repro.rulespec import RulePack, core_pack, load_pack, parse_pack
 from repro.sim.trace import Trace
 
 BACKENDS = ("process", "serial")
-OVERFLOW_POLICIES = ("block", "drop")
+# A full queue blocks the producer; the overload plane's penalty box is
+# the only shedder.
+OVERFLOW_POLICIES = ("block",)
 
 # Self-diagnostic rule id for a shard whose worker exhausted its restart
 # budget — like the firewall's SELF-QUARANTINE, it must be greppable and
@@ -251,9 +254,10 @@ class ClusterStats:
     router_seconds: float = 0.0
     frames_by_plane: dict = field(default_factory=dict)
     fragments_expired: int = 0
-    # Graceful-degradation accounting: frames shed under queue pressure,
-    # by plane (media sheds before signalling), and shards abandoned
-    # after max_restarts.  Shed frames also count in frames_dropped.
+    # Graceful-degradation accounting: frames shed by the overload
+    # plane (the one key is "penalty-box", the router-door drop), and
+    # shards abandoned after max_restarts.  Shed frames also count in
+    # frames_dropped.
     frames_shed: dict = field(default_factory=dict)
     # Penalty-box attribution: shed frames whose source was adjudicated
     # a heavy hitter, keyed by dotted-quad (bounded by the accountant's
@@ -433,7 +437,7 @@ class ScidiveCluster:
         self._router_spans_dropped = 0
         # Overload control plane (router half): the controller ticks in
         # submit_frame, its transition alerts land in self_alerts, and
-        # the accountant's heavy-hitter verdicts guard every shed.
+        # the accountant's heavy-hitter verdict is the only shed.
         self.overload: OverloadController | None = None
         self.accountant: SourceAccountant | None = None
         if self.config.overload_enabled:
@@ -539,9 +543,9 @@ class ScidiveCluster:
             tid = "" if tracer is None else self._trace_id(key)
             if key.broadcast and n > 1:
                 for wid in range(n):
-                    self._append(wid, frames, wid == owner, plane, tid)
+                    self._append(wid, frames, wid == owner, tid)
             else:
-                self._append(owner, frames, True, plane, tid)
+                self._append(owner, frames, True, tid)
             if tid:
                 routed.append((tid, plane, owner))
         elapsed = _time.thread_time() - t0 - (self._inline_seconds - inline0)
@@ -573,19 +577,15 @@ class ScidiveCluster:
             self._trace_ids[key] = cached
         return cached
 
-    def _append(
-        self, wid: int, frames, is_owner: bool, plane: str, tid: str = ""
-    ) -> None:
+    def _append(self, wid: int, frames, is_owner: bool, tid: str = "") -> None:
         stats = self.cluster_stats
         if is_owner:
             stats.frames_routed += len(frames)
         else:
             stats.frames_replicated += len(frames)
         pending = self._pending[wid]
-        # Pending items carry their plane so the overflow path can shed
-        # media before signalling (plane stays at index 3), plus the
-        # session's trace id; the wire keeps only what workers need.
-        pending.extend((frame, ts, is_owner, plane, tid) for frame, ts in frames)
+        # Pending items are the wire tuples: (frame, ts, owner, trace_id).
+        pending.extend((frame, ts, is_owner, tid) for frame, ts in frames)
         batch_size = self.config.batch_size
         while len(pending) >= batch_size:
             self._submit_batch(wid, pending[:batch_size])
@@ -593,14 +593,10 @@ class ScidiveCluster:
 
     @staticmethod
     def _wire(items: list) -> tuple:
-        """Strip the router-only plane tag: workers see ``(frame, ts,
-        owner, trace_id)`` plus the batch's wall-clock enqueue stamp
-        (queue-wait = dequeue time − stamp)."""
-        return (
-            "batch",
-            [(frame, ts, owner, tid) for frame, ts, owner, _plane, tid in items],
-            _time.time(),
-        )
+        """The batch message: ``(frame, ts, owner, trace_id)`` items plus
+        the batch's wall-clock enqueue stamp (queue-wait = dequeue time
+        − stamp)."""
+        return ("batch", items, _time.time())
 
     def _submit_batch(self, wid: int, items: list) -> None:
         stats = self.cluster_stats
@@ -611,101 +607,20 @@ class ScidiveCluster:
             self._inline_seconds += _time.perf_counter() - t0
             stats.batches_submitted += 1
             return
-        if self.config.overflow == "drop":
-            try:
-                worker.in_q.put_nowait(self._wire(items))
-            except _queue.Full:
-                # Queue pressure: shed the media/other planes, then fight
-                # for the signalling remainder — a lost RTP packet costs
-                # one sample, a lost BYE silences a dialog's detection.
-                items = self._shed_under_pressure(worker, items)
-                if not items:
-                    return
-            else:
-                stats.batches_submitted += 1
-                return
         self._deliver_blocking(worker, items)
-
-    def _shed_non_signalling(self, items: list) -> list:
-        """Drop every non-signalling item, with per-plane accounting;
-        returns the signalling-plane remainder."""
-        stats = self.cluster_stats
-        kept = []
-        for item in items:
-            plane = item[3]
-            if plane == PLANE_SIGNALLING:
-                kept.append(item)
-            else:
-                stats.frames_shed[plane] = stats.frames_shed.get(plane, 0) + 1
-                stats.frames_dropped += 1
-        return kept
-
-    def _shed_under_pressure(self, worker, items: list) -> list:
-        """One queue-full shedding round; returns what must still be
-        delivered blocking (possibly empty if a retry landed).
-
-        Without the overload plane this is the legacy all-or-nothing
-        media shed.  With it, the penalty box stages the drops — heavy
-        non-signalling, then innocent non-signalling, then (only in
-        ``shed`` state) heavy signalling — retrying the queue between
-        stages so each escalation only happens if the previous one did
-        not relieve the pressure.  Innocent signalling is never staged.
-        """
-        stats = self.cluster_stats
-        if self.overload is None or self.accountant is None:
-            return self._shed_non_signalling(items)
-        accountant = self.accountant
-        stages, _protected = shed_plan(
-            items,
-            is_heavy=lambda item: accountant.is_heavy(bytes(item[0][26:30])),
-            is_signalling=lambda item: item[3] == PLANE_SIGNALLING,
-            allow_heavy_signalling=self.overload.shedding,
-        )
-        remaining = list(items)
-        for stage in stages:
-            if not stage:
-                continue
-            dropped = {id(item) for item in stage}
-            for item in stage:
-                plane = item[3]
-                stats.frames_shed[plane] = stats.frames_shed.get(plane, 0) + 1
-                stats.frames_dropped += 1
-                source = bytes(item[0][26:30])
-                if accountant.is_heavy(source):
-                    ip = format_source(source)
-                    stats.shed_by_source[ip] = (
-                        stats.shed_by_source.get(ip, 0) + 1
-                    )
-            remaining = [item for item in remaining if id(item) not in dropped]
-            if not remaining:
-                return []
-            try:
-                worker.in_q.put_nowait(self._wire(remaining))
-            except _queue.Full:
-                continue
-            stats.batches_submitted += 1
-            return []
-        return remaining
 
     def _deliver_blocking(self, worker, items: list) -> None:
         """Bounded-blocking put with failover: backpressure while the
         worker lives, reroute to the next live shard once it is declared
-        dead, shed only when every worker is gone (drop policy) or raise
-        (block policy — the producer asked to be wedged rather than lose
-        frames, but an IDS with zero live engines cannot honour that)."""
+        dead, and raise once every worker is gone (the producer asked to
+        be wedged rather than lose frames, but an IDS with zero live
+        engines cannot honour that)."""
         stats = self.cluster_stats
         message = self._wire(items)
         while True:
             if not self._ensure_alive(worker):
                 fallback = self._failover_target(worker.worker_id)
                 if fallback is None:
-                    if self.config.overflow == "drop":
-                        for item in items:
-                            plane = item[3]
-                            shed = stats.frames_shed.get(plane, 0)
-                            stats.frames_shed[plane] = shed + 1
-                        stats.frames_dropped += len(items)
-                        return
                     raise ClusterError(
                         "every worker exhausted max_restarts="
                         f"{self.config.max_restarts}; no shard left to detect"
@@ -829,7 +744,15 @@ class ScidiveCluster:
             shed_rate=shed_rate,
             top_sources=self.accountant.top_sources(),
         )
-        self._apply_degradation()
+        if self.config.backend == "serial":
+            # Brownout for in-process engines; process workers get the
+            # router-side half only (trace sampling suppression in
+            # _trace_id).
+            self._degraded_knobs = apply_brownout(
+                [worker.engine for worker in self._workers],
+                self.overload.degraded,
+                self._degraded_knobs,
+            )
 
     def _queue_fill(self) -> float:
         """Worst per-worker input-queue fill fraction (0..1)."""
@@ -841,51 +764,7 @@ class ScidiveCluster:
         runs engines in-process; process workers drive on fill alone."""
         if self.config.backend != "serial":
             return 0.0
-        worst = 0.0
-        for worker in self._workers:
-            budget = getattr(worker.engine, "latency_budget", None)
-            if budget is not None and budget.burn_rate > worst:
-                worst = budget.burn_rate
-        return worst
-
-    def _apply_degradation(self) -> None:
-        """Brownout policy for in-process engines: floor the per-frame
-        optional work (rule cost sampling off, summary sketches widened)
-        while degraded, heal the saved rates on the return to normal.
-        Process workers get the router-side half only (trace sampling
-        suppression in :meth:`_trace_id`)."""
-        if self.config.backend != "serial":
-            return
-        degraded = self.overload.degraded
-        if degraded and self._degraded_knobs is None:
-            saved = []
-            for worker in self._workers:
-                engine = worker.engine
-                ruleset = getattr(engine, "ruleset", None)
-                instr = getattr(engine, "_instr", None)
-                saved.append(
-                    (
-                        ruleset.cost_sample_rate if ruleset is not None else 0,
-                        instr.summary_sample if instr is not None else 1,
-                    )
-                )
-                if ruleset is not None:
-                    ruleset.cost_sample_rate = 0
-                if instr is not None:
-                    instr.summary_sample = max(instr.summary_sample, 64)
-            self._degraded_knobs = saved
-        elif not degraded and self._degraded_knobs is not None:
-            for worker, (cost_rate, summary) in zip(
-                self._workers, self._degraded_knobs
-            ):
-                engine = worker.engine
-                ruleset = getattr(engine, "ruleset", None)
-                instr = getattr(engine, "_instr", None)
-                if ruleset is not None:
-                    ruleset.cost_sample_rate = cost_rate
-                if instr is not None:
-                    instr.summary_sample = summary
-            self._degraded_knobs = None
+        return max(engine_burn_rate(worker.engine) for worker in self._workers)
 
     def overload_status(self) -> dict | None:
         """The /healthz and ``repro stats`` view (None = plane disabled)."""
@@ -1181,7 +1060,7 @@ class ScidiveCluster:
         ).inc(stats.worker_restarts)
         registry.counter(
             "scidive_cluster_frames_dropped_total",
-            "Frames shed by the drop overflow policy",
+            "Frames lost: penalty-box sheds plus dead-shard drains",
         ).inc(stats.frames_dropped)
         routed = registry.counter(
             "scidive_cluster_frames_routed_total",
@@ -1192,7 +1071,7 @@ class ScidiveCluster:
             routed.labels(plane=plane).inc(count)
         shed = registry.counter(
             "scidive_cluster_shed_total",
-            "Frames shed under queue pressure (media degrades first)",
+            "Frames shed by the overload plane's penalty box",
             labelnames=("plane",),
         )
         for plane, count in stats.frames_shed.items():

@@ -282,16 +282,9 @@ class ScidiveEngine:
             frame_budget = self.observability.frame_budget
         if frame_budget is None and self._instr is not None:
             frame_budget = _obs.DEFAULT_FRAME_BUDGET
-        if frame_budget:
-            self.latency_budget: "_obs.LatencyBudgetDetector | None" = (
-                _obs.LatencyBudgetDetector(
-                    budget=frame_budget,
-                    engine_name=name,
-                    emit_alert=self._emit_self_alert,
-                )
-            )
-        else:
-            self.latency_budget = None
+        self.latency_budget: "_obs.LatencyBudgetDetector | None" = (
+            _obs.LatencyBudgetDetector(budget=frame_budget) if frame_budget else None
+        )
 
     @property
     def metrics_enabled(self) -> bool:
@@ -356,7 +349,7 @@ class ScidiveEngine:
             hook.frame_done(elapsed, self.stats.frames, timestamp)
         budget = self.latency_budget
         if budget is not None:
-            budget.record(elapsed, timestamp)
+            budget.record(elapsed)
         return alerts
 
     def process_frame_shadow(self, frame: bytes, timestamp: float) -> None:

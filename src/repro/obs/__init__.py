@@ -29,11 +29,7 @@ from repro.obs.forensics import (
     load_bundle,
     write_malformed_bundle,
 )
-from repro.obs.budget import (
-    DEFAULT_FRAME_BUDGET,
-    OVERLOAD_RULE_ID,
-    LatencyBudgetDetector,
-)
+from repro.obs.budget import DEFAULT_FRAME_BUDGET, LatencyBudgetDetector
 from repro.obs.history import MetricsHistory
 from repro.obs.instrument import EngineInstrumentation, InstrumentationHook
 from repro.obs.logsetup import get_logger, setup_logging
@@ -185,7 +181,6 @@ __all__ = [
     "MetricError",
     "MetricsHistory",
     "MetricsRegistry",
-    "OVERLOAD_RULE_ID",
     "Observability",
     "ObsServer",
     "ProvenanceGraph",

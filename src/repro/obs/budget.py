@@ -1,42 +1,39 @@
-"""Per-frame latency budget: the engine's own overload detector.
+"""Per-frame latency budget: the engine's burn-rate signal.
 
 A production IDS that falls behind the wire is silently blind — frames
 queue, detection delay grows, and nothing in the alert stream says so.
-This module gives every engine a *latency budget*: a per-frame wall-time
+This module gives an engine a *latency budget*: a per-frame wall-time
 allowance (default :data:`DEFAULT_FRAME_BUDGET`).  The detector tracks a
 sliding window of recent frame latencies and derives a **burn rate** —
 how many budgets the engine is spending per frame, on average, across
 the window.  A burn rate of 1.0 means the engine is exactly keeping up;
 sustained burn above :data:`DEFAULT_BURN_THRESHOLD` means the engine
-cannot drain a full wire at this traffic mix, and the detector emits a
-``SELF-OVERLOAD`` self-diagnostic alert through the same path the
-exception firewall uses — so overload is an *alert*, subject to the same
-subscribers, logs and counters as any detection verdict.
+cannot drain a full wire at this traffic mix.
 
-The per-frame cost is one deque append/pop and a handful of float ops,
-and only when a detector is attached; dark engines pay a single
-``is not None`` guard.
+The budget is a signal, not an alarm: it raises no alert of its own.
+The overload controller (:mod:`repro.resilience.overload`) reads the
+burn rate on its tick and announces every state change as a
+``SELF-OVERLOAD-<STATE>`` alert; ``/healthz`` and the
+``scidive_frame_budget_burn_rate`` gauge show the window as it stands.
+
+The per-frame cost is one deque append/pop and a float add, and only
+when a detector is attached; dark engines pay a single ``is not None``
+guard.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
-
-from repro.core.alerts import Alert, Severity
-
-# Self-diagnostic rule id — greppable, never collides with detection rules.
-OVERLOAD_RULE_ID = "SELF-OVERLOAD"
 
 # Default per-frame wall-time allowance.  5 ms/frame is ~200 frames/s
 # sustained — far above anything the simulated testbeds produce per
-# frame, so the detector stays quiet unless the pipeline genuinely
+# frame, so the burn rate stays low unless the pipeline genuinely
 # degrades (pathological rule, GC storm, oversubscribed host).
 DEFAULT_FRAME_BUDGET = 0.005
 
 # Sliding window length in frames.  Long enough that one slow frame
-# (housekeeping sweep, cold caches) cannot trip the alarm; short enough
-# that sustained overload is caught within a few hundred frames.
+# (housekeeping sweep, cold caches) cannot read as overload; short enough
+# that sustained overload shows within a few hundred frames.
 DEFAULT_WINDOW = 256
 
 # Burn rate that declares overload: spending this many budgets per frame
@@ -45,12 +42,11 @@ DEFAULT_BURN_THRESHOLD = 1.0
 
 
 class LatencyBudgetDetector:
-    """Sliding-window burn-rate detector over per-frame latencies."""
+    """Sliding-window burn rate over per-frame latencies."""
 
     __slots__ = (
-        "budget", "window", "burn_threshold", "engine_name", "emit_alert",
-        "frames", "frames_over_budget", "alerts_emitted",
-        "_latencies", "_window_sum", "_frames_since_alert", "_alert_floor",
+        "budget", "window", "burn_threshold",
+        "frames", "frames_over_budget", "_latencies", "_window_sum",
     )
 
     def __init__(
@@ -58,8 +54,6 @@ class LatencyBudgetDetector:
         budget: float = DEFAULT_FRAME_BUDGET,
         window: int = DEFAULT_WINDOW,
         burn_threshold: float = DEFAULT_BURN_THRESHOLD,
-        engine_name: str = "scidive",
-        emit_alert: Callable[[Alert], None] | None = None,
     ) -> None:
         if budget <= 0:
             raise ValueError(f"budget must be > 0 (got {budget})")
@@ -68,26 +62,15 @@ class LatencyBudgetDetector:
         self.budget = budget
         self.window = window
         self.burn_threshold = burn_threshold
-        self.engine_name = engine_name
-        # Wired by the engine to its self-alert sink; None = count only.
-        self.emit_alert = emit_alert
         self.frames = 0
         self.frames_over_budget = 0
-        self.alerts_emitted = 0
         self._latencies: deque[float] = deque(maxlen=window)
         self._window_sum = 0.0
-        self._frames_since_alert = window  # first window may alert
-        # Window-sum threshold for overload, precomputed off the hot path.
-        self._alert_floor = burn_threshold * budget * window
 
     # -- hot path -------------------------------------------------------------
 
-    def record(self, seconds: float, timestamp: float) -> bool:
-        """Absorb one frame's latency; True when the window is overloaded.
-
-        ``timestamp`` is the frame's sim-clock time, used only to stamp
-        the self-diagnostic alert so it sorts into the alert timeline.
-        """
+    def record(self, seconds: float) -> None:
+        """Absorb one frame's latency into the window."""
         self.frames += 1
         if seconds > self.budget:
             self.frames_over_budget += 1
@@ -98,19 +81,6 @@ class LatencyBudgetDetector:
         else:
             self._window_sum += seconds
         latencies.append(seconds)
-        self._frames_since_alert += 1
-        if len(latencies) < self.window:
-            return False
-        if self._window_sum < self._alert_floor:
-            return False
-        # Overloaded.  Alert at most once per window of frames, so a
-        # sustained overload produces a heartbeat, not an alert flood.
-        if self._frames_since_alert >= self.window:
-            self._frames_since_alert = 0
-            self.alerts_emitted += 1
-            if self.emit_alert is not None:
-                self.emit_alert(self._overload_alert(timestamp))
-        return True
 
     # -- surfacing ------------------------------------------------------------
 
@@ -133,23 +103,6 @@ class LatencyBudgetDetector:
     def over_budget_fraction(self) -> float:
         return self.frames_over_budget / self.frames if self.frames else 0.0
 
-    def _overload_alert(self, timestamp: float) -> Alert:
-        return Alert(
-            rule_id=OVERLOAD_RULE_ID,
-            rule_name="self-diagnostic: frame latency budget exhausted",
-            time=timestamp,
-            session="",
-            severity=Severity.HIGH,
-            attack_class="self-diagnostic",
-            message=(
-                f"engine {self.engine_name!r} burning "
-                f"{self.burn_rate:.2f}x its {self.budget * 1e3:g} ms/frame "
-                f"latency budget over the last {self.window} frames "
-                f"({self.over_budget_fraction:.0%} of all frames over "
-                f"budget); detection is falling behind the wire"
-            ),
-        )
-
     def as_dict(self) -> dict:
         """The /healthz view (plain JSON-safe types)."""
         return {
@@ -161,14 +114,4 @@ class LatencyBudgetDetector:
             "frames": self.frames,
             "frames_over_budget": self.frames_over_budget,
             "over_budget_fraction": round(self.over_budget_fraction, 4),
-            "alerts_emitted": self.alerts_emitted,
         }
-
-    def reset(self) -> None:
-        """Zero the window and counters (between experiment phases)."""
-        self.frames = 0
-        self.frames_over_budget = 0
-        self.alerts_emitted = 0
-        self._latencies.clear()
-        self._window_sum = 0.0
-        self._frames_since_alert = self.window

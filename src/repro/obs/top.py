@@ -146,8 +146,7 @@ def render(status: dict[str, Any], window: float = DEFAULT_WINDOW) -> list[str]:
                 f"  budget: burn {budget.get('burn_rate', 0.0):.2f}x of "
                 f"{budget.get('budget_seconds', 0.0) * 1e3:g} ms/frame  "
                 f"[{state}]  over-budget "
-                f"{budget.get('over_budget_fraction', 0.0):.1%} of frames  "
-                f"self-alerts {budget.get('alerts_emitted', 0)}"
+                f"{budget.get('over_budget_fraction', 0.0):.1%} of frames"
             )
         overload = engine.get("overload")
         if overload:

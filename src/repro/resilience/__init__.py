@@ -28,8 +28,8 @@ away.  Three cooperating pieces:
 * :mod:`repro.resilience.overload` — the closed-loop overload control
   plane: a hysteresis state machine (normal → brownout → shed →
   recovering) driven by queue fill and latency-budget burn, plus a
-  count-min-sketch per-source penalty box so volumetric floods shed the
-  attacker's frames before an innocent subscriber's signalling.
+  count-min-sketch per-source penalty box so volumetric floods shed
+  only the attacker's frames, never an innocent subscriber's.
 """
 
 from repro.resilience.checkpoint import (
@@ -58,7 +58,6 @@ from repro.resilience.overload import (
     OverloadConfig,
     OverloadController,
     SourceAccountant,
-    shed_plan,
 )
 
 _CHAOS_EXPORTS = {"ChaosConfig", "ChaosReport", "format_report", "run_chaos"}
@@ -102,5 +101,4 @@ __all__ = [
     "OverloadConfig",
     "OverloadController",
     "SourceAccountant",
-    "shed_plan",
 ]

@@ -1,17 +1,16 @@
-"""Closed-loop overload control: adaptive shedding with degraded-mode
-detection guarantees under VoIP floods.
+"""Closed-loop overload control: the one overload plane, with
+degraded-mode detection guarantees under VoIP floods.
 
 A stateful IDS is exactly what dies first under volumetric load: one
 shed INVITE or BYE silences a whole dialog's worth of state, so a flood
 doesn't just stress the cluster — it blinds the detector at the moment
-an attacker most wants it blind.  The static ``overflow="block"|"drop"``
-choice is not a policy: block stalls the router behind the flood, drop
-sheds media-first with no feedback, no recovery hysteresis and no
-accounting of what detection was given up.
+an attacker most wants it blind.  Bounded queues block the producer
+when they fill (backpressure, never a silent drop); everything else
+about overload lives here.
 
-This module closes the loop.  An :class:`OverloadController` samples
-queue fill, the latency-budget burn rate (:mod:`repro.obs.budget`) and
-shed counters once per tick and drives an explicit state machine::
+An :class:`OverloadController` samples queue fill, the latency-budget
+burn rate (:mod:`repro.obs.budget`, a pure signal) and shed counters
+once per tick and drives an explicit state machine::
 
     normal -> brownout -> shed -> recovering -> normal
 
@@ -22,15 +21,15 @@ is an emergency; calm is only trusted after it persists.
 
 Degraded-mode policy, in escalation order:
 
-* **brownout** — expensive optional work goes first: span tracing and
-  sketch sampling are floored, nothing is dropped;
-* **shed** — non-signalling frames are dropped through the plane-aware
-  path, *guarded by a per-source penalty box*: a count-min-sketch
-  heavy-hitter accountant (:class:`SourceAccountant`) identifies
-  flooding sources so their frames shed preferentially, and only
-  adjudicated-heavy sources may ever lose signalling.  Innocent
-  subscribers' signalling is never shed — the attacker's traffic
-  degrades before the victim's detection does;
+* **brownout** — expensive optional work goes first: per-rule cost
+  sampling and summary-sketch sampling are floored
+  (:func:`apply_brownout`, the one brownout policy) and no new session
+  starts trace sampling; nothing is dropped;
+* **shed** — the *per-source penalty box*: a count-min-sketch
+  heavy-hitter accountant (:class:`SourceAccountant`) adjudicates
+  flooding sources, and only their frames are dropped, at the router
+  door.  Innocent subscribers' frames are never shed — the attacker's
+  traffic degrades before the victim's detection does;
 * **recovering** — pressure has subsided; optional work stays floored
   for ``recovery_ticks`` calm ticks, then the controller returns to
   ``normal`` and every degraded knob heals.
@@ -38,7 +37,8 @@ Degraded-mode policy, in escalation order:
 Every transition emits a ``SELF-OVERLOAD-<STATE>`` self-diagnostic
 alert carrying the evidence (previous state, trigger metric, top-k
 heavy sources), through the same sink as every other self-diagnostic —
-overload is an alert, not a log line.
+overload is an alert, not a log line, and these are the only overload
+alerts.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ OVERLOAD_STATES: tuple[str, ...] = (
 STATE_VALUES: dict[str, int] = {state: i for i, state in enumerate(OVERLOAD_STATES)}
 
 # Self-diagnostic rule-id prefix: SELF-OVERLOAD-BROWNOUT, SELF-OVERLOAD-SHED,
-# SELF-OVERLOAD-RECOVERING, SELF-OVERLOAD-NORMAL.  Distinct from the
-# latency-budget detector's bare SELF-OVERLOAD heartbeat.
+# SELF-OVERLOAD-RECOVERING, SELF-OVERLOAD-NORMAL.
 TRANSITION_RULE_PREFIX = "SELF-OVERLOAD-"
 
 _TRANSITION_SEVERITY: dict[str, Severity] = {
@@ -247,45 +246,6 @@ class SourceAccountant:
             "hot_floor": self._floor(),
             "hot_sources": self.top_sources(),
         }
-
-
-def shed_plan(
-    items: Sequence,
-    is_heavy: Callable,
-    is_signalling: Callable,
-    allow_heavy_signalling: bool = False,
-) -> tuple[list[list], list]:
-    """Partition queued items into penalty-box shed stages.
-
-    Returns ``(stages, protected)``: ``stages`` in strict drop order —
-    heavy-source non-signalling first, innocent non-signalling second,
-    heavy-source signalling last and only when
-    ``allow_heavy_signalling`` (the controller is in ``shed``).
-    ``protected`` (innocent signalling, plus heavy signalling outside
-    shed) is never dropped; callers deliver it blocking.
-
-    Pure over the two predicates so the ordering invariants — media
-    sheds before any signalling, and no innocent frame is dropped at a
-    stage before every heavy frame of the same plane class — are
-    directly property-testable.
-    """
-    heavy_other: list = []
-    innocent_other: list = []
-    heavy_signalling: list = []
-    protected: list = []
-    for item in items:
-        signalling = is_signalling(item)
-        heavy = is_heavy(item)
-        if signalling:
-            if heavy and allow_heavy_signalling:
-                heavy_signalling.append(item)
-            else:
-                protected.append(item)
-        elif heavy:
-            heavy_other.append(item)
-        else:
-            innocent_other.append(item)
-    return [heavy_other, innocent_other, heavy_signalling], protected
 
 
 class OverloadController:
@@ -493,19 +453,59 @@ class OverloadController:
         }
 
 
+# Brownout stride for the summary sketches: 1-in-64 frames while degraded.
+DEGRADED_SUMMARY_SAMPLE = 64
+
+
+def engine_burn_rate(engine) -> float:
+    """An engine's latency-budget burn rate (0.0 without a budget)."""
+    budget = engine.latency_budget
+    return budget.burn_rate if budget is not None else 0.0
+
+
+def apply_brownout(
+    engines: Sequence, degraded: bool, saved: list | None
+) -> list | None:
+    """The brownout policy for in-process engines.
+
+    While ``degraded``, floor the live knobs the hot path reads per
+    frame: ``RuleSet.cost_sample_rate`` to 0 and the instrumentation's
+    ``summary_sample`` stride to at least
+    :data:`DEGRADED_SUMMARY_SAMPLE` (the Observability context's rates
+    are only consulted at engine construction).  ``saved`` is what the
+    previous call returned: None while the engines run at their own
+    rates, else their ``(cost_sample_rate, summary_sample)`` pairs,
+    which heal on the first call that is no longer degraded.
+    """
+    if degraded and saved is None:
+        saved = []
+        for engine in engines:
+            ruleset, instr = engine.ruleset, engine._instr
+            saved.append((ruleset.cost_sample_rate,
+                          instr.summary_sample if instr is not None else 1))
+            ruleset.cost_sample_rate = 0
+            if instr is not None:
+                instr.summary_sample = max(
+                    instr.summary_sample, DEGRADED_SUMMARY_SAMPLE
+                )
+    elif not degraded and saved is not None:
+        for engine, (cost_rate, summary) in zip(engines, saved):
+            engine.ruleset.cost_sample_rate = cost_rate
+            if engine._instr is not None:
+                engine._instr.summary_sample = summary
+        saved = None
+    return saved
+
+
 class EngineOverload:
     """Single-engine harness: drives a controller off the engine's own
-    latency-budget burn rate and degrades/restores its optional work.
+    latency-budget burn rate and browns out its optional work.
 
     The CLI attaches one to ``--overload`` replays; ``record_frame``
     is called per processed frame and ticks the controller every
-    ``tick_frames``.  In degraded states the engine's optional work is
-    floored live (per-rule cost sampling off, stage/module summary
-    sketches widened to 1-in-64); on the return to ``normal`` the
-    original rates heal.
+    ``tick_frames``.  A single engine has no queue, so the burn rate is
+    the controller's only input; the engine needs a latency budget.
     """
-
-    _DEGRADED_SUMMARY_SAMPLE = 64
 
     def __init__(self, engine, config: OverloadConfig | None = None) -> None:
         self.engine = engine
@@ -515,41 +515,18 @@ class EngineOverload:
             emit_alert=engine._emit_self_alert,
         )
         self.frames = 0
-        self._saved_rates: tuple[int, int] | None = None
+        self._saved_rates: list | None = None
 
     def record_frame(self, timestamp: float) -> None:
         self.frames += 1
         if self.frames % self.controller.config.tick_frames:
             return
-        budget = getattr(self.engine, "latency_budget", None)
-        burn = budget.burn_rate if budget is not None else 0.0
-        self.controller.observe(timestamp, queue_fill=0.0, burn_rate=burn)
-        self._apply_degradation()
-
-    def _apply_degradation(self) -> None:
-        # Degrade the live knobs the hot path actually reads per frame:
-        # RuleSet.cost_sample_rate and the instrumentation's summary
-        # sampling stride (the Observability context's rates are only
-        # consulted at engine construction).
-        ruleset = getattr(self.engine, "ruleset", None)
-        instr = getattr(self.engine, "_instr", None)
-        if self.controller.degraded and self._saved_rates is None:
-            self._saved_rates = (
-                ruleset.cost_sample_rate if ruleset is not None else 0,
-                instr.summary_sample if instr is not None else 1,
-            )
-            if ruleset is not None:
-                ruleset.cost_sample_rate = 0
-            if instr is not None:
-                instr.summary_sample = max(
-                    instr.summary_sample, self._DEGRADED_SUMMARY_SAMPLE
-                )
-        elif not self.controller.degraded and self._saved_rates is not None:
-            if ruleset is not None:
-                ruleset.cost_sample_rate = self._saved_rates[0]
-            if instr is not None:
-                instr.summary_sample = self._saved_rates[1]
-            self._saved_rates = None
+        self.controller.observe(
+            timestamp, queue_fill=0.0, burn_rate=engine_burn_rate(self.engine)
+        )
+        self._saved_rates = apply_brownout(
+            (self.engine,), self.controller.degraded, self._saved_rates
+        )
 
     def as_dict(self) -> dict:
         view = self.controller.as_dict()

@@ -1,14 +1,10 @@
-"""Overload control on the cluster: shed ordering across backends, the
-penalty box's door-drop, and degraded-mode detection under a flood.
+"""Overload control on the cluster: the penalty box's door-drop,
+degraded-mode detection under a flood, and the serial backend's
+brownout.
 
-The tentpole invariant, stated twice at two levels:
-
-* **unit** — ``_shed_under_pressure`` on a wedged queue drops planes in
-  strict penalty-box order and always returns the innocent signalling
-  remainder for blocking delivery, whatever the backend;
-* **integration** — a flooded run on every backend sheds only the
-  adjudicated-heavy source (the door-drop pseudo-plane), keeps every
-  innocent frame, and still raises the paper attack's alert.
+The invariant: a flooded run on every backend sheds only the
+adjudicated-heavy source (the door-drop pseudo-plane), keeps every
+innocent frame, and still raises the paper attack's alert.
 """
 
 from __future__ import annotations
@@ -19,7 +15,9 @@ import pytest
 
 from repro.cluster import ScidiveCluster
 from repro.cluster.sharding import PLANE_MEDIA, PLANE_SIGNALLING
+from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack
+from repro.obs import Observability
 from repro.resilience.chaos import _FLOOD_IP, _flood_frames
 from repro.resilience.overload import OverloadConfig
 from repro.voip.testbed import CLIENT_A_IP
@@ -123,77 +121,56 @@ class TestShedOrderingAcrossBackends:
         cluster.stop()
 
 
-class _WedgedQueue:
-    """A queue whose put_nowait always refuses — permanent pressure."""
-
-    def put_nowait(self, message):
-        import queue
-
-        raise queue.Full
-
-
-class _WedgedWorker:
-    def __init__(self):
-        self.in_q = _WedgedQueue()
+def _impossible_budget_engine(worker_id, config) -> ScidiveEngine:
+    """An instrumented worker engine that blows its budget on every frame."""
+    return ScidiveEngine(
+        vantage_ip=config.vantage_ip,
+        name=f"worker-{worker_id}",
+        observability=Observability.create(trace=False),
+        frame_budget=1e-12,
+        cost_sample_rate=8,
+    )
 
 
-def _item(source_ip: bytes, plane: str):
-    # Pending-queue shape: (frame, ts, owner, plane, trace_id); the shed
-    # path reads frame[26:30] (the IPv4 source) and the plane tag.
-    frame = bytes(26) + source_ip + bytes(8)
-    return (frame, 0.0, True, plane, "")
+class TestSerialBrownout:
+    def test_brownout_floors_and_heals_every_inline_engine(self):
+        # Serial engines run in-process, so their burn rate drives the
+        # controller; brownout floors each engine's optional work and
+        # the return to normal heals it.
+        cluster = ScidiveCluster(
+            workers=2,
+            backend="serial",
+            batch_size=16,
+            vantage_ip=CLIENT_A_IP,
+            overload_enabled=True,
+            overload_config=OverloadConfig(
+                tick_frames=16, dwell_ticks=2, recovery_ticks=2
+            ),
+            engine_factory=_impossible_budget_engine,
+        ).start()
+        engines = [worker.engine for worker in cluster._workers]
 
+        def knobs():
+            return [(e.ruleset.cost_sample_rate, e._instr.summary_sample)
+                    for e in engines]
 
-class TestShedUnderPressureOrdering:
-    HEAVY = b"\x0a\x42\x42\x63"
-    INNOCENT = b"\x0a\x64\x00\x05"
+        baseline = knobs()
+        assert all(cost == 8 and summary < 64 for cost, summary in baseline)
+        records = _bye_trace().records
+        half = len(records) // 2
+        for record in records[:half]:
+            cluster.submit_frame(record.frame, record.timestamp)
+        assert cluster.overload.state == "brownout"
+        assert all(cost == 0 and summary >= 64 for cost, summary in knobs())
 
-    def _pressured_cluster(self) -> ScidiveCluster:
-        cluster = _overload_cluster("serial")
-        cluster.start()
-        # Adjudicate HEAVY before staging any drops.
-        for _ in range(200):
-            cluster.accountant.record(self.HEAVY)
-        return cluster
-
-    def test_signalling_never_shed_while_media_remains(self):
-        cluster = self._pressured_cluster()
-        try:
-            items = [
-                _item(self.HEAVY, PLANE_MEDIA),
-                _item(self.INNOCENT, PLANE_MEDIA),
-                _item(self.HEAVY, PLANE_SIGNALLING),
-                _item(self.INNOCENT, PLANE_SIGNALLING),
-            ]
-            remainder = cluster._shed_under_pressure(_WedgedWorker(), items)
-            stats = cluster.cluster_stats
-            # Both media items shed (heavy first, then innocent);
-            # outside the shed state every signalling item survives.
-            assert stats.frames_shed.get(PLANE_MEDIA, 0) == 2
-            assert PLANE_SIGNALLING not in stats.frames_shed
-            planes = {item[3] for item in remainder}
-            assert planes == {PLANE_SIGNALLING}
-            assert len(remainder) == 2
-        finally:
-            cluster.stop()
-
-    def test_shed_state_drops_heavy_signalling_but_never_innocent(self):
-        cluster = self._pressured_cluster()
-        try:
-            cluster.overload.state = "shed"
-            items = [
-                _item(self.HEAVY, PLANE_MEDIA),
-                _item(self.HEAVY, PLANE_SIGNALLING),
-                _item(self.INNOCENT, PLANE_SIGNALLING),
-            ]
-            remainder = cluster._shed_under_pressure(_WedgedWorker(), items)
-            stats = cluster.cluster_stats
-            assert stats.frames_shed.get(PLANE_SIGNALLING, 0) == 1
-            # Both heavy drops are attributed to the heavy source;
-            # nothing is attributed to the innocent one.
-            assert stats.shed_by_source == {"10.66.66.99": 2}
-            # The one survivor is the innocent subscriber's signalling.
-            assert len(remainder) == 1
-            assert bytes(remainder[0][0][26:30]) == self.INNOCENT
-        finally:
-            cluster.stop()
+        # The engines catch up: against a one-second budget every frame
+        # is calm, and the controller walks back to normal.
+        for engine in engines:
+            engine.latency_budget.budget = 1.0
+        for record in records[half:]:
+            cluster.submit_frame(record.frame, record.timestamp)
+        assert cluster.overload.state == "normal"
+        assert knobs() == baseline
+        result = cluster.stop()
+        assert any(a.rule_id == "SELF-OVERLOAD-BROWNOUT" for a in result.alerts)
+        assert any(a.rule_id == "SELF-OVERLOAD-NORMAL" for a in result.alerts)

@@ -1,4 +1,4 @@
-"""The latency-budget burn-rate detector and its engine integration."""
+"""The latency-budget burn-rate signal and its engine integration."""
 
 from __future__ import annotations
 
@@ -8,11 +8,8 @@ from repro.core.alerts import Severity
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack
 from repro.obs import Observability
-from repro.obs.budget import (
-    DEFAULT_FRAME_BUDGET,
-    OVERLOAD_RULE_ID,
-    LatencyBudgetDetector,
-)
+from repro.obs.budget import DEFAULT_FRAME_BUDGET, LatencyBudgetDetector
+from repro.resilience.overload import EngineOverload, OverloadConfig
 from repro.voip.testbed import CLIENT_A_IP
 
 
@@ -26,7 +23,7 @@ class TestDetector:
     def test_quiet_engine_never_overloads(self):
         det = LatencyBudgetDetector(budget=0.005, window=4)
         for _ in range(100):
-            assert det.record(0.001, 0.0) is False
+            det.record(0.001)
         assert det.burn_rate == pytest.approx(0.2)
         assert not det.overloaded
         assert det.frames_over_budget == 0
@@ -34,49 +31,24 @@ class TestDetector:
     def test_burn_rate_is_window_average_in_budgets(self):
         det = LatencyBudgetDetector(budget=0.010, window=4)
         for latency in (0.005, 0.010, 0.015, 0.010):
-            det.record(latency, 0.0)
+            det.record(latency)
         assert det.burn_rate == pytest.approx(1.0)
         assert det.overloaded
-
-    def test_partial_window_cannot_alert(self):
-        fired = []
-        det = LatencyBudgetDetector(budget=0.001, window=8,
-                                    emit_alert=fired.append)
-        for _ in range(7):
-            det.record(1.0, 0.0)  # wildly over budget, window not full
-        assert fired == []
-        det.record(1.0, 0.0)
-        assert len(fired) == 1
-
-    def test_sustained_overload_alerts_once_per_window(self):
-        fired = []
-        det = LatencyBudgetDetector(budget=0.001, window=4,
-                                    emit_alert=fired.append)
-        for _ in range(12):  # three full windows of overload
-            det.record(1.0, 2.5)
-        assert det.alerts_emitted == 3
-        assert len(fired) == 3
-        alert = fired[0]
-        assert alert.rule_id == OVERLOAD_RULE_ID
-        assert alert.severity is Severity.HIGH
-        assert alert.attack_class == "self-diagnostic"
-        assert alert.time == 2.5
-        assert "falling behind" in alert.message
 
     def test_recovery_clears_overload(self):
         det = LatencyBudgetDetector(budget=0.001, window=4)
         for _ in range(4):
-            det.record(1.0, 0.0)
+            det.record(1.0)
         assert det.overloaded
         for _ in range(4):
-            det.record(0.0001, 0.0)
+            det.record(0.0001)
         assert not det.overloaded
         assert det.burn_rate == pytest.approx(0.1)
 
     def test_window_sum_tracks_evictions_exactly(self):
         det = LatencyBudgetDetector(budget=1.0, window=3)
         for latency in (1.0, 2.0, 3.0, 4.0, 5.0):
-            det.record(latency, 0.0)
+            det.record(latency)
         # Window holds (3, 4, 5): burn = 12 / (3 * 1.0 budget).
         assert det.burn_rate == pytest.approx(4.0)
         assert det.frames == 5
@@ -84,7 +56,7 @@ class TestDetector:
     def test_over_budget_fraction_counts_all_frames(self):
         det = LatencyBudgetDetector(budget=0.010, window=4)
         for latency in (0.005, 0.020, 0.005, 0.020):
-            det.record(latency, 0.0)
+            det.record(latency)
         assert det.over_budget_fraction == pytest.approx(0.5)
 
     def test_as_dict_is_json_safe_and_reset_zeroes(self):
@@ -92,15 +64,11 @@ class TestDetector:
 
         det = LatencyBudgetDetector(budget=0.001, window=4)
         for _ in range(6):
-            det.record(1.0, 0.0)
+            det.record(1.0)
         view = json.loads(json.dumps(det.as_dict()))
         assert view["overloaded"] is True
         assert view["frames"] == 6
         assert view["budget_seconds"] == 0.001
-        det.reset()
-        assert det.frames == 0
-        assert det.burn_rate == 0.0
-        assert not det.overloaded
 
 
 class TestEngineIntegration:
@@ -121,19 +89,36 @@ class TestEngineIntegration:
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=ctx)
         assert engine.latency_budget is None
 
-    def test_impossible_budget_emits_self_overload_alert(self):
+    @staticmethod
+    def _impossible_budget_run():
         ctx = Observability.create(trace=False)
         ctx.frame_budget = 1e-12  # every frame blows the budget
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=ctx)
-        trace = run_bye_attack(seed=7).testbed.ids_tap.trace
+        return ctx, engine, run_bye_attack(seed=7).testbed.ids_tap.trace
+
+    def test_impossible_budget_burns_without_alerting(self):
+        ctx, engine, trace = self._impossible_budget_run()
         engine.process_trace(trace)
-        overloads = [a for a in engine.alerts if a.rule_id == OVERLOAD_RULE_ID]
-        assert overloads, "overload detector never fired"
-        assert engine.latency_budget.alerts_emitted == len(overloads)
-        assert all(a.attack_class == "self-diagnostic" for a in overloads)
+        # The budget is a signal: no alert of its own, ever.
+        assert not any(a.rule_id.startswith("SELF-OVERLOAD")
+                       for a in engine.alerts)
+        assert engine.latency_budget.overloaded
         # The registry's burn-rate gauge reflects the detector once the
         # engine snapshots its gauges.
         engine.snapshot_gauges()
         families = ctx.registry.get("scidive_frame_budget_burn_rate")
         child = families.labels(engine=engine.name)
         assert child.value > 1.0
+
+    def test_controller_turns_the_burn_into_a_brownout_alert(self):
+        _ctx, engine, trace = self._impossible_budget_run()
+        overload = EngineOverload(engine, OverloadConfig(tick_frames=64))
+        for record in trace:
+            engine.process_frame(record.frame, record.timestamp)
+            overload.record_frame(record.timestamp)
+        overloads = [a for a in engine.alerts
+                     if a.rule_id.startswith("SELF-OVERLOAD")]
+        assert [a.rule_id for a in overloads] == ["SELF-OVERLOAD-BROWNOUT"]
+        assert overloads[0].severity is Severity.HIGH
+        assert overloads[0].attack_class == "self-diagnostic"
+        assert "burn rate" in overloads[0].message

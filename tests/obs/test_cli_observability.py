@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.obs import current, parse_prometheus, read_trace_jsonl
 
@@ -47,6 +48,22 @@ def test_replay_writes_metrics(tmp_path, capsys):
     assert "alerts" in capsys.readouterr().out
     families = parse_prometheus(metrics.read_text())
     assert families["scidive_frames_total"]
+
+
+def test_replay_overload_drives_a_dark_engine(tmp_path, capsys, monkeypatch):
+    # A single engine has no queue: without a latency budget the
+    # controller would never see pressure.  An impossible budget must
+    # brown out a replay that asks for no observability at all.
+    pcap = tmp_path / "capture.pcap"
+    assert main(["scenario", "bye-attack", "--seed", "7",
+                 "--pcap", str(pcap)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(obs, "DEFAULT_FRAME_BUDGET", 1e-12)
+    assert main(["replay", str(pcap), "--overload"]) == 0
+    out = capsys.readouterr().out
+    assert "overload: state=brownout" in out
+    assert "SELF-OVERLOAD-BROWNOUT" in out
+    assert "BYE-001" in out
 
 
 def test_stats_table(capsys):

@@ -1,9 +1,9 @@
 """Property tests (hypothesis) for the overload plane's penalty box.
 
-The headline invariant, as required by the degraded-mode guarantee:
-penalty-box shedding never drops a below-threshold (innocent) source's
-frame while an over-threshold (heavy) source still has queued frames of
-the same plane class — and innocent signalling is never dropped at all.
+The headline invariant, as required by the degraded-mode guarantee: the
+router-door drop fires for a flooding source and never for a source far
+below the heavy-hitter threshold, and the sketch under it never
+under-counts.
 """
 
 from __future__ import annotations
@@ -15,93 +15,7 @@ from repro.resilience.overload import (
     CountMinSketch,
     OverloadConfig,
     SourceAccountant,
-    shed_plan,
 )
-
-PLANES = ("signalling", "media", "other", "fragment")
-
-items = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=7),       # source id
-        st.sampled_from(PLANES),                     # plane tag
-    ),
-    max_size=40,
-)
-heavy_sets = st.frozensets(st.integers(min_value=0, max_value=7), max_size=8)
-
-
-def _plan(queued, heavy, allow_heavy_signalling):
-    return shed_plan(
-        queued,
-        is_heavy=lambda item: item[0] in heavy,
-        is_signalling=lambda item: item[1] == "signalling",
-        allow_heavy_signalling=allow_heavy_signalling,
-    )
-
-
-class TestShedPlanProperties:
-    @given(items, heavy_sets, st.booleans())
-    def test_partition_is_lossless(self, queued, heavy, allow):
-        stages, protected = _plan(queued, heavy, allow)
-        assert sorted(sum(stages, []) + protected) == sorted(queued)
-
-    @given(items, heavy_sets, st.booleans())
-    def test_innocent_signalling_is_never_staged(self, queued, heavy, allow):
-        stages, protected = _plan(queued, heavy, allow)
-        staged = sum(stages, [])
-        for source, plane in staged:
-            assert not (plane == "signalling" and source not in heavy)
-        for source, plane in queued:
-            if plane == "signalling" and source not in heavy:
-                assert (source, plane) in protected
-
-    @given(items, heavy_sets)
-    def test_heavy_signalling_protected_outside_shed(self, queued, heavy):
-        stages, protected = _plan(queued, heavy, allow_heavy_signalling=False)
-        assert stages[2] == []
-        for source, plane in queued:
-            if plane == "signalling":
-                assert (source, plane) in protected
-
-    @given(items, heavy_sets, st.booleans())
-    def test_innocent_never_drops_while_heavy_queued(self, queued, heavy, allow):
-        """Simulate the staged drop: at every prefix of the drop order,
-        an innocent non-signalling frame may only have been dropped if
-        every heavy non-signalling frame was dropped before it."""
-        stages, _protected = _plan(queued, heavy, allow)
-        heavy_other = [
-            item for item in queued
-            if item[0] in heavy and item[1] != "signalling"
-        ]
-        dropped: list = []
-        for stage in stages:
-            for item in stage:
-                if item[0] not in heavy and item[1] != "signalling":
-                    # An innocent frame is being dropped: no heavy
-                    # non-signalling frame may still be queued.
-                    remaining_heavy = [
-                        h for h in heavy_other if h not in dropped
-                    ]
-                    assert not remaining_heavy, (item, remaining_heavy)
-                dropped.append(item)
-
-    @given(items, heavy_sets, st.booleans())
-    def test_signalling_never_drops_while_media_queued(self, queued, heavy, allow):
-        """The plane-ordering face of the same invariant: any dropped
-        signalling frame (necessarily heavy, in shed) comes after every
-        sheddable non-signalling frame."""
-        stages, _protected = _plan(queued, heavy, allow)
-        non_signalling = [item for item in queued if item[1] != "signalling"]
-        dropped: list = []
-        for stage in stages:
-            for item in stage:
-                if item[1] == "signalling":
-                    remaining_media = [
-                        m for m in non_signalling if m not in dropped
-                    ]
-                    assert not remaining_media, (item, remaining_media)
-                dropped.append(item)
-
 
 class TestSketchProperties:
     @given(st.lists(st.binary(min_size=4, max_size=4), max_size=300))

@@ -1,6 +1,6 @@
 """The overload-control plane: config validation, heavy-hitter
-accounting, the shed plan's ordering, the controller's hysteresis and
-the single-engine degradation harness."""
+accounting, the controller's hysteresis and the single-engine
+brownout harness."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.resilience.overload import (
     OverloadController,
     SourceAccountant,
     format_source,
-    shed_plan,
 )
 
 
@@ -124,42 +123,6 @@ class TestFormatSource:
     def test_non_ip_falls_back_to_hex(self):
         assert format_source(b"\x01\x02") == "0102"
         assert format_source(b"") == "?"
-
-
-class TestShedPlan:
-    ITEMS = [
-        ("heavy", "media"),
-        ("innocent", "media"),
-        ("heavy", "signalling"),
-        ("innocent", "signalling"),
-        ("heavy", "other"),
-    ]
-
-    @staticmethod
-    def _plan(items, allow_heavy_signalling):
-        return shed_plan(
-            items,
-            is_heavy=lambda item: item[0] == "heavy",
-            is_signalling=lambda item: item[1] == "signalling",
-            allow_heavy_signalling=allow_heavy_signalling,
-        )
-
-    def test_stage_order_and_protection(self):
-        stages, protected = self._plan(self.ITEMS, allow_heavy_signalling=False)
-        assert stages[0] == [("heavy", "media"), ("heavy", "other")]
-        assert stages[1] == [("innocent", "media")]
-        assert stages[2] == []
-        # Outside shed, heavy signalling is protected alongside innocent.
-        assert protected == [("heavy", "signalling"), ("innocent", "signalling")]
-
-    def test_shed_state_exposes_heavy_signalling_last(self):
-        stages, protected = self._plan(self.ITEMS, allow_heavy_signalling=True)
-        assert stages[2] == [("heavy", "signalling")]
-        assert protected == [("innocent", "signalling")]
-
-    def test_partition_is_lossless(self):
-        stages, protected = self._plan(self.ITEMS, allow_heavy_signalling=True)
-        assert sorted(sum(stages, []) + protected) == sorted(self.ITEMS)
 
 
 def _controller(**overrides):

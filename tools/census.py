@@ -84,6 +84,7 @@ def run_contract(work: Path, env: dict) -> None:
     run("chaos", "--workers", "2", *seed, "--no-crashes", "--flood", "20000")
     run("workload", "generate", "--spec", str(ROOT / "workloads/flood-invite.workload"),
         "--out", "flood")
+    run("replay", "flood/trace.pcap", "--overload")
     serve(("replay", "flood/trace.pcap", *serial, "--overload"), 8132, ("top", "--once"))
     serve(("scenario", "bye-attack", *seed, *serial, "--trace-out", "tc.jsonl"), 8133)
     run("workload", "run", "--spec", str(ROOT / "workloads/ci.workload"), *serial,
