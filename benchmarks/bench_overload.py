@@ -186,11 +186,11 @@ def main(argv=None) -> int:
     }
 
     stats = flood["result"].cluster
-    shed_total = sum(stats.frames_shed.values())
+    shed_total = stats.frames_shed
     flood_shed = stats.shed_by_source.get(FLOOD_SOURCE, 0)
     shed_precision = flood_shed / shed_total if shed_total else 0.0
     innocent_untouched = (
-        set(stats.frames_shed) <= {"penalty-box"}
+        stats.frames_shed == sum(stats.shed_by_source.values())
         and set(stats.shed_by_source) <= {FLOOD_SOURCE}
     )
     transitions = flood["status"]["transitions_total"]
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
             "frames_per_second": fps,
             "peak_queue_depth": flood["peak_queue_depth"],
             "peak_rss_mb": rss_mb,
-            "frames_shed": dict(stats.frames_shed),
+            "frames_shed": stats.frames_shed,
             "shed_by_source": dict(stats.shed_by_source),
             "transitions": dict(transitions),
             "final_state": flood["status"]["state"],

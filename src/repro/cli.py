@@ -491,13 +491,9 @@ def _cluster_replay(trace, args: argparse.Namespace, vantage: str | None,
           f"{result.cluster.worker_restarts} restarts")
     status = cluster.overload_status()
     if status is not None:
-        shed = result.cluster.frames_shed
-        shed_txt = ", ".join(
-            f"{plane}={count:,}" for plane, count in sorted(shed.items())
-        ) or "none"
         print(f"overload: state={status['state']} "
               f"transitions={status['transitions_total'] or '{}'} "
-              f"shed by plane: {shed_txt}")
+              f"shed: {result.cluster.frames_shed:,}")
         heavy = sorted(
             status.get("shed_by_source", {}).items(),
             key=lambda kv: -kv[1],

@@ -30,7 +30,7 @@ a whole dialog's worth of stateful detection.  Load is shed in one
 place only — the overload plane's per-source penalty box
 (:mod:`repro.resilience.overload`, ``overload_enabled=True``), which
 drops an adjudicated-heavy source's frames at the router door
-(``ClusterStats.frames_shed["penalty-box"]``) while innocent traffic
+(``ClusterStats.frames_shed``) while innocent traffic
 keeps flowing.
 
 Crash safety: with ``checkpoint_every > 0`` each process worker
@@ -255,10 +255,10 @@ class ClusterStats:
     frames_by_plane: dict = field(default_factory=dict)
     fragments_expired: int = 0
     # Graceful-degradation accounting: frames shed by the overload
-    # plane (the one key is "penalty-box", the router-door drop), and
+    # plane's penalty box (the router-door drop, its only shedder), and
     # shards abandoned after max_restarts.  Shed frames also count in
     # frames_dropped.
-    frames_shed: dict = field(default_factory=dict)
+    frames_shed: int = 0
     # Penalty-box attribution: shed frames whose source was adjudicated
     # a heavy hitter, keyed by dotted-quad (bounded by the accountant's
     # candidate set, not by how many sources a flood spoofs).
@@ -280,7 +280,7 @@ class ClusterStats:
             "router_seconds": self.router_seconds,
             "frames_by_plane": dict(self.frames_by_plane),
             "fragments_expired": self.fragments_expired,
-            "frames_shed": dict(self.frames_shed),
+            "frames_shed": self.frames_shed,
             "shed_by_source": dict(self.shed_by_source),
             "workers_dead": self.workers_dead,
             "rulepack_reloads": self.rulepack_reloads,
@@ -524,9 +524,7 @@ class ScidiveCluster:
                 # INVITEs *are* the flood.  Innocent sources never take
                 # this path.
                 stats.frames_dropped += 1
-                stats.frames_shed["penalty-box"] = (
-                    stats.frames_shed.get("penalty-box", 0) + 1
-                )
+                stats.frames_shed += 1
                 ip = format_source(source)
                 stats.shed_by_source[ip] = stats.shed_by_source.get(ip, 0) + 1
                 stats.router_seconds += _time.thread_time() - t0
@@ -1069,13 +1067,10 @@ class ScidiveCluster:
         )
         for plane, count in stats.frames_by_plane.items():
             routed.labels(plane=plane).inc(count)
-        shed = registry.counter(
+        registry.counter(
             "scidive_cluster_shed_total",
             "Frames shed by the overload plane's penalty box",
-            labelnames=("plane",),
-        )
-        for plane, count in stats.frames_shed.items():
-            shed.labels(plane=plane).inc(count)
+        ).inc(stats.frames_shed)
         registry.gauge(
             "scidive_cluster_workers", "Configured worker count"
         ).set(self.config.workers)
@@ -1156,7 +1151,7 @@ class ScidiveCluster:
             "workers_alive": sum(1 for w in self._workers if w.alive),
             "workers_dead": stats.workers_dead,
             "worker_dead": [w.worker_id for w in self._workers if w.dead],
-            "frames_shed": dict(stats.frames_shed),
+            "frames_shed": stats.frames_shed,
             "shed_by_source": dict(stats.shed_by_source),
             "checkpointing": bool(self.config.checkpoint_every),
             "rulepack": self.rulepack.info(),

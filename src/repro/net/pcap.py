@@ -10,10 +10,12 @@ with the paper's physical testbed.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from pathlib import Path
-from typing import BinaryIO
+from typing import TYPE_CHECKING
 
-from repro.sim.trace import Trace
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.trace import Trace
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -48,27 +50,35 @@ def quantize_timestamp(timestamp: float) -> float:
     return seconds + micros / 1_000_000
 
 
-def write_pcap(path: str | Path, trace: Trace, snaplen: int = 65535) -> None:
+def write_pcap(path: str | Path, trace: "Trace", snaplen: int = 65535) -> None:
     """Write ``trace`` to ``path`` in little-endian pcap format."""
+    write_pcap_frames(
+        path, ((record.timestamp, record.frame) for record in trace), snaplen
+    )
+
+
+def write_pcap_frames(
+    path: str | Path, frames: Iterable[tuple[float, bytes]], snaplen: int = 65535
+) -> None:
+    """Write ``(timestamp, frame)`` pairs to ``path`` in little-endian
+    pcap format, in the order given."""
     with open(path, "wb") as fh:
-        _write_stream(fh, trace, snaplen)
+        fh.write(_GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
+        for timestamp, frame in frames:
+            seconds, micros = split_timestamp(timestamp)
+            data = frame[:snaplen]
+            fh.write(_RECORD_HEADER.pack(seconds, micros, len(data), len(frame)))
+            fh.write(data)
 
 
-def _write_stream(fh: BinaryIO, trace: Trace, snaplen: int) -> None:
-    fh.write(_GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
-    for record in trace:
-        seconds, micros = split_timestamp(record.timestamp)
-        data = record.frame[:snaplen]
-        fh.write(_RECORD_HEADER.pack(seconds, micros, len(data), len(record.frame)))
-        fh.write(data)
-
-
-def read_pcap(path: str | Path, name: str | None = None) -> Trace:
+def read_pcap(path: str | Path, name: str | None = None) -> "Trace":
     """Read a pcap file into a :class:`Trace`.
 
     Handles both byte orders.  Only LINKTYPE_ETHERNET captures are
     accepted since the Distiller expects Ethernet framing.
     """
+    from repro.sim.trace import Trace
+
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _GLOBAL_HEADER.size:

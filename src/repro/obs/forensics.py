@@ -15,15 +15,25 @@ This module makes every alert explainable:
   is bucketed into the per-rule ``scidive_detection_delay_seconds``
   histogram when a metrics registry is attached.
 
-* **Flight recorder**: a bounded per-session ring buffer of recent raw
-  frames + footprints.  O(1) memory per session (``ring_capacity``
-  records), bounded session count (LRU eviction past ``max_sessions``),
-  sessions evicted on idle by the engine's housekeeping sweep.
+* **Flight recorder**: a bounded per-session ring of recent raw frames.
+  O(1) memory per session (``ring_capacity`` records), bounded session
+  count (LRU eviction past ``max_sessions``), sessions evicted on idle
+  by the engine's housekeeping sweep.  A ring holds columns — the frame
+  bytes, their timestamps and a ``(record_id, frame_no, token)`` triple
+  per frame, ``token`` being ``id()`` of the footprint distilled from
+  it — and no footprint: a footprint matters only once an event cites
+  it, and then it is alive, so its token still names it (see
+  :meth:`_SessionRing.find`).  The malformed quarantine ring is the one
+  exception: it keeps its footprints, because it crosses checkpoints
+  and its reasons are read from them.
 
 * **Evidence bundles**: when a rule fires and a ``bundle_dir`` is
   configured, the provenance chain plus the session's ring snapshot are
   written as ``<alert-id>.json`` (graph + timeline metadata) and
   ``<alert-id>.pcap`` (the raw frames, replayable by ``repro replay``).
+  Provenance frames take the evidence footprint's summary from the
+  graph; every other ring frame is re-distilled by one fresh
+  :class:`~repro.core.distiller.Distiller` per bundle to describe it.
   ``repro explain <alert-id> --bundle-dir ...`` renders a bundle with
   no access to the original run.
 
@@ -36,12 +46,15 @@ resolved to its frames at alert time, by scanning one ring.
 from __future__ import annotations
 
 import json
+import struct
 import time as _time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.core.distiller import Distiller
 from repro.core.footprint import (
     AccountingFootprint,
     AnyFootprint,
@@ -51,6 +64,7 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
+from repro.net.pcap import write_pcap_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.alerts import Alert
@@ -246,11 +260,27 @@ class ProvenanceGraph:
 # ---------------------------------------------------------------------------
 
 
+# One record of a session ring as plain values:
+# ``(record_id, frame_no, timestamp, frame)``.
+RingRow = tuple[int, int, float, bytes]
+
+# A ring's ``(record_id, frame_no, token)`` triple, laid out as three
+# items of its ``array('q')``.  Packing the triple is one call where
+# three item writes would each convert an int on their own.
+_TRIPLE = struct.Struct("=qqq")
+
+# The bundle timeline's summary for a ring frame that a fresh Distiller
+# cannot describe on its own.  A datagram that arrived in fragments is
+# filed under the fragment that completed its reassembly; alone, that
+# fragment is only held for reassembly again.
+REASSEMBLED_FRAGMENT_SUMMARY = "IPv4 fragment that completed a reassembled datagram"
+
+
 @dataclass(slots=True)
 class FrameRecord:
-    """One captured frame held by the flight recorder, with the
-    footprint distilled from it: an alert's evidence footprint resolves
-    to its frame by identity against these."""
+    """One captured frame of the quarantine ring, with the footprint
+    distilled from it: the value :meth:`ForensicsRecorder.malformed_records`
+    builds and the checkpoint carries."""
 
     record_id: int
     frame_no: int
@@ -260,18 +290,110 @@ class FrameRecord:
 
 
 class _SessionRing:
-    """The last ``ring_capacity`` records of one session, oldest first.
+    """The last ``ring_capacity`` records of one session, as columns: the
+    frames, their timestamps, and a flat ``array('q')`` of ``(record_id,
+    frame_no, token)`` triples, ``token`` being ``id()`` of the footprint
+    distilled from the frame when it was recorded.  The ring holds no
+    footprint and no per-record object.
 
-    A plain list trimmed from the front once it outgrows the capacity:
-    most flood sessions hold one record, and a one-element list is 88 B
-    where a bounded double-ended queue is 760 B however little it holds.
+    The columns grow to ``capacity`` and then wrap: each new record
+    overwrites the oldest in place, and ``head`` is the slot of the
+    oldest record (0 until the ring is full), so a full ring never
+    shifts or resizes its columns.
     """
 
-    __slots__ = ("records", "last_seen")
+    __slots__ = ("frames", "stamps", "ids", "head", "last_seen")
 
     def __init__(self) -> None:
-        self.records: list[FrameRecord] = []
+        self.frames: list[bytes] = []
+        self.stamps = array("d")
+        self.ids = array("q")
+        self.head = 0
         self.last_seen = 0.0
+
+    def push(
+        self, record_id: int, frame_no: int, timestamp: float, frame: bytes,
+        footprint: AnyFootprint, capacity: int,
+    ) -> None:
+        """Append one record; once the ring holds ``capacity``, in place
+        of the oldest."""
+        frames = self.frames
+        if len(frames) < capacity:
+            frames.append(frame)
+            self.stamps.append(timestamp)
+            self.ids.frombytes(_TRIPLE.pack(record_id, frame_no, id(footprint)))
+            return
+        head = self.head
+        frames[head] = frame
+        self.stamps[head] = timestamp
+        _TRIPLE.pack_into(self.ids, _TRIPLE.size * head, record_id, frame_no, id(footprint))
+        self.head = head + 1 if head + 1 < capacity else 0
+
+    def oldest_first(self) -> list[int]:
+        """The ring's slot indices, oldest record first."""
+        head = self.head
+        return [*range(head, len(self.frames)), *range(head)]
+
+    def row(self, slot: int) -> RingRow:
+        ids, at = self.ids, 3 * slot
+        return ids[at], ids[at + 1], self.stamps[slot], self.frames[slot]
+
+    def rows(self) -> list[RingRow]:
+        return [self.row(slot) for slot in self.oldest_first()]
+
+    def find(self, fp: AnyFootprint) -> int | None:
+        """Slot of the record ``fp`` was filed under, while the ring
+        still holds it: the newest record whose token is ``id(fp)``.
+
+        Sound because ``fp`` is alive when its alert fires, so no
+        footprint recorded after ``fp`` shares its address; records
+        enter in order and the oldest leaves first, so the newest match
+        is ``fp``'s own record, or there is none.  A stale token — a
+        dead footprint's, at the same address — can only be older.
+        That needs ``fp`` to have been recorded: the engine files every
+        footprint before any generator sees it, and a checkpoint is
+        restored into an engine whose session rings are empty."""
+        token, head = id(fp), self.head
+        tokens = self.ids[2::3]
+        # Slots before ``head`` were written after the ones from ``head``
+        # on; each part is searched newest-first, by a reversed copy.
+        for start, stop in ((0, head), (head, len(tokens))):
+            part = tokens[start:stop]
+            part.reverse()
+            try:
+                return stop - 1 - part.index(token)
+            except ValueError:
+                continue
+        return None
+
+
+class _QuarantineRing(_SessionRing):
+    """The malformed quarantine ring: the same columns plus the
+    footprints.  It alone crosses checkpoints (as :class:`FrameRecord`s)
+    and a malformed footprint's ``reason`` may depend on reassembly
+    state, so its frames cannot be re-described from their bytes."""
+
+    __slots__ = ("footprints",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.footprints: list[AnyFootprint] = []
+
+    def push(
+        self, record_id: int, frame_no: int, timestamp: float, frame: bytes,
+        footprint: AnyFootprint, capacity: int,
+    ) -> None:
+        footprints = self.footprints
+        if len(footprints) < capacity:
+            footprints.append(footprint)
+        else:
+            footprints[self.head] = footprint
+        super().push(record_id, frame_no, timestamp, frame, footprint, capacity)
+
+    def records(self) -> list[FrameRecord]:
+        return [
+            FrameRecord(*self.row(slot), self.footprints[slot]) for slot in self.oldest_first()
+        ]
 
 
 def _session_key(fp: AnyFootprint) -> tuple:
@@ -281,14 +403,17 @@ def _session_key(fp: AnyFootprint) -> tuple:
     Malformed footprints get their own quarantine ring: hostile input
     the decoders rejected is exactly what an operator wants to inspect
     (``repro explain malformed``), and pooling it with benign misc
-    traffic would let a malformed flood evict legitimate evidence."""
-    if isinstance(fp, MalformedFootprint):
-        return ("malformed",)
+    traffic would let a malformed flood evict legitimate evidence.
+
+    The footprint classes are disjoint, so the order of the tests only
+    sets their cost: media first, then signalling, as traffic runs."""
+    if isinstance(fp, (RtpFootprint, RtcpFootprint)):
+        return ("flow", fp.dst.ip.packed, fp.dst.port)
     if isinstance(fp, SipFootprint):
         call_id = fp.call_id()
         return ("call", call_id) if call_id else ("sip", 0)
-    if isinstance(fp, (RtpFootprint, RtcpFootprint)):
-        return ("flow", fp.dst.ip.packed, fp.dst.port)
+    if isinstance(fp, MalformedFootprint):
+        return ("malformed",)
     if isinstance(fp, AccountingFootprint):
         return ("call", fp.call_id) if fp.call_id else ("acct", 0)
     if isinstance(fp, H225Footprint):
@@ -374,16 +499,13 @@ class ForensicsRecorder:
             if len(sessions) >= self.max_sessions:
                 sessions.popitem(last=False)
                 self.sessions_evicted += 1
-            ring = _SessionRing()
+            ring = _QuarantineRing() if key == MALFORMED_SESSION_KEY else _SessionRing()
             sessions[key] = ring
         else:
             sessions.move_to_end(key)
         ring.last_seen = timestamp
         self._rec_seq += 1
-        records = ring.records
-        records.append(FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint))
-        if len(records) > self.ring_capacity:
-            del records[0]
+        ring.push(self._rec_seq, frame_no, timestamp, frame, footprint, self.ring_capacity)
 
     def expire_idle(self, now: float, timeout: float) -> int:
         """Evict sessions idle past ``timeout`` (housekeeping sweep)."""
@@ -398,12 +520,12 @@ class ForensicsRecorder:
 
     # -- the malformed quarantine ---------------------------------------------
 
-    def malformed_records(self) -> list:
+    def malformed_records(self) -> list[FrameRecord]:
         """The quarantine ring: recent frames the decoders rejected."""
         ring = self._sessions.get(MALFORMED_SESSION_KEY)
-        return list(ring.records) if ring is not None else []
+        return ring.records() if ring is not None else []
 
-    def malformed_state(self) -> list:
+    def malformed_state(self) -> list[FrameRecord]:
         """The quarantine ring as a picklable snapshot (checkpointing).
 
         Only this ring crosses checkpoints: the per-session evidence
@@ -412,16 +534,19 @@ class ForensicsRecorder:
         input would otherwise vanish on every worker respawn."""
         return self.malformed_records()
 
-    def load_malformed_state(self, records: list) -> None:
+    def load_malformed_state(self, records: list[FrameRecord]) -> None:
         """Rebuild the quarantine ring from a checkpoint snapshot."""
         if not records:
             return
         ring = self._sessions.get(MALFORMED_SESSION_KEY)
         if ring is None:
-            ring = _SessionRing()
+            ring = _QuarantineRing()
             self._sessions[MALFORMED_SESSION_KEY] = ring
-        ring.records.extend(records)
-        del ring.records[: -self.ring_capacity]
+        for r in records:
+            ring.push(
+                r.record_id, r.frame_no, r.timestamp, r.frame, r.footprint,
+                self.ring_capacity,
+            )
         ring.last_seen = max(ring.last_seen, max(r.timestamp for r in records))
         self._rec_seq = max(self._rec_seq, max(r.record_id for r in records))
 
@@ -434,7 +559,7 @@ class ForensicsRecorder:
     @property
     def record_count(self) -> int:
         """Records held across all rings (summed on demand)."""
-        return sum(len(ring.records) for ring in self._sessions.values())
+        return sum(len(ring.frames) for ring in self._sessions.values())
 
     def last_frame_age(self) -> float | None:
         """Wall-clock seconds since the last recorded frame."""
@@ -449,7 +574,7 @@ class ForensicsRecorder:
         write the evidence bundle when configured."""
         self._alert_seq += 1
         alert_id = f"{self.engine_name}-{self._alert_seq}"
-        graph, records = self._build_graph(alert, alert_id)
+        graph, rows = self._build_graph(alert, alert_id)
         object.__setattr__(alert, "alert_id", alert_id)
         object.__setattr__(alert, "provenance", graph)
         if self._delay_hist is not None:
@@ -462,33 +587,33 @@ class ForensicsRecorder:
             session_ring = self._sessions.get(("call", alert.session))
             write_bundle(
                 self.bundle_dir, alert, graph,
-                provenance_records=records,
-                session_records=list(session_ring.records) if session_ring else (),
+                provenance_rows=rows,
+                session_rows=session_ring.rows() if session_ring else (),
             )
             self.bundles_written += 1
 
-    def _record_for(self, fp: AnyFootprint) -> FrameRecord | None:
+    def _record_for(self, fp: AnyFootprint) -> RingRow | None:
         """The record ``fp`` was filed under, while its ring still holds
         it.  Footprints are frozen, so the session key computed now is
-        the key ``record_frame`` computed; the scan is by identity,
-        newest first, over at most ``ring_capacity`` records."""
+        the key ``record_frame`` computed; the scan is by token, newest
+        first, over at most ``ring_capacity`` records."""
         ring = self._sessions.get(_session_key(fp))
         if ring is not None:
-            for record in reversed(ring.records):
-                if record.footprint is fp:
-                    return record
+            slot = ring.find(fp)
+            if slot is not None:
+                return ring.row(slot)
         return None
 
     def _build_graph(
         self, alert: "Alert", alert_id: str
-    ) -> tuple[ProvenanceGraph, list[FrameRecord]]:
+    ) -> tuple[ProvenanceGraph, list[RingRow]]:
         alert_node = f"alert:{alert_id}"
         frames: list[dict] = []
         footprints: list[dict] = []
         events: list[dict] = []
         edges: list[list[str]] = []
         fp_nodes: dict[int, str] = {}
-        records_used: dict[int, FrameRecord] = {}
+        rows_used: dict[int, RingRow] = {}
         for index, event in enumerate(alert.events):
             event_node = f"event:{index}"
             events.append({
@@ -509,20 +634,21 @@ class ForensicsRecorder:
                         "timestamp": round(fp.timestamp, 6),
                         "summary": describe_footprint(fp),
                     }
-                    record = self._record_for(fp)
-                    if record is not None:
-                        if record.record_id not in records_used:
-                            records_used[record.record_id] = record
+                    row = self._record_for(fp)
+                    if row is not None:
+                        record_id, frame_no, timestamp, frame = row
+                        if record_id not in rows_used:
+                            rows_used[record_id] = row
                             frames.append({
-                                "node": f"frame:{record.record_id}",
-                                "frame_no": record.frame_no,
-                                "timestamp": round(record.timestamp, 6),
-                                "bytes": len(record.frame),
+                                "node": f"frame:{record_id}",
+                                "frame_no": frame_no,
+                                "timestamp": round(timestamp, 6),
+                                "bytes": len(frame),
                                 "protocol": fp.protocol.value,
                                 "summary": describe_footprint(fp),
                             })
-                        entry["frame_no"] = record.frame_no
-                        edges.append([f"frame:{record.record_id}", node])
+                        entry["frame_no"] = frame_no
+                        edges.append([f"frame:{record_id}", node])
                     footprints.append(entry)
                 edges.append([node, event_node])
         frames.sort(key=lambda f: f["timestamp"])
@@ -535,7 +661,7 @@ class ForensicsRecorder:
             events=events,
             edges=edges,
         )
-        return graph, list(records_used.values())
+        return graph, list(rows_used.values())
 
 
 # ---------------------------------------------------------------------------
@@ -547,47 +673,54 @@ def write_bundle(
     bundle_dir: str | Path,
     alert: "Alert",
     graph: ProvenanceGraph,
-    provenance_records: list[FrameRecord],
-    session_records: "list[FrameRecord] | tuple" = (),
+    provenance_rows: list[RingRow],
+    session_rows: "list[RingRow] | tuple" = (),
 ) -> Path:
     """Write ``<alert-id>.json`` + ``<alert-id>.pcap`` and return the
     JSON path.  The JSON alone suffices for ``repro explain``; the pcap
-    holds the raw frames for replay through any pcap tool."""
-    from repro.net.pcap import write_pcap
-    from repro.sim.trace import Trace
+    holds the raw frames for replay through any pcap tool.
 
+    A provenance frame's summary is its evidence footprint's, as the
+    graph holds it; the session ring's other frames are described by
+    distilling them, oldest first, through one fresh Distiller."""
     directory = Path(bundle_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    in_provenance = {record.record_id for record in provenance_records}
-    merged: dict[int, FrameRecord] = {
-        record.record_id: record
-        for record in list(session_records) + list(provenance_records)
-    }
-    ordered = sorted(merged.values(), key=lambda r: (r.timestamp, r.record_id))
+    summaries = {frame["node"]: frame["summary"] for frame in graph.frames}
+    merged = {row[0]: row for row in list(session_rows) + list(provenance_rows)}
+    ordered = sorted(merged.values(), key=lambda row: (row[2], row[0]))
+    distiller = Distiller()
+    timeline = []
+    for record_id, frame_no, timestamp, frame in ordered:
+        summary = summaries.get(f"frame:{record_id}")
+        in_provenance = summary is not None
+        if summary is None:
+            footprint = distiller.distill(frame, timestamp)
+            summary = (
+                REASSEMBLED_FRAGMENT_SUMMARY if footprint is None
+                else describe_footprint(footprint)
+            )
+        timeline.append({
+            "record_id": record_id,
+            "frame_no": frame_no,
+            "timestamp": round(timestamp, 6),
+            "bytes": len(frame),
+            "summary": summary,
+            "in_provenance": in_provenance,
+        })
     payload = {
         "format": BUNDLE_FORMAT,
         "alert": alert.to_dict(),
         "provenance": graph.to_dict(),
-        "frames": [
-            {
-                "record_id": record.record_id,
-                "frame_no": record.frame_no,
-                "timestamp": round(record.timestamp, 6),
-                "bytes": len(record.frame),
-                "summary": describe_footprint(record.footprint),
-                "in_provenance": record.record_id in in_provenance,
-            }
-            for record in ordered
-        ],
+        "frames": timeline,
     }
     json_path = directory / f"{graph.alert_id}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    pcap_trace = Trace(name=graph.alert_id)
-    for record in ordered:
-        pcap_trace.append(record.timestamp, record.frame)
-    write_pcap(directory / f"{graph.alert_id}.pcap", pcap_trace)
+    write_pcap_frames(
+        directory / f"{graph.alert_id}.pcap",
+        [(timestamp, frame) for _, _, timestamp, frame in ordered],
+    )
     return json_path
 
 
@@ -597,9 +730,6 @@ def write_malformed_bundle(
     """Write the quarantine ring as ``malformed.json`` + ``malformed.pcap``
     so hostile input survives the run for offline inspection.  Returns
     None (and writes nothing) when the quarantine is empty."""
-    from repro.net.pcap import write_pcap
-    from repro.sim.trace import Trace
-
     records = recorder.malformed_records()
     if not records:
         return None
@@ -627,10 +757,13 @@ def write_malformed_bundle(
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    pcap_trace = Trace(name=MALFORMED_BUNDLE_ID)
-    for record in sorted(records, key=lambda r: (r.timestamp, r.record_id)):
-        pcap_trace.append(record.timestamp, record.frame)
-    write_pcap(directory / f"{MALFORMED_BUNDLE_ID}.pcap", pcap_trace)
+    write_pcap_frames(
+        directory / f"{MALFORMED_BUNDLE_ID}.pcap",
+        [
+            (record.timestamp, record.frame)
+            for record in sorted(records, key=lambda r: (r.timestamp, r.record_id))
+        ],
+    )
     return json_path
 
 

@@ -202,14 +202,9 @@ def render(status: dict[str, Any], window: float = DEFAULT_WINDOW) -> list[str]:
             lines.append(
                 "  queue depths: " + " ".join(str(d) for d in depths)
             )
-        shed = cluster.get("frames_shed") or {}
+        shed = cluster.get("frames_shed")
         if shed:
-            lines.append(
-                "  shed by plane: "
-                + "  ".join(
-                    f"{plane}={count:,}" for plane, count in sorted(shed.items())
-                )
-            )
+            lines.append(f"  shed: {shed:,}")
         overload = cluster.get("overload")
         if overload:
             lines.extend(_overload_lines(overload))

@@ -99,6 +99,8 @@ class TestMerging:
         assert "scidive_cluster_workers" in text
         assert "scidive_cluster_frames_routed_total" in text
         assert "scidive_alerts_total" in text
+        # One unlabelled shed counter: the penalty box is the only shedder.
+        assert "scidive_cluster_shed_total 0" in text.splitlines()
 
     def test_worker_reports_cover_every_worker(self):
         trace = _attack_trace("fake-im")

@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.cluster import ScidiveCluster
-from repro.cluster.sharding import PLANE_MEDIA, PLANE_SIGNALLING
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack
 from repro.obs import Observability
@@ -75,11 +74,9 @@ class TestShedOrderingAcrossBackends:
 
         stats = result.cluster
         # Blocking queues mean the only shedding is the penalty box's
-        # door-drop of the heavy source: no plane of innocent traffic
-        # (signalling above all) ever appears in the shed accounting.
-        assert set(stats.frames_shed) <= {"penalty-box"}
-        assert PLANE_SIGNALLING not in stats.frames_shed
-        assert PLANE_MEDIA not in stats.frames_shed
+        # door-drop of the heavy source: every shed frame is attributed
+        # to a source, and no innocent source ever is.
+        assert stats.frames_shed == sum(stats.shed_by_source.values())
         assert set(stats.shed_by_source) <= {FLOOD_SOURCE}
         # Degraded-mode detection guarantee: the paper attack's alert
         # survives the flood on every backend.
@@ -98,7 +95,7 @@ class TestShedOrderingAcrossBackends:
         assert any(
             key.endswith("->shed") for key in status["transitions_total"]
         ), status["transitions_total"]
-        assert result.cluster.frames_shed.get("penalty-box", 0) > 0
+        assert result.cluster.frames_shed > 0
         assert result.cluster.shed_by_source.get(FLOOD_SOURCE, 0) > 0
         hot = dict(status["sources"]["hot_sources"])
         assert FLOOD_SOURCE in hot

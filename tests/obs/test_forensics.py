@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import gc
+import inspect
+import sys
+import types
 from collections import deque
 from functools import partial
 
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cli import main
 from repro.core.alerts import Alert, Severity
+from repro.core.distiller import Distiller
 from repro.core.engine import ScidiveEngine
 from repro.core.events import Event
 from repro.core.export import alert_to_dict
@@ -25,18 +30,39 @@ from repro.experiments.harness import (
     run_fake_im,
 )
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
+from repro.net.fragmentation import fragment
+from repro.net.packet import (
+    ETHERTYPE_IPV4,
+    IPPROTO_UDP,
+    EthernetFrame,
+    IPv4Packet,
+    UdpDatagram,
+)
 from repro.net.pcap import read_pcap
+from repro.obs import forensics as forensics_module
 from repro.obs import parse_prometheus
 from repro.obs.forensics import (
     DEFAULT_RING_CAPACITY,
+    REASSEMBLED_FRAGMENT_SUMMARY,
+    FrameRecord,
     ForensicsRecorder,
     ProvenanceGraph,
+    _session_key,
     format_bundle,
     list_bundles,
     load_bundle,
 )
 from repro.workload import ATTACK_KINDS, DEFAULT_SCENARIO, FLOOD_KINDS, AttackMix, generate_workload
-from tests.core.test_distiller_trail import rtp_frame
+from tests.core.test_distiller_trail import (
+    DST_MAC,
+    SDP_BODY,
+    SIP_INVITE,
+    SRC_MAC,
+    A,
+    B,
+    rtp_frame,
+    sip_frame,
+)
 from tests.property.test_distiller_fuzz import CRASH_CORPUS
 
 # One sim-clock tick in the testbed (frames are spaced 0.5 ms apart), the
@@ -192,10 +218,13 @@ class TestRingModel:
             key = ("flow", footprint.dst.ip.packed, footprint.dst.port)
             oracle.setdefault(key, deque(maxlen=capacity)).append(i + 1)
         assert {
-            key: [record.frame_no for record in ring.records]
+            key: [frame_no for _, frame_no, _, _ in ring.rows()]
             for key, ring in recorder._sessions.items()
         } == {key: list(ring) for key, ring in oracle.items()}
-        assert all(type(ring.records) is list for ring in recorder._sessions.values())
+        assert all(
+            len(ring.frames) == len(ring.stamps) == len(ring.ids) // 3
+            for ring in recorder._sessions.values()
+        )
 
     @given(
         capacity=st.integers(min_value=1, max_value=6),
@@ -219,22 +248,47 @@ class TestRingModel:
         assert [record.frame_no for record in recorder.malformed_records()] == list(oracle)
 
 
-class IdentityMapRecorder(ForensicsRecorder):
-    """The recorder before alert-time resolution, kept as the oracle: an
-    ``id()``-keyed map from footprint to record holding exactly what the
-    rings hold (the invariant the per-frame store / per-eviction pop
-    maintained), consulted without any session key."""
+class FootprintRingRecorder(ForensicsRecorder):
+    """The recorder before its rings became columns, kept as the oracle:
+    each ring a list of :class:`FrameRecord`s that hold their footprints,
+    trimmed from the front, and evidence resolved by identity
+    (``record.footprint is fp``) — no token, so no address reuse can
+    fool it."""
 
-    def _build_graph(self, alert, alert_id):
-        self._by_fp = {
-            id(record.footprint): record
-            for ring in self._sessions.values()
-            for record in ring.records
-        }
-        return super()._build_graph(alert, alert_id)
+    class _Ring:
+        __slots__ = ("records", "last_seen")
+
+        def __init__(self) -> None:
+            self.records: list[FrameRecord] = []
+            self.last_seen = 0.0
+
+    def record_frame(self, frame_no, frame, timestamp, footprint):
+        self.frames_recorded += 1
+        sessions = self._sessions
+        key = _session_key(footprint)
+        ring = sessions.get(key)
+        if ring is None:
+            if len(sessions) >= self.max_sessions:
+                sessions.popitem(last=False)
+                self.sessions_evicted += 1
+            ring = self._Ring()
+            sessions[key] = ring
+        else:
+            sessions.move_to_end(key)
+        ring.last_seen = timestamp
+        self._rec_seq += 1
+        records = ring.records
+        records.append(FrameRecord(self._rec_seq, frame_no, timestamp, frame, footprint))
+        if len(records) > self.ring_capacity:
+            del records[0]
 
     def _record_for(self, fp):
-        return self._by_fp.get(id(fp))
+        ring = self._sessions.get(_session_key(fp))
+        if ring is not None:
+            for record in reversed(ring.records):
+                if record.footprint is fp:
+                    return record.record_id, record.frame_no, record.timestamp, record.frame
+        return None
 
 
 def _attack_trace(runner):
@@ -275,7 +329,7 @@ class TestAlertTimeResolution:
     def test_every_graph_equals_the_identity_map_oracle(self, source, limits):
         trace = ORACLE_TRACES[source]()
         graphs = []
-        for recorder in (ForensicsRecorder(**limits), IdentityMapRecorder(**limits)):
+        for recorder in (ForensicsRecorder(**limits), FootprintRingRecorder(**limits)):
             engine = ScidiveEngine(forensics=recorder)
             if limits:  # ...and sweep often, so rings also leave by idle expiry
                 engine.housekeeping_every, engine.state_idle_timeout = 64, 20.0
@@ -322,7 +376,7 @@ class TestAlertTimeResolution:
         assert sorted(frame["protocol"] for frame in graph.frames) == ["rtp", "sip"]
         rings = bye_result.engine.forensics._sessions
         held = {
-            record.frame_no: key[0] for key, ring in rings.items() for record in ring.records
+            frame_no: key[0] for key, ring in rings.items() for _, frame_no, _, _ in ring.rows()
         }
         assert sorted(held[frame["frame_no"]] for frame in graph.frames) == ["call", "flow"]
 
@@ -349,13 +403,187 @@ class TestAlertTimeResolution:
         assert not stranger.provenance.frames
 
 
+# One step of a recorder's life: a frame whose footprint is kept alive
+# (citable) or dropped at once (its address free for the next), a
+# malformed frame, an alert on live footprints, forgetting one, or an
+# idle-expiry sweep.
+_STEP = st.one_of(
+    st.tuples(st.just("frame"), st.integers(min_value=0, max_value=3), st.booleans()),
+    st.tuples(st.just("malformed"), st.booleans()),
+    st.tuples(st.just("alert"), st.lists(st.integers(min_value=0, max_value=7),
+                                         min_size=1, max_size=3)),
+    st.tuples(st.just("forget"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("expire")),
+)
+
+
+def _drive(recorder: ForensicsRecorder, steps) -> list[dict]:
+    """Play ``steps`` into ``recorder``; the graphs of its alerts."""
+    live, graphs = [], []
+    for n, step in enumerate(steps):
+        kind = step[0]
+        if kind in ("frame", "malformed"):
+            if kind == "frame":
+                footprint = _media_footprint(n, session=step[1])
+            else:
+                footprint = _malformed_footprint(n)
+            recorder.record_frame(n + 1, b"f%d" % n, footprint.timestamp, footprint)
+            if step[-1]:
+                live.append(footprint)
+            del footprint  # a dropped footprint's address is free again
+        elif kind == "alert" and live:
+            alert = _alert_on(*(live[i % len(live)] for i in step[1]))
+            recorder.on_alert(alert)
+            graphs.append(alert.provenance.to_dict())
+            del alert
+        elif kind == "forget" and live:
+            live.pop(step[1] % len(live))
+        elif kind == "expire":
+            recorder.expire_idle(now=n * 0.001, timeout=0.004)
+    return graphs
+
+
+class TestTokenReuse:
+    """A ring keeps ``id()`` tokens, not footprints, and CPython hands a
+    dropped footprint's address to the next one it makes: stale tokens
+    are the normal case, and must never resolve evidence to a wrong
+    frame."""
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=4),
+        max_sessions=st.integers(min_value=1, max_value=3),
+        steps=st.lists(_STEP, max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_graphs_equal_the_footprint_holding_oracle(self, capacity, max_sessions, steps):
+        limits = {"ring_capacity": capacity, "max_sessions": max_sessions}
+        # Separate runs: the oracle holds its footprints, which would
+        # keep their addresses from being reused in a shared run.
+        assert _drive(ForensicsRecorder(**limits), steps) == _drive(
+            FootprintRingRecorder(**limits), steps
+        )
+
+    def test_a_ring_of_recycled_addresses_resolves_only_the_live_footprint(self):
+        recorder = ForensicsRecorder(ring_capacity=64)
+        for n in range(32):
+            footprint = _media_footprint(n, session=1)
+            recorder.record_frame(n + 1, b"x", footprint.timestamp, footprint)
+            del footprint
+        live = _media_footprint(32, session=1)
+        recorder.record_frame(33, b"live", live.timestamp, live)
+        (ring,) = recorder._sessions.values()
+        tokens = list(ring.ids[2::3])
+        assert len(set(tokens)) < len(tokens), "the allocator reused no address"
+        assert tokens.count(id(live)) > 1, "no dead footprint shared the live address"
+        alert = _alert_on(live)
+        recorder.on_alert(alert)
+        assert [frame["frame_no"] for frame in alert.provenance.frames] == [33]
+
+
+def _fragmented_invite() -> list[bytes]:
+    """The frames of one INVITE (Call-ID ``call-7``) fragmented at MTU 200."""
+    payload = SIP_INVITE % len(SDP_BODY) + SDP_BODY
+    udp = UdpDatagram(5060, 5060, payload).encode(A, B)
+    packet = IPv4Packet(A, B, IPPROTO_UDP, udp, identification=44)
+    return [
+        EthernetFrame(DST_MAC, SRC_MAC, ETHERTYPE_IPV4, frag.encode()).encode()
+        for frag in fragment(packet, mtu=200)
+    ]
+
+
+class TestBundleTimeline:
+    def test_a_reassembled_datagram_is_its_completing_fragment(self, tmp_path):
+        """The ring files a reassembled datagram under the fragment that
+        completed it; the bundle re-describes ring frames from their own
+        bytes, and that fragment alone describes nothing — so it gets
+        the one stated line, and a whole frame of the same call its
+        footprint's summary."""
+        recorder = ForensicsRecorder(bundle_dir=tmp_path)
+        engine = ScidiveEngine(forensics=recorder)
+        fragments = _fragmented_invite()
+        assert len(fragments) > 1
+        for n, frame in enumerate(fragments):
+            engine.process_frame(frame, 1.0 + n * 0.001)
+        whole = sip_frame()
+        engine.process_frame(whole, 2.0)
+        (ring,) = recorder._sessions.values()
+        assert ring.frames == [fragments[-1], whole]
+        alert = Alert(
+            rule_id="TEST-001", rule_name="test", time=2.0, session="call-7",
+            severity=Severity.HIGH, attack_class="test", message="m", events=(),
+        )
+        recorder.on_alert(alert)
+        bundle = load_bundle(tmp_path, alert.alert_id)
+        summaries = [frame["summary"] for frame in bundle["frames"]]
+        assert summaries == [
+            REASSEMBLED_FRAGMENT_SUMMARY,
+            "SIP request INVITE call=call-7 10.0.0.10:5060->10.0.0.20:5060",
+        ]
+        assert [record.frame for record in read_pcap(tmp_path / f"{alert.alert_id}.pcap")] == [
+            fragments[-1], whole,
+        ]
+
+    def test_provenance_frames_keep_their_evidence_summary(self, tmp_path):
+        """A provenance frame's summary is the evidence footprint's, the
+        graph's: the reassembled INVITE, not its completing fragment."""
+        recorder = ForensicsRecorder(bundle_dir=tmp_path)
+        distiller = Distiller()
+        evidence = []
+        for n, frame in enumerate(_fragmented_invite()):
+            footprint = distiller.distill(frame, 1.0 + n * 0.001)
+            if footprint is not None:
+                recorder.record_frame(n + 1, frame, 1.0 + n * 0.001, footprint)
+                evidence.append(footprint)
+        event = Event(name="test-event", time=2.0, session="call-7", evidence=tuple(evidence))
+        alert = Alert(
+            rule_id="TEST-001", rule_name="test", time=2.0, session="call-7",
+            severity=Severity.HIGH, attack_class="test", message="m", events=(event,),
+        )
+        recorder.on_alert(alert)
+        (frame,) = load_bundle(tmp_path, alert.alert_id)["frames"]
+        assert frame["in_provenance"]
+        assert frame["summary"].startswith("SIP request INVITE call=call-7")
+
+
+class TestImportBoundary:
+    def test_the_recorder_imports_nothing_from_the_testbed(self):
+        tree = ast.parse(inspect.getsource(forensics_module))
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        } | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert not {name for name in imported if name.startswith("repro.sim")}
+
+
+def _held_bytes(root) -> int:
+    """Bytes of every object reachable from ``root``, each counted once;
+    ``bytes`` objects (the frames) and types and modules excluded."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (bytes, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
 class TestRetainedFootprintCensus:
     """The deterministic guard behind the peak-RSS claim: per-packet
-    history is kept once, in the flight recorder's bounded rings, whatever
-    the number of frames.  A trail is an index entry and pins none."""
+    history is kept once, as the flight recorder's bounded columns of
+    frames, whatever the number of frames.  Neither a ring nor a trail
+    pins a footprint, so the recorder leaves as few alive as no recorder."""
 
     FLOWS, FRAMES = 20, 20_000
     SLACK = 8
+    # Bytes the recorder holds per ring record, frames excluded: a list
+    # slot, a timestamp and a (record id, frame number, token) triple,
+    # plus each ring's share of its own objects (about 350 B while each
+    # record was a FrameRecord holding its footprint).
+    HELD_BYTES_PER_RECORD = 64
 
     @staticmethod
     def _census() -> int:
@@ -363,7 +591,9 @@ class TestRetainedFootprintCensus:
         return sum(isinstance(obj, RtpFootprint) for obj in gc.get_objects())
 
     @classmethod
-    def _live_rtp_footprints(cls, forensics: bool) -> int:
+    def _run(cls, forensics: bool) -> tuple[int, ScidiveEngine]:
+        """(RTP footprints left alive, the engine) after ``FRAMES`` RTP
+        frames over ``FLOWS`` flows."""
         before = cls._census()  # other tests' engines may still be alive
         engine = ScidiveEngine(forensics=forensics)
         for n in range(cls.FRAMES):
@@ -374,15 +604,25 @@ class TestRetainedFootprintCensus:
             )
             engine.process_frame(frame, n * 0.001)
         assert engine.stats.footprints == cls.FRAMES and not engine.alerts
-        return cls._census() - before
+        return cls._census() - before, engine
 
-    def test_with_the_flight_recorder(self):
-        live = self._live_rtp_footprints(forensics=True)
-        assert live <= self.FLOWS * DEFAULT_RING_CAPACITY + self.SLACK
+    @pytest.fixture(scope="class")
+    def recorded(self) -> tuple[int, ScidiveEngine]:
+        return self._run(forensics=True)
+
+    def test_with_the_flight_recorder(self, recorded):
+        live, _ = recorded
+        assert live <= self.SLACK
 
     def test_with_forensics_off(self):
-        live = self._live_rtp_footprints(forensics=False)
+        live, _ = self._run(forensics=False)
         assert live <= self.SLACK
+
+    def test_held_bytes_per_record(self, recorded):
+        _, engine = recorded
+        records = engine.forensics.record_count
+        assert records == self.FLOWS * DEFAULT_RING_CAPACITY
+        assert _held_bytes(engine.forensics) / records <= self.HELD_BYTES_PER_RECORD
 
 
 class TestEvidenceBundles:

@@ -58,6 +58,12 @@ class TestRender:
         assert "sidecar unreachable" in text
         assert "--serve-http" in text
 
+    def test_cluster_panel_prints_the_shed_count(self):
+        cluster = {"backend": "process", "workers": 2, "workers_alive": 2, "frames_shed": 1234}
+        assert "  shed: 1,234" in render({"health": {"cluster": cluster}})
+        cluster["frames_shed"] = 0
+        assert not any(line.startswith("  shed:") for line in render({"health": {"cluster": cluster}}))
+
     def test_dashboard_shows_engine_quantiles_and_budget(self, live_server):
         server, result = live_server
         status = gather(server.url())

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import ScidiveEngine
 from repro.core.footprint import Protocol
+from repro.core.hooks import FootprintHook
 from repro.net.addr import Endpoint
 from repro.sip import headers as headers_mod
 from repro.sip import message as message_mod
@@ -45,15 +46,30 @@ _WIRE = (
 )
 
 
+class _SipKeeper(FootprintHook):
+    """Keeps every SIP footprint its engine distils.  No engine structure
+    holds one past its frame (a trail is an index entry and a flight
+    recorder ring keeps frames), so these tests keep their own."""
+
+    __slots__ = ("footprints",)
+
+    def __init__(self) -> None:
+        self.footprints: list = []
+
+    def frame_distilled(self, frame_no, sim_time, footprint, seconds) -> None:
+        if footprint is not None and footprint.protocol is Protocol.SIP:
+            self.footprints.append(footprint)
+
+
+def _keeping_engine(**kwargs) -> ScidiveEngine:
+    engine = ScidiveEngine(hook=_SipKeeper(), **kwargs)
+    assert isinstance(engine._hook, _SipKeeper)
+    return engine
+
+
 def _recorded_sip(engine: ScidiveEngine) -> list:
-    """The SIP footprints the flight recorder's rings hold: the engine's
-    only per-packet history (a trail keeps none)."""
-    return [
-        record.footprint
-        for ring in engine.forensics._sessions.values()
-        for record in ring.records
-        if record.footprint.protocol is Protocol.SIP
-    ]
+    """The SIP footprints a ``_keeping_engine`` distilled, in order."""
+    return engine._hook.footprints
 
 
 def _parsed() -> SipRequest:
@@ -178,7 +194,7 @@ class TestSdpParsedOncePerMessage:
         return message
 
     def test_state_and_trail_share_one_parse(self, parses):
-        engine = ScidiveEngine()
+        engine = _keeping_engine()
         frames = _attack_frames("call-hijack")
         parses.clear()  # the simulated phones parse SDP too
         _replay(engine, frames)
@@ -410,7 +426,7 @@ class TestCompactedTableReadsEqualAFreshParse:
 class TestEngineKeepsNoTypedValues:
     @pytest.fixture(scope="class")
     def engine(self) -> ScidiveEngine:
-        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        engine = _keeping_engine(vantage_ip=CLIENT_A_IP)
         _replay(engine, _attack_frames("call-hijack"))
         return engine
 
@@ -451,14 +467,15 @@ def _flood_invite(n: int) -> bytes:
 FLOOD_INVITES = 2_000
 
 
-def _run_flood(forensics: bool) -> tuple[ScidiveEngine, int]:
+def _run_flood(forensics: bool, keep: bool = False) -> tuple[ScidiveEngine, int]:
     """An engine after ``FLOOD_INVITES`` flood INVITEs, and the heap
-    (bytes) the INVITEs left allocated."""
+    (bytes) the INVITEs left allocated.  With ``keep`` the engine's
+    ``_SipKeeper`` holds every message, and the heap includes them."""
     frames = [_flood_invite(n) for n in range(FLOOD_INVITES)]
     # The URI table is per process: start it empty so neither the
     # census nor the heap figure depends on what earlier tests parsed.
     URI_TABLE.clear()
-    engine = ScidiveEngine(forensics=forensics)
+    engine = _keeping_engine(forensics=forensics) if keep else ScidiveEngine(forensics=forensics)
     engine.process_frame(_flood_invite(FLOOD_INVITES), 0.0)
     gc.collect()
     tracemalloc.start()
@@ -484,7 +501,7 @@ class TestFloodInviteHeap:
 
     @pytest.fixture(scope="class")
     def flood(self):
-        return _run_flood(forensics=True)
+        return _run_flood(forensics=True, keep=True)
 
     def test_no_retained_table_is_materialised(self, flood):
         engine, _ = flood
