@@ -90,7 +90,7 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
         specific Footprints, possibly in multiple Trails' cost.  SCIDIVE's
         trails index footprints without keeping them, so the naive engine
         keeps its own per-trail footprint history to scan."""
-        from repro.core.footprint import Protocol, RtpFootprint, SipFootprint
+        from repro.core.footprint import RtpFootprint, SipFootprint
 
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, generators=[])
         started = time.perf_counter()
@@ -101,44 +101,41 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
             fp = distiller.distill(record.frame, record.timestamp)
             if fp is None:
                 continue
-            if isinstance(fp, SipFootprint):
-                engine.sip_state.observe(fp)
-                engine.registrations.observe(fp)
             trail = engine.trails.push(fp)
+            if isinstance(fp, SipFootprint):
+                engine.sip_state.observe(fp, trail)
+                engine.registrations.observe(fp)
             history.setdefault(trail.key, []).append(fp)
             if isinstance(fp, RtpFootprint) and trail.call_id:
-                session = engine.trails.sessions.get(trail.call_id)
-                if session is not None:
-                    sip_trail = next(
-                        (t for t in session.trails if t.protocol == Protocol.SIP), None
-                    )
-                    if sip_trail is not None:
-                        # Re-derive media legitimacy from raw footprints:
-                        # scan the SIP trail, re-parse every SDP body, and
-                        # compare against this packet's source — the work
-                        # SCIDIVE's cached session state avoids per packet.
-                        from repro.sip.sdp import SdpError, SessionDescription
+                # A call's record is its SIP trail.
+                sip_trail = engine.trails.calls.get(trail.call_id)
+                if sip_trail is not None and sip_trail.count:
+                    # Re-derive media legitimacy from raw footprints:
+                    # scan the SIP trail, re-parse every SDP body, and
+                    # compare against this packet's source — the work
+                    # SCIDIVE's cached session state avoids per packet.
+                    from repro.sip.sdp import SdpError, SessionDescription
 
-                        for sip_fp in history[sip_trail.key]:
-                            if not isinstance(sip_fp, SipFootprint):
+                    for sip_fp in history[sip_trail.key]:
+                        if not isinstance(sip_fp, SipFootprint):
+                            continue
+                        message = sip_fp.message
+                        ctype = message.headers.get("Content-Type") or ""
+                        if "application/sdp" in ctype.lower() and message.body:
+                            try:
+                                endpoint = SessionDescription.parse(
+                                    message.body
+                                ).audio_endpoint()
+                            except SdpError:
                                 continue
-                            message = sip_fp.message
-                            ctype = message.headers.get("Content-Type") or ""
-                            if "application/sdp" in ctype.lower() and message.body:
-                                try:
-                                    endpoint = SessionDescription.parse(
-                                        message.body
-                                    ).audio_endpoint()
-                                except SdpError:
-                                    continue
-                                if endpoint == fp.src:
-                                    raw_hits += 1
-                            if (
-                                sip_fp.is_request
-                                and sip_fp.method in ("BYE", "INVITE")
-                                and sip_fp.timestamp <= fp.timestamp
-                            ):
+                            if endpoint == fp.src:
                                 raw_hits += 1
+                        if (
+                            sip_fp.is_request
+                            and sip_fp.method in ("BYE", "INVITE")
+                            and sip_fp.timestamp <= fp.timestamp
+                        ):
+                            raw_hits += 1
             elif isinstance(fp, SipFootprint):
                 # Re-derive session state by scanning the trail.
                 for older in history[trail.key]:

@@ -166,7 +166,7 @@ class ScidiveEngine:
                 ruleset = ruleset_from(modules)
         self.distiller = distiller if distiller is not None else Distiller()
         self.trails = TrailManager()
-        self.sip_state = SipStateTracker()
+        self.sip_state = SipStateTracker(self.trails.calls)
         self.registrations = RegistrationTracker()
         self.generators = generators if generators is not None else default_generators()
         self.ruleset = ruleset if ruleset is not None else paper_ruleset()
@@ -389,7 +389,7 @@ class ScidiveEngine:
     def process_footprint(
         self, footprint: AnyFootprint, frame_no: int = 0
     ) -> list[Alert]:
-        """The single footprint pipeline: state → trail → generate → match.
+        """The single footprint pipeline: trail → state → generate → match.
 
         Callable directly with pre-distilled footprints (the dispatch
         benchmark does); ``process_frame`` is the online wrapper.
@@ -412,19 +412,20 @@ class ScidiveEngine:
                 t0 = _time.perf_counter()
                 reclaimed = self.housekeep(ts)
                 hook.housekeeping_timed(reclaimed, _time.perf_counter() - t0, frame_no, ts)
-        # Shared state first, so every generator sees the post-update world.
-        if isinstance(footprint, SipFootprint):
-            if hook is not None:
-                t0 = _time.perf_counter()
-            self.sip_state.observe(footprint)
-            self.registrations.observe(footprint)
-            if hook is not None:
-                hook.state_updated(_time.perf_counter() - t0, frame_no, ts)
+        # Shared state first, so every generator sees the post-update world;
+        # a SIP message's trail is its call's record, which state updates.
         if hook is not None:
             t0 = _time.perf_counter()
         trail = self.trails.push(footprint)
         if hook is not None:
             hook.trail_pushed(_time.perf_counter() - t0, frame_no, ts)
+        if isinstance(footprint, SipFootprint):
+            if hook is not None:
+                t0 = _time.perf_counter()
+            self.sip_state.observe(footprint, trail)
+            self.registrations.observe(footprint)
+            if hook is not None:
+                hook.state_updated(_time.perf_counter() - t0, frame_no, ts)
         alerts: list[Alert] = []
         events_produced = 0
         ctx = self._ctx
@@ -646,7 +647,7 @@ class ScidiveEngine:
         self.ruleset.reset()
 
     def housekeep(self, now: float) -> int:
-        """Expire idle trails/sessions and stale tracker state.
+        """Expire idle trails/calls and stale tracker state.
 
         Runs automatically every ``housekeeping_every`` footprints;
         callable explicitly by long-running deployments.  Returns the
@@ -654,9 +655,12 @@ class ScidiveEngine:
         """
         self._since_housekeeping = 0
         timeout = self.state_idle_timeout
+        dialogs = self.trails.expired_dialogs
         reclaimed = self.trails.expire_idle(now, timeout)
         self.expired_trails += reclaimed
-        dialogs = self.sip_state.expire_torn_down(now, timeout)
+        dialogs = self.trails.expired_dialogs - dialogs
+        if dialogs:
+            self.sip_state.calls_expired()
         registrations = self.registrations.expire_succeeded(now, timeout)
         if self.forensics is not None:
             self.forensics.expire_idle(now, timeout)

@@ -60,85 +60,56 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
-from repro.core.state import CallPhase
+from repro.core.state import (
+    MARK_ESTABLISHED,
+    MARK_REDIRECTED,
+    MARK_TORN_DOWN,
+    CallEntry,
+    CallPhase,
+)
 from repro.core.trail import Trail
 from repro.net.addr import Endpoint
 from repro.rtp.packet import seq_delta
-from repro.sip.constants import METHOD_INVITE, METHOD_MESSAGE
+from repro.sip.constants import METHOD_MESSAGE
 
 
 class DialogEventGenerator(EventGenerator):
-    """Call lifecycle events from the shared SIP state tracker."""
+    """Call lifecycle events from the transitions the state stage marks
+    on each call's record."""
 
     name = "dialog"
     protocols = frozenset({Protocol.SIP})
 
-    def __init__(self) -> None:
-        self._established_emitted: set[str] = set()
-        self._torn_down_emitted: set[str] = set()
-        self._redirects_emitted: dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._established_emitted.clear()
-        self._torn_down_emitted.clear()
-        self._redirects_emitted.clear()
-
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
     ) -> list[Event]:
-        if not isinstance(footprint, SipFootprint):
+        if trail.__class__ is not CallEntry or not trail.mark:
             return []
-        call_id = footprint.call_id()
-        if call_id is None:
-            return []
-        call = ctx.sip_state.calls.get(call_id)
-        if call is None:
-            return []
-        events: list[Event] = []
-        if call.phase == CallPhase.ESTABLISHED and call_id not in self._established_emitted:
-            self._established_emitted.add(call_id)
-            events.append(
-                Event(
-                    name=EVENT_CALL_ESTABLISHED,
-                    time=footprint.timestamp,
-                    session=call_id,
-                    attrs={"caller": call.caller, "callee": call.callee},
-                    evidence=(footprint,),
-                )
+        call, mark = trail, trail.mark
+        if mark == MARK_ESTABLISHED:
+            name, attrs = EVENT_CALL_ESTABLISHED, {"caller": call.caller, "callee": call.callee}
+        elif mark == MARK_TORN_DOWN:
+            name, attrs = EVENT_CALL_TORN_DOWN, {
+                "claimed_by": call.teardown.claimed_by,
+                "source": str(call.teardown.source),
+            }
+        else:
+            redirect = call.redirects[-1]
+            name, attrs = EVENT_MEDIA_REDIRECTED, {
+                "party": redirect.party,
+                "old": str(redirect.old_endpoint) if redirect.old_endpoint else None,
+                "new": str(redirect.new_endpoint),
+                "source": str(redirect.source),
+            }
+        return [
+            Event(
+                name=name,
+                time=footprint.timestamp,
+                session=call.call_id,
+                attrs=attrs,
+                evidence=(footprint,),
             )
-        if call.teardown is not None and call_id not in self._torn_down_emitted:
-            self._torn_down_emitted.add(call_id)
-            events.append(
-                Event(
-                    name=EVENT_CALL_TORN_DOWN,
-                    time=footprint.timestamp,
-                    session=call_id,
-                    attrs={
-                        "claimed_by": call.teardown.claimed_by,
-                        "source": str(call.teardown.source),
-                    },
-                    evidence=(footprint,),
-                )
-            )
-        seen = self._redirects_emitted.get(call_id, 0)
-        if len(call.redirects) > seen:
-            for redirect in call.redirects[seen:]:
-                events.append(
-                    Event(
-                        name=EVENT_MEDIA_REDIRECTED,
-                        time=footprint.timestamp,
-                        session=call_id,
-                        attrs={
-                            "party": redirect.party,
-                            "old": str(redirect.old_endpoint) if redirect.old_endpoint else None,
-                            "new": str(redirect.new_endpoint),
-                            "source": str(redirect.source),
-                        },
-                        evidence=(footprint,),
-                    )
-                )
-            self._redirects_emitted[call_id] = len(call.redirects)
-        return events
+        ]
 
 
 @dataclass(slots=True)
@@ -175,19 +146,16 @@ class OrphanRtpGenerator(EventGenerator):
         self.monitoring_window = monitoring_window
         self.max_events_per_watch = max_events_per_watch
         self._watches: list[_Watch] = []
-        self._handled_teardowns: set[str] = set()
-        self._handled_redirects: dict[str, int] = {}
 
     def reset(self) -> None:
         self._watches.clear()
-        self._handled_teardowns.clear()
-        self._handled_redirects.clear()
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
     ) -> list[Event]:
         if isinstance(footprint, SipFootprint):
-            self._maybe_arm(footprint, ctx)
+            if trail.__class__ is CallEntry and trail.mark:
+                self._maybe_arm(footprint, trail, ctx)
             return []
         if isinstance(footprint, RtpFootprint):
             return self._check_watches(footprint)
@@ -195,53 +163,37 @@ class OrphanRtpGenerator(EventGenerator):
 
     # -- arming ---------------------------------------------------------------
 
-    def _maybe_arm(self, footprint: SipFootprint, ctx: GeneratorContext) -> None:
-        call_id = footprint.call_id()
-        if call_id is None:
+    def _maybe_arm(
+        self, footprint: SipFootprint, call: CallEntry, ctx: GeneratorContext
+    ) -> None:
+        # Only monitor a BYE / re-INVITE arriving at the protected
+        # endpoint: when the protected user hangs up, the peer
+        # legitimately keeps sending until the BYE reaches it.
+        if not ctx.is_inbound(footprint):
             return
-        call = ctx.sip_state.calls.get(call_id)
-        if call is None:
+        if call.mark == MARK_TORN_DOWN:
+            # BYE: watch the claimed sender's media endpoint.
+            kind, party, armed_at = "bye", call.teardown.claimed_by, call.teardown.time
+            endpoint = call.media.get(party)
+        elif call.mark == MARK_REDIRECTED:
+            # Re-INVITE: watch the party's *old* endpoint.
+            redirect = call.redirects[-1]
+            kind, party, armed_at = "reinvite", redirect.party, redirect.time
+            endpoint = redirect.old_endpoint
+        else:
             return
-        # BYE: watch the claimed sender's media endpoint.
-        if call.teardown is not None and call_id not in self._handled_teardowns:
-            self._handled_teardowns.add(call_id)
-            teardown = call.teardown
-            # Only monitor when the BYE claims to come from the *remote*
-            # party (an inbound teardown at the protected endpoint); when
-            # the protected user hangs up, the peer legitimately keeps
-            # sending until the BYE reaches it.
-            inbound = ctx.is_inbound(footprint)
-            endpoint = call.media.get(teardown.claimed_by)
-            if inbound and endpoint is not None:
-                self._watches.append(
-                    _Watch(
-                        call_id=call_id,
-                        kind="bye",
-                        party=teardown.claimed_by,
-                        endpoint=endpoint,
-                        armed_at=teardown.time,
-                        expires_at=teardown.time + self.monitoring_window,
-                        armed_by=footprint,
-                    )
+        if endpoint is not None:
+            self._watches.append(
+                _Watch(
+                    call_id=call.call_id,
+                    kind=kind,
+                    party=party,
+                    endpoint=endpoint,
+                    armed_at=armed_at,
+                    expires_at=armed_at + self.monitoring_window,
+                    armed_by=footprint,
                 )
-        # Re-INVITE: watch the party's *old* endpoint.
-        seen = self._handled_redirects.get(call_id, 0)
-        if len(call.redirects) > seen:
-            for redirect in call.redirects[seen:]:
-                inbound = ctx.is_inbound(footprint)
-                if inbound and redirect.old_endpoint is not None:
-                    self._watches.append(
-                        _Watch(
-                            call_id=call_id,
-                            kind="reinvite",
-                            party=redirect.party,
-                            endpoint=redirect.old_endpoint,
-                            armed_at=redirect.time,
-                            expires_at=redirect.time + self.monitoring_window,
-                            armed_by=footprint,
-                        )
-                    )
-            self._handled_redirects[call_id] = len(call.redirects)
+            )
 
     # -- checking --------------------------------------------------------------
 
@@ -284,10 +236,6 @@ class OrphanRtpGenerator(EventGenerator):
                     )
                 )
         return events
-
-    @property
-    def active_watches(self) -> int:
-        return len(self._watches)
 
 
 @dataclass(slots=True)
@@ -403,7 +351,7 @@ class RtpStreamGenerator(EventGenerator):
             # endpoint whose source was never negotiated (e.g. the
             # billing-fraud caller, whose INVITE the strict parser
             # rejected) are rogue.
-            linked = ctx.trails.sessions.get(session)
+            linked = ctx.trails.calls.get(session)
             if linked is not None and linked.media_endpoints:
                 legitimate = tuple(linked.media_endpoints.values())
                 if footprint.src not in legitimate:
@@ -587,7 +535,7 @@ class AuthEventGenerator(EventGenerator):
     ) -> list[Event]:
         if not isinstance(footprint, SipFootprint):
             return []
-        call_id = footprint.call_id()
+        call_id = trail.call_id  # the record's, for a message with a Call-ID
         if call_id is None:
             return []
         session = ctx.registrations.sessions.get(call_id)
@@ -658,34 +606,17 @@ class AccountingGenerator(EventGenerator):
 
     "When the accounting software sends out a transaction to denote a
     call from user A to user B, check if user A has sent a SIP Call
-    Initialization message to user B."
+    Initialization message to user B."  The state stage records each
+    INVITE's (From, To) pair on its call's record; a TXN is checked
+    against the record of the Call-ID it bills.
     """
 
     name = "accounting"
-    protocols = frozenset({Protocol.SIP, Protocol.ACCOUNTING})
-
-    def __init__(self) -> None:
-        self._invites_seen: set[tuple[str, str, str]] = set()  # (call_id, from, to)
-
-    def reset(self) -> None:
-        self._invites_seen.clear()
+    protocols = frozenset({Protocol.ACCOUNTING})
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
     ) -> list[Event]:
-        if isinstance(footprint, SipFootprint) and footprint.is_request:
-            if footprint.method == METHOD_INVITE:
-                message = footprint.message
-                try:
-                    key = (
-                        footprint.call_id() or "",
-                        message.from_addr.uri.address_of_record,
-                        message.to_addr.uri.address_of_record,
-                    )
-                    self._invites_seen.add(key)
-                except Exception:
-                    pass
-            return []
         if not isinstance(footprint, AccountingFootprint):
             return []
         events = [
@@ -701,21 +632,22 @@ class AccountingGenerator(EventGenerator):
                 evidence=(footprint,),
             )
         ]
-        key = (footprint.call_id, footprint.from_aor, footprint.to_aor)
-        if footprint.action == "start" and key not in self._invites_seen:
-            events.append(
-                Event(
-                    name=EVENT_ACCOUNTING_MISMATCH,
-                    time=footprint.timestamp,
-                    session=footprint.call_id,
-                    attrs={
-                        "billed_from": footprint.from_aor,
-                        "billed_to": footprint.to_aor,
-                        "reason": "no matching SIP call initialization",
-                    },
-                    evidence=(footprint,),
+        if footprint.action == "start":
+            call = ctx.trails.calls.get(footprint.call_id)
+            if call is None or not call.invited(footprint.from_aor, footprint.to_aor):
+                events.append(
+                    Event(
+                        name=EVENT_ACCOUNTING_MISMATCH,
+                        time=footprint.timestamp,
+                        session=footprint.call_id,
+                        attrs={
+                            "billed_from": footprint.from_aor,
+                            "billed_to": footprint.to_aor,
+                            "reason": "no matching SIP call initialization",
+                        },
+                        evidence=(footprint,),
+                    )
                 )
-            )
         return events
 
 

@@ -5,19 +5,21 @@ Trail ... Footprints from the same session may be split into and stored
 in multiple Trails."  Cross-protocol detection (§3.2) "is achieved
 through keeping multiple trails for each session, one for each protocol".
 
-The :class:`TrailManager` implements that: SIP footprints key by
-Call-ID, RTP/RTCP footprints key by flow, accounting footprints key by
-the billed Call-ID — and a :class:`Session` object ties together all
-trails belonging to one logical call.  The SIP↔RTP linkage is learned
-passively from SDP bodies: whenever an INVITE or 200 carries an SDP, its
-audio endpoint is indexed so that the RTP flow arriving there is
-annotated with the owning Call-ID.
+The :class:`TrailManager` implements that with one call table: each
+Call-ID has one :class:`~repro.core.state.CallEntry`, which is the
+call's SIP trail and holds the call's other trails — RTP/RTCP trails
+keyed by flow, accounting trails keyed by the billed Call-ID, H.225
+trails keyed by CRV.  The SIP↔RTP linkage is learned passively from SDP
+bodies: whenever a SIP message carries an SDP, its audio endpoint is
+indexed so that the RTP flow arriving there is annotated with the owning
+Call-ID.  A call lives while its own SIP trail or any trail linked to it
+is live; the state tracker's dialog role and the billing check's INVITE
+pairs live and die with it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from repro.core.footprint import (
@@ -30,13 +32,14 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
-from repro.core.state import NO_MEDIA
+from repro.core.state import CallEntry
 from repro.fastpickle import install_fast_pickle
 from repro.net.addr import Endpoint
 from repro.sip.message import SipRequest
 
-# (protocol tag, session discriminator).  SIP/accounting/H.225 trails
-# discriminate by a call identifier string; flow trails (RTP/RTCP and
+# (protocol tag, session discriminator).  Accounting/H.225 trails
+# discriminate by a call identifier (a call's own SIP trail is its
+# CallEntry, keyed in the call table); flow trails (RTP/RTCP and
 # custom protocols) discriminate by the (src ip, src port, dst ip,
 # dst port) quad as packed ints — int tuples hash in C, where Endpoint
 # pairs would recurse through two dataclass __hash__ calls per lookup.
@@ -102,43 +105,16 @@ class Trail:
 install_fast_pickle(Trail)
 
 
-@dataclass(slots=True)
-class Session:
-    """All trails of one logical call, keyed by Call-ID.
-
-    ``media_endpoints`` is allocated on its first write, made through
-    :meth:`set_media_endpoint`; until then it reads as empty.
-    """
-
-    call_id: str
-    trails: list[Trail] = field(default_factory=list)
-    _media_endpoints: dict[str, Endpoint] | None = field(
-        default=None, init=False, repr=False
-    )
-
-    @property
-    def media_endpoints(self) -> Mapping[str, Endpoint]:
-        """Media endpoints negotiated over SDP, keyed by the advertising
-        party's address-of-record ("" when the AoR is unknown)."""
-        return self._media_endpoints or NO_MEDIA
-
-    def set_media_endpoint(self, party: str, endpoint: Endpoint) -> None:
-        if self._media_endpoints is None:
-            self._media_endpoints = {}
-        self._media_endpoints[party] = endpoint
-
-    def attach(self, trail: Trail) -> None:
-        if trail not in self.trails:
-            self.trails.append(trail)
-            trail.call_id = self.call_id
-
-
 class TrailManager:
-    """Groups footprints into trails and links trails into sessions."""
+    """Groups footprints into trails and links trails into calls."""
 
     def __init__(self) -> None:
+        # Every live trail but the calls' own SIP trails, which are the
+        # CallEntry records of self.calls.
         self.trails: dict[TrailKey, Trail] = {}
-        self.sessions: dict[str, Session] = {}
+        # The call table: Call-ID (or H.323 "h323-crv-<CRV>") -> record.
+        # The SIP state tracker reads and writes the same records.
+        self.calls: dict[str, CallEntry] = {}
         # SDP-learned media endpoint -> call id, keyed by
         # _media_index_key (packed address ints, hashed in C).
         self._media_index: dict[tuple[int, int], str] = {}
@@ -157,6 +133,7 @@ class TrailManager:
         # Lifetime accounting, exported by repro.obs.
         self.footprints_filed = 0
         self.expired_total = 0
+        self.expired_dialogs = 0  # expired calls that had a dialog role
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -173,9 +150,22 @@ class TrailManager:
 
     # -- public API ---------------------------------------------------------
 
-    def push(self, footprint: AnyFootprint) -> Trail:
-        """File one footprint; returns the trail it landed in."""
-        key = self._key_for(footprint)
+    def push(self, footprint: AnyFootprint) -> Trail | CallEntry:
+        """File one footprint; returns the trail it landed in — for a SIP
+        message with a Call-ID, the call's record."""
+        if isinstance(footprint, SipFootprint):
+            call_id = footprint.call_id()
+            if call_id is not None:
+                call = self._call(call_id, footprint.timestamp)
+                call.append(footprint)
+                self._learn_sdp(footprint, call)
+                self.footprints_filed += 1
+                return call
+        route = _ROUTES.get(type(footprint))
+        if route is None:
+            route = _ROUTES[type(footprint)] = _resolve_route(footprint)
+        key_for, link = route
+        key = key_for(footprint)
         trail = self.trails.get(key)
         # The serial to (re)file the trail under in _unlinked_media, when
         # this footprint creates it or moves its last endpoints.
@@ -192,25 +182,25 @@ class TrailManager:
             if trail.dst != footprint.dst or trail.src != footprint.src:
                 serial = self._unfile_unlinked(trail)
         trail.append(footprint)
-        self._link(footprint, trail)
+        link(self, footprint, trail)
         if serial is not None and trail.call_id is None:
             self._file_unlinked(trail, serial)
         self.footprints_filed += 1
         return trail
-
-    def session_for(self, call_id: str) -> Session | None:
-        return self.sessions.get(call_id)
 
     def media_owner(self, endpoint: Endpoint) -> str | None:
         """Which call (if any) negotiated this media endpoint via SDP."""
         return self._media_index.get(_media_index_key(endpoint))
 
     def expire_idle(self, now: float, idle_timeout: float) -> int:
-        """Drop trails (and empty sessions) idle for ``idle_timeout``.
+        """Drop trails and calls idle for ``idle_timeout``.
 
         The paper notes state is "constrained in practice by the amount
         of memory available"; a long-running IDS must garbage-collect
-        dead sessions.  Returns the number of trails removed.
+        dead sessions.  A call dies when its own ``last_seen`` and every
+        trail linked to it are idle; its SIP trail alone expires earlier
+        (``count`` back to 0) when a live linked trail keeps the call.
+        Returns the number of trails removed, SIP trails included.
         """
         stale_keys = [
             key
@@ -220,88 +210,74 @@ class TrailManager:
         for key in stale_keys:
             trail = self.trails.pop(key)
             if trail.call_id is not None:
-                session = self.sessions.get(trail.call_id)
-                if session is not None and trail in session.trails:
-                    session.trails.remove(trail)
+                call = self.calls.get(trail.call_id)
+                if call is not None:
+                    call.detach(trail)
             elif trail.protocol in _MEDIA_PROTOCOLS:
                 self._unfile_unlinked(trail)
-        # Sessions with no trails left die too, along with their media index.
-        dead_sessions = [cid for cid, s in self.sessions.items() if not s.trails]
-        for call_id in dead_sessions:
-            session = self.sessions.pop(call_id)
-            for endpoint in session.media_endpoints.values():
+        reclaimed = len(stale_keys)
+        dead_calls = []
+        for call_id, call in self.calls.items():
+            if now - call.last_seen > idle_timeout:
+                if call.count:
+                    call.count = 0
+                    reclaimed += 1
+                if not call.trails:
+                    dead_calls.append(call_id)
+        # Dead calls take their media index entries with them.
+        for call_id in dead_calls:
+            call = self.calls.pop(call_id)
+            if call.phase is not None:
+                self.expired_dialogs += 1
+            for endpoint in call.media_endpoints.values():
                 index_key = _media_index_key(endpoint)
                 if self._media_index.get(index_key) == call_id:
                     del self._media_index[index_key]
-        self.expired_total += len(stale_keys)
-        return len(stale_keys)
+        self.expired_total += reclaimed
+        return reclaimed
 
     @property
     def trail_count(self) -> int:
-        return len(self.trails)
+        return len(self.trails) + sum(1 for call in self.calls.values() if call.count)
 
     @property
     def session_count(self) -> int:
-        return len(self.sessions)
+        return len(self.calls)
 
     def size_stats(self) -> dict[str, int]:
         """State-size snapshot for gauge export (repro.obs)."""
         return {
-            "trails": len(self.trails),
-            "sessions": len(self.sessions),
+            "trails": self.trail_count,
+            "sessions": len(self.calls),
             "media_index": len(self._media_index),
             "unlinked_media_index": len(self._unlinked_media),
             "footprints_filed": self.footprints_filed,
             "expired_total": self.expired_total,
         }
 
-    # -- keying ------------------------------------------------------------------
+    # -- call linking -------------------------------------------------------------
 
-    def _key_for(self, footprint: AnyFootprint) -> TrailKey:
-        builder = _KEY_BUILDERS.get(type(footprint))
-        if builder is None:
-            builder = _resolve_key_builder(footprint)
-            _KEY_BUILDERS[type(footprint)] = builder
-        return builder(footprint)
-
-    # -- session linking -------------------------------------------------------------
-
-    def _ensure_session(self, call_id: str) -> Session:
-        session = self.sessions.get(call_id)
-        if session is None:
-            session = Session(call_id=call_id)
-            self.sessions[call_id] = session
-        return session
-
-    def _link(self, footprint: AnyFootprint, trail: Trail) -> None:
-        linker = _LINKERS.get(type(footprint))
-        if linker is None:
-            linker = _resolve_linker(footprint)
-            _LINKERS[type(footprint)] = linker
-        linker(self, footprint, trail)
-
-    def _link_sip(self, footprint: SipFootprint, trail: Trail) -> None:
-        call_id = footprint.call_id()
-        if call_id is not None:
-            session = self._ensure_session(call_id)
-            session.attach(trail)
-            self._learn_sdp(footprint, session)
+    def _call(self, call_id: str, timestamp: float) -> CallEntry:
+        call = self.calls.get(call_id)
+        if call is None:
+            call = self.calls[call_id] = CallEntry(call_id, timestamp)
+        return call
 
     def _link_accounting(self, footprint: AccountingFootprint, trail: Trail) -> None:
         if footprint.call_id:
-            self._ensure_session(footprint.call_id).attach(trail)
+            self._call(footprint.call_id, footprint.timestamp).attach(trail)
 
     def _link_h225(self, footprint: H225Footprint, trail: Trail) -> None:
         # H.323 calls use the CRV as the session discriminator; the
         # fast-connect media IE plays SDP's role for linkage.
-        session_id = f"h323-crv-{footprint.call_reference}"
-        session = self._ensure_session(session_id)
-        session.attach(trail)
+        call_id = f"h323-crv-{footprint.call_reference}"
+        call = self._call(call_id, footprint.timestamp)
+        call.attach(trail)
         message = footprint.message
         if message.media is not None:
             party = message.calling_party or message.called_party or ""
-            session.set_media_endpoint(party, message.media)
-            self._media_index[_media_index_key(message.media)] = session_id
+            call.set_media_endpoint(party, message.media)
+            self._media_index[_media_index_key(message.media)] = call_id
 
     def _link_media(self, footprint: AnyFootprint, trail: Trail) -> None:
         if trail.call_id is None:
@@ -310,7 +286,7 @@ class TrailManager:
             ) or self._media_index.get(_session_port_key(footprint.src))
             if owner is not None:
                 self._unfile_unlinked(trail)
-                self._ensure_session(owner).attach(trail)
+                self._call(owner, footprint.timestamp).attach(trail)
 
     def _link_noop(self, footprint: AnyFootprint, trail: Trail) -> None:
         return None
@@ -336,7 +312,7 @@ class TrailManager:
                         del self._unlinked_media[index_key]
         return serial
 
-    def _learn_sdp(self, footprint: SipFootprint, session: Session) -> None:
+    def _learn_sdp(self, footprint: SipFootprint, call: CallEntry) -> None:
         message = footprint.message
         endpoint = message.sdp_audio_endpoint()
         if endpoint is None:
@@ -350,9 +326,9 @@ class TrailManager:
                 party = message.to_addr.uri.address_of_record
         except Exception:
             party = ""
-        session.set_media_endpoint(party, endpoint)
+        call.set_media_endpoint(party, endpoint)
         index_key = _media_index_key(endpoint)
-        self._media_index[index_key] = session.call_id
+        self._media_index[index_key] = call.call_id
         # Retroactively adopt any flow trail already touching the
         # endpoint, oldest first.  The index holds session (even) ports
         # only, so an SDP advertising an odd port adopts nothing.
@@ -360,20 +336,22 @@ class TrailManager:
         if bucket is not None:
             for _serial, trail in sorted(bucket.values()):
                 self._unfile_unlinked(trail)
-                session.attach(trail)
+                call.attach(trail)
 
 
 # ---------------------------------------------------------------------------
 # Per-footprint-type dispatch.  Keying and linking run once per packet;
 # a type() dict probe replaces the isinstance ladder on that path.  The
-# ladder survives in the _resolve_* fallbacks so Footprint *subclasses*
-# still route like their base class — the resolved handler is cached per
-# concrete type on first sight.
+# ladder survives in _resolve_route so Footprint *subclasses* still route
+# like their base class — the resolved pair is cached per concrete type
+# on first sight.
 # ---------------------------------------------------------------------------
 
 
 def _sip_key(footprint: SipFootprint) -> TrailKey:
-    return ("sip", footprint.call_id() or f"?:{footprint.src}")
+    # Only a message without a Call-ID gets here (push files the others
+    # in their call), grouped per source.
+    return ("sip", f"?:{footprint.src}")
 
 
 def _rtp_key(footprint: RtpFootprint) -> TrailKey:
@@ -407,35 +385,21 @@ def _generic_key(footprint: AnyFootprint) -> TrailKey:
     return (footprint.protocol.value, _flow_key(footprint.src, footprint.dst))
 
 
-def _resolve_key_builder(footprint: AnyFootprint):
+def _resolve_route(footprint: AnyFootprint):
+    """(key builder, linker) for the footprint's type."""
     if isinstance(footprint, SipFootprint):
-        return _sip_key
+        return _sip_key, TrailManager._link_noop
     if isinstance(footprint, RtpFootprint):
-        return _rtp_key
+        return _rtp_key, TrailManager._link_media
     if isinstance(footprint, RtcpFootprint):
-        return _rtcp_key
+        return _rtcp_key, TrailManager._link_media
     if isinstance(footprint, AccountingFootprint):
-        return _acct_key
+        return _acct_key, TrailManager._link_accounting
     if isinstance(footprint, H225Footprint):
-        return _h225_key
+        return _h225_key, TrailManager._link_h225
     if isinstance(footprint, MalformedFootprint):
-        return _malformed_key
-    return _generic_key
+        return _malformed_key, TrailManager._link_noop
+    return _generic_key, TrailManager._link_noop
 
 
-_KEY_BUILDERS: dict[type, object] = {}
-
-
-def _resolve_linker(footprint: AnyFootprint):
-    if isinstance(footprint, SipFootprint):
-        return TrailManager._link_sip
-    if isinstance(footprint, AccountingFootprint):
-        return TrailManager._link_accounting
-    if isinstance(footprint, H225Footprint):
-        return TrailManager._link_h225
-    if isinstance(footprint, (RtpFootprint, RtcpFootprint)):
-        return TrailManager._link_media
-    return TrailManager._link_noop
-
-
-_LINKERS: dict[type, object] = {}
+_ROUTES: dict[type, tuple] = {}

@@ -13,9 +13,12 @@ taken.
 What a checkpoint contains (and why):
 
 * ``trails`` / ``sip_state`` / ``registrations`` — the shared protocol
-  state every generator consults.  Captured as whole objects: they are
-  plain dicts of frozen-dataclass footprints and messages, all of which
-  already cross ``multiprocessing`` queues inside pickled alerts.
+  state every generator consults.  Captured as whole objects in one
+  pickle, so the one call table (a ``CallEntry`` per Call-ID) that the
+  trail manager and the SIP state tracker share is written once and
+  restored shared.  They are plain dicts of slotted records, addresses
+  and URIs, all of which already cross ``multiprocessing`` queues
+  inside pickled alerts.
 * per-generator state — generators are stateful by design (armed
   watches, per-flow sequence windows, per-sender IM bindings).
   Captured generically via ``vars()`` keyed by generator name; a
@@ -53,7 +56,8 @@ half-compatible ghost.
 Snapshots are *bounded*.  A trail is an index entry — identity,
 linkage, a footprint count and its last endpoints (:mod:`repro.core.trail`)
 — and holds no footprints, so a trail costs the same in a snapshot
-whether it filed one frame or a million.  Only the event log is
+whether it filed one frame or a million; a call is one record, its SIP
+trail and dialog role together.  Only the event log is
 trimmed at dump time, to its most recent ``CHECKPOINT_EVENT_TAIL``
 events: it is evidence/archival depth — no rule reads it (sequence /
 threshold rule state is checkpointed separately in full) — while on a
@@ -74,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 # Snapshot bound (see module docstring): archival event depth is
 # truncated to a recent tail, live detection state is captured in full.

@@ -1,0 +1,155 @@
+"""One call record per Call-ID, with one lifetime.
+
+A call's record lives while anything filed under it — its SIP messages,
+its linked media and accounting trails — was seen within the idle
+timeout, and the billing check reads the INVITE pairs off the live
+record.  The state machine below interleaves SIP, RTP and TXN traffic
+with housekeeping and holds the call table to that model.
+"""
+
+from __future__ import annotations
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.core.engine import ScidiveEngine
+from repro.core.events import EVENT_ACCOUNTING_MISMATCH
+from repro.core.trail import _flow_key
+from repro.net.addr import Endpoint, IPv4Address, MacAddress
+from repro.net.packet import build_udp_frame
+from repro.rtp.packet import RtpPacket
+from tests.core.test_state import _sdp, _sip, bye, invite, ok_response, register
+
+MAC1 = MacAddress("02:00:00:00:00:01")
+MAC2 = MacAddress("02:00:00:00:00:02")
+A = IPv4Address.parse("10.0.0.10")
+B = IPv4Address.parse("10.0.0.20")
+PROXY = IPv4Address.parse("10.0.0.1")
+
+TIMEOUT = 1.5
+CALLS = st.sampled_from(["c1", "c2", "c3"])
+PARTIES = st.sampled_from(["alice", "bob", "carol"])
+STEPS = st.sampled_from([0.1, 0.4, 1.0, 2.0])
+
+
+def _port(call_id: str) -> int:
+    """Each call advertises its own media port on A."""
+    return 40000 + 2 * int(call_id[1:])
+
+
+def _ack(call_id: str) -> bytes:
+    return _sip(
+        "ACK sip:bob@10.0.0.20:5060 SIP/2.0",
+        [
+            "Via: SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bK-ack",
+            "From: <sip:alice@example.com>;tag=a1",
+            "To: <sip:bob@example.com>;tag=b1",
+            f"Call-ID: {call_id}",
+            "CSeq: 1 ACK",
+        ],
+    )
+
+
+class CallLifetime(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = ScidiveEngine(forensics=False)
+        self.engine.state_idle_timeout = TIMEOUT
+        self.now = 0.0
+        self.seq = 0
+        # Call-ID -> (last time something was filed under it, the
+        # (From, To) pairs its INVITEs named).
+        self.model: dict[str, tuple[float, set]] = {}
+
+    def _file(self, call_id: str, pair: tuple[str, str] | None = None) -> None:
+        pairs = self.model.get(call_id, (0.0, set()))[1]
+        if pair is not None:
+            pairs.add(pair)
+        self.model[call_id] = (self.now, pairs)
+
+    def _send(self, payload: bytes, src, dst, sport=5060, dport=5060) -> None:
+        self.engine.process_frame(
+            build_udp_frame(MAC1, MAC2, src, dst, sport, dport, payload), self.now
+        )
+
+    @rule(step=STEPS)
+    def wait(self, step):
+        self.now += step
+
+    @rule(call_id=CALLS, caller=PARTIES, callee=PARTIES, sdp=st.booleans(),
+          in_dialog=st.booleans())
+    def send_invite(self, call_id, caller, callee, sdp, in_dialog):
+        body = _sdp(str(A), _port(call_id)) if sdp else b""
+        payload = invite(
+            body, to_tag="b1" if in_dialog else None, cseq=2 if in_dialog else 1,
+            from_aor=caller, to_aor=callee, call_id=call_id,
+        )
+        self._send(payload, A, B)
+        self._file(call_id, (f"{caller}@example.com", f"{callee}@example.com"))
+
+    @rule(call_id=CALLS)
+    def send_ok(self, call_id):
+        self._send(ok_response(_sdp(str(B), _port(call_id)), call_id=call_id), B, A)
+        self._file(call_id)
+
+    @rule(call_id=CALLS)
+    def send_ack(self, call_id):
+        self._send(_ack(call_id), A, B)
+        self._file(call_id)
+
+    @rule(call_id=CALLS)
+    def send_bye(self, call_id):
+        self._send(bye(call_id=call_id), B, A)
+        self._file(call_id)
+
+    @rule(call_id=CALLS)
+    def send_register(self, call_id):
+        self._send(register(call_id, 1), B, PROXY)
+        self._file(call_id)
+
+    @rule(call_id=CALLS)
+    def send_rtp(self, call_id):
+        self.seq += 1
+        packet = RtpPacket(payload_type=0, sequence=self.seq, timestamp=160 * self.seq,
+                           ssrc=7, payload=b"x" * 20)
+        src, dst = Endpoint(B, 50000), Endpoint(A, _port(call_id))
+        self._send(packet.encode(), B, A, src.port, dst.port)
+        # Media is filed under the call its endpoint's SDP named, if any.
+        trail = self.engine.trails.trails[("rtp", _flow_key(src, dst))]
+        if trail.call_id is not None:
+            self._file(trail.call_id)
+
+    @rule(call_id=CALLS, caller=PARTIES, callee=PARTIES)
+    def send_txn(self, call_id, caller, callee):
+        pair = (f"{caller}@example.com", f"{callee}@example.com")
+        held = call_id in self.model and pair in self.model[call_id][1]
+        before = len(self.engine.events_named(EVENT_ACCOUNTING_MISMATCH))
+        payload = f"TXN action=start call_id={call_id} from={pair[0]} to={pair[1]}"
+        self._send(payload.encode(), PROXY, B, 9091, 9090)
+        self._file(call_id)
+        mismatches = len(self.engine.events_named(EVENT_ACCOUNTING_MISMATCH)) - before
+        assert mismatches == (0 if held else 1)
+
+    @rule()
+    def housekeep(self):
+        self.engine.housekeep(self.now)
+        self.model = {
+            call_id: entry for call_id, entry in self.model.items()
+            if self.now - entry[0] <= TIMEOUT
+        }
+
+    @invariant()
+    def table_matches_the_model(self):
+        calls = self.engine.trails.calls
+        assert calls.keys() == self.model.keys()
+        for call_id, (_, pairs) in self.model.items():
+            call = calls[call_id]
+            for caller in ("alice", "bob", "carol"):
+                for callee in ("alice", "bob", "carol"):
+                    pair = (f"{caller}@example.com", f"{callee}@example.com")
+                    assert call.invited(*pair) == (pair in pairs)
+
+
+CallLifetime.TestCase.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
+TestCallLifetime = CallLifetime.TestCase

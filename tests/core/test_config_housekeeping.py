@@ -26,7 +26,7 @@ class TestHousekeeping:
         __, engine = self._engine_after_calls(3, housekeep_at=0.1)
         assert engine.trails.trail_count == 0
         assert engine.trails.session_count == 0
-        assert engine.sip_state.calls == {}
+        assert engine.trails.calls == {}
 
     def test_expire_keeps_recent_state(self):
         __, engine = self._engine_after_calls(3, housekeep_at=3600.0)

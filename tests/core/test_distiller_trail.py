@@ -18,7 +18,8 @@ from repro.core.footprint import (
     RtpFootprint,
     SipFootprint,
 )
-from repro.core.trail import Session, TrailManager, _media_index_key
+from repro.core.state import CallEntry
+from repro.core.trail import TrailManager, _media_index_key
 from repro.h323.h225 import H225_PORT, H225Message, MessageType
 from repro.net.addr import VALUE_TABLE_CAP, Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import fragment
@@ -203,6 +204,8 @@ class TestTrailManager:
         assert manager.trail_count == 1
         assert trails[0].count == 2
         assert trails[0].key == ("sip", "call-7")
+        assert trails[0] is trails[1] is manager.calls["call-7"]
+        assert manager.trails == {}
 
     def test_rtp_keyed_by_flow(self):
         manager, __ = self._distill([
@@ -218,13 +221,10 @@ class TestTrailManager:
             (sip_frame(), 0.0),  # carries SDP: alice media = 10.0.0.10:40000
             (rtp_frame(seq=1, src=B, dst=A, dst_port=40000), 0.1),
         ])
-        session = manager.session_for("call-7")
-        assert session is not None
-        protocols = {t.protocol for t in session.trails}
-        assert Protocol.SIP in protocols
-        assert Protocol.RTP in protocols
-        rtp_trails = [t for t in session.trails if t.protocol == Protocol.RTP]
-        assert [t.call_id for t in rtp_trails] == ["call-7"]
+        call = manager.calls.get("call-7")
+        assert call is not None and call.protocol == Protocol.SIP
+        assert [t.protocol for t in call.trails] == [Protocol.RTP]
+        assert [t.call_id for t in call.trails] == ["call-7"]
 
     def test_media_owner_lookup(self):
         manager, __ = self._distill([(sip_frame(), 0.0)])
@@ -235,8 +235,7 @@ class TestTrailManager:
         payload = Bye(ssrcs=(1,)).encode()
         rtcp = build_udp_frame(SRC_MAC, DST_MAC, B, A, 40001, 40001, payload)
         manager, __ = self._distill([(sip_frame(), 0.0), (rtcp, 0.1)])
-        session = manager.session_for("call-7")
-        assert any(t.protocol == Protocol.RTCP for t in session.trails)
+        assert any(t.protocol == Protocol.RTCP for t in manager.calls["call-7"].trails)
 
     def test_accounting_attached_by_call_id(self):
         txn = build_udp_frame(
@@ -244,19 +243,25 @@ class TestTrailManager:
             b"TXN action=start call_id=call-7 from=alice@example.com to=bob@example.com",
         )
         manager, __ = self._distill([(sip_frame(), 0.0), (txn, 0.5)])
-        session = manager.session_for("call-7")
-        assert any(t.protocol == Protocol.ACCOUNTING for t in session.trails)
+        assert any(t.protocol == Protocol.ACCOUNTING for t in manager.calls["call-7"].trails)
 
     def test_media_endpoints_recorded_per_party(self):
         manager, __ = self._distill([(sip_frame(), 0.0)])
-        session = manager.session_for("call-7")
-        assert session.media_endpoints["alice@example.com"] == Endpoint(A, 40000)
+        call = manager.calls["call-7"]
+        assert call.media_endpoints["alice@example.com"] == Endpoint(A, 40000)
 
     def test_trail_timestamps(self):
         manager, trails = self._distill([(sip_frame(), 1.0), (sip_frame(), 2.0)])
         trail = trails[0]
         assert trail.first_seen == 1.0
         assert trail.last_seen == 2.0
+
+
+def _live_trails(manager: TrailManager) -> dict:
+    """Every live trail by key: the plain ones, and each call's own SIP
+    trail while it has one."""
+    sip = {call.key: call for call in manager.calls.values() if call.count}
+    return {**manager.trails, **sip}
 
 
 _INDEX_STEP = st.one_of(
@@ -298,9 +303,11 @@ class TestTrailIndexModel:
                     model.setdefault(trail.key, []).append(footprint)
                     filed += 1
                     assert (trail.src, trail.dst) == (footprint.src, footprint.dst)
-            assert manager.trails.keys() == model.keys()
+            live = _live_trails(manager)
+            assert live.keys() == model.keys()
+            assert manager.trail_count == len(model)
             for key, everything in model.items():
-                trail = manager.trails[key]
+                trail = live[key]
                 assert trail.count == len(everything)
                 assert trail.first_seen == everything[0].timestamp
                 assert trail.last_seen == everything[-1].timestamp
@@ -382,7 +389,7 @@ class FullScanTrailManager(TrailManager):
     """The TrailManager before the unlinked-media index: an SDP adopts
     earlier media by walking every live trail.  Kept as the oracle."""
 
-    def _learn_sdp(self, footprint: SipFootprint, session: Session) -> None:
+    def _learn_sdp(self, footprint: SipFootprint, call: CallEntry) -> None:
         message = footprint.message
         content_type = message.headers.get("Content-Type") or ""
         if "application/sdp" not in content_type.lower() or not message.body:
@@ -398,15 +405,15 @@ class FullScanTrailManager(TrailManager):
                 party = message.to_addr.uri.address_of_record
         except Exception:
             party = ""
-        session.set_media_endpoint(party, endpoint)
-        self._media_index[_media_index_key(endpoint)] = session.call_id
+        call.set_media_endpoint(party, endpoint)
+        self._media_index[_media_index_key(endpoint)] = call.call_id
         for trail in self.trails.values():
             if trail.protocol in (Protocol.RTP, Protocol.RTCP) and trail.call_id is None:
                 if any(
                     Endpoint(e.ip, e.port - 1 if e.port % 2 else e.port) == endpoint
                     for e in (trail.src, trail.dst)
                 ):
-                    session.attach(trail)
+                    call.attach(trail)
 
 
 def assert_index_invariant(manager: TrailManager) -> None:
@@ -450,7 +457,8 @@ class TestRetroAdoption:
     def test_rtp_before_its_sdp_is_adopted(self):
         manager, trails = self._run([rtp_frame(dst=A, dst_port=40000), sdp_frame()])
         assert trails[0].call_id == "call-7"
-        assert manager.session_for("call-7").trails == [trails[1], trails[0]]
+        assert trails[1] is manager.calls["call-7"]
+        assert manager.calls["call-7"].trails == [trails[0]]
         assert manager.size_stats()["unlinked_media_index"] == 0
 
     def test_rtcp_on_the_odd_port_is_adopted_under_the_even_one(self):
@@ -466,7 +474,7 @@ class TestRetroAdoption:
             sdp_frame(port=40001),
         ])
         assert [t.call_id for t in trails[:3]] == [None, None, None]
-        assert manager.session_for("call-7").trails == [trails[3]]
+        assert trails[3] is manager.calls["call-7"] and not trails[3].trails
         assert manager.size_stats()["unlinked_media_index"] > 0
 
     def test_malformed_media_trail_follows_its_last_destination(self):
@@ -491,7 +499,7 @@ class TestRetroAdoption:
         ])
         assert manager.trail_count == 1
         assert trails[0].call_id is None
-        assert manager.session_for("call-7").trails == [trails[1]]
+        assert trails[1] is manager.calls["call-7"] and not trails[1].trails
 
     def test_matching_trails_attach_in_creation_order(self):
         manager, trails = self._run([
@@ -502,8 +510,8 @@ class TestRetroAdoption:
             rtp_frame(src=A, dst=B, src_port=40000, dst_port=40006),
             sdp_frame(),
         ])
-        session = manager.session_for("call-7")
-        assert session.trails == [trails[5], trails[0], trails[1], trails[2], trails[4]]
+        assert trails[5] is manager.calls["call-7"]
+        assert trails[5].trails == [trails[0], trails[1], trails[2], trails[4]]
 
     def test_media_linked_by_its_next_packet_leaves_the_index(self):
         """H.225 fast-connect media is indexed without retro-adoption: the
@@ -528,8 +536,8 @@ class TestRetroAdoption:
         assert_index_invariant(restored)
         assert not {"_unlinked_media", "_media_serial"} & manager.__getstate__().keys()
         restored.push(Distiller().distill(sdp_frame(), 1.0))
-        assert [t.key for t in restored.session_for("call-7").trails] == [
-            ("sip", "call-7"), trails[0].key, trails[1].key,
+        assert [t.key for t in restored.calls["call-7"].trails] == [
+            trails[0].key, trails[1].key,
         ]
 
 
@@ -549,9 +557,9 @@ _STEP = st.one_of(
 def _linkage(manager: TrailManager) -> dict:
     return {
         "trails": [(key, trail.call_id, trail.count) for key, trail in manager.trails.items()],
-        "sessions": {
-            call_id: ([t.key for t in session.trails], session.media_endpoints)
-            for call_id, session in manager.sessions.items()
+        "calls": {
+            call_id: ([t.key for t in call.trails], call.media_endpoints, call.count)
+            for call_id, call in manager.calls.items()
         },
         "media_index": manager._media_index,
     }

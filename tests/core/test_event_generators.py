@@ -52,7 +52,7 @@ class Pipeline:
     def __init__(self, generators, vantage_ip="10.0.0.10"):
         self.distiller = Distiller()
         self.trails = TrailManager()
-        self.sip_state = SipStateTracker()
+        self.sip_state = SipStateTracker(self.trails.calls)
         self.registrations = RegistrationTracker()
         self.generators = generators
         self.ctx = GeneratorContext(
@@ -69,10 +69,10 @@ class Pipeline:
             return []
         from repro.core.footprint import SipFootprint
 
-        if isinstance(fp, SipFootprint):
-            self.sip_state.observe(fp)
-            self.registrations.observe(fp)
         trail = self.trails.push(fp)
+        if isinstance(fp, SipFootprint):
+            self.sip_state.observe(fp, trail)
+            self.registrations.observe(fp)
         new = []
         for gen in self.generators:
             new.extend(gen.on_footprint(fp, trail, self.ctx))
@@ -405,6 +405,23 @@ class TestAccountingGenerator:
         pipe = Pipeline([AccountingGenerator()], vantage_ip=None)
         setup_call(pipe)  # alice->bob invite seen for c1
         events = pipe.feed(self._txn(from_aor="victim@example.com", call_id="c2"), 1.0)
+        assert EVENT_ACCOUNTING_MISMATCH in [e.name for e in events]
+
+    def test_invite_without_call_id_legitimises_no_bill(self):
+        """An INVITE that names no Call-ID sets up no call, so it cannot
+        match a TXN — not even one billing the empty Call-ID."""
+        pipe = Pipeline([AccountingGenerator()], vantage_ip=None)
+        invite = _sip(
+            "INVITE sip:bob@example.com SIP/2.0",
+            [
+                "Via: SIP/2.0/UDP 10.0.0.10:5060;branch=z9hG4bK-1",
+                "From: <sip:alice@example.com>;tag=a1",
+                "To: <sip:bob@example.com>",
+                "CSeq: 1 INVITE",
+            ],
+        )
+        pipe.feed(frame(invite, A, B), 0.0)
+        events = pipe.feed(self._txn(call_id=""), 1.0)
         assert EVENT_ACCOUNTING_MISMATCH in [e.name for e in events]
 
     def test_stop_txn_never_mismatches(self):

@@ -113,8 +113,10 @@ class TestGeneratorDispatchTables:
     def test_sip_table_contains_only_sip_consumers(self):
         engine = ScidiveEngine()
         names = [g.name for g in engine.generators_for(Protocol.SIP)]
+        # The accounting generator reads INVITE pairs off the call
+        # records the state stage writes: it consumes TXNs only.
         assert names == ["dialog", "orphan-rtp", "im-source", "auth",
-                         "malformed-sip", "accounting"]
+                         "malformed-sip"]
 
     def test_rtp_table_excludes_pure_sip_generators(self):
         engine = ScidiveEngine()

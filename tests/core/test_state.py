@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distiller import Distiller
+from repro.core.engine import ScidiveEngine
+from repro.core.rules import RuleSet
 from repro.core.state import CallPhase, RegistrationTracker, SipStateTracker
+from repro.core.trail import TrailManager
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
 
@@ -79,46 +82,56 @@ def bye(from_aor="bob", from_tag="b1", to_tag="a1", call_id="c1") -> bytes:
     )
 
 
-class TestSipStateTracker:
-    def _feed(self, tracker: SipStateTracker, payload: bytes, src=A, dst=B, t=0.0):
+class _Calls:
+    """The trail stage and the state stage, in the engine's order, over
+    one call table."""
+
+    def __init__(self) -> None:
+        self.trails = TrailManager()
+        self.tracker = SipStateTracker(self.trails.calls)
+        self.calls = self.trails.calls
+
+    def feed(self, payload: bytes, src=A, dst=B, t=0.0):
         frame = build_udp_frame(MAC1, MAC2, src, dst, 5060, 5060, payload)
         fp = Distiller().distill(frame, t)
-        tracker.observe(fp)
+        self.tracker.observe(fp, self.trails.push(fp))
         return fp
 
+
+class TestSipStateTracker:
     def test_invite_creates_call_in_setup(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        call = tracker.calls["c1"]
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        call = calls.calls["c1"]
         assert call.phase == CallPhase.SETUP
         assert call.caller == "alice@example.com"
         assert call.callee == "bob@example.com"
         assert call.media["alice@example.com"] == Endpoint(A, 40000)
 
     def test_200_establishes_and_learns_answer_media(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A, t=0.2)
-        call = tracker.calls["c1"]
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A, t=0.2)
+        call = calls.calls["c1"]
         assert call.phase == CallPhase.ESTABLISHED
         assert call.established_at == 0.2
         assert call.media["bob@example.com"] == Endpoint(B, 40000)
 
     def test_bye_records_teardown_with_claimed_sender_and_source(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
-        self._feed(tracker, bye(), src=ATT, dst=A, t=1.5)  # forged: from attacker host
-        call = tracker.calls["c1"]
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
+        calls.feed(bye(), src=ATT, dst=A, t=1.5)  # forged: from attacker host
+        call = calls.calls["c1"]
         assert call.phase == CallPhase.TORN_DOWN
         assert call.teardown.claimed_by == "bob@example.com"
         assert str(call.teardown.source.ip) == "10.0.0.66"
         assert call.teardown.time == 1.5
 
     def test_reinvite_records_redirect(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
         # re-INVITE from "bob" moving media to the attacker's address.
         reinv = _sip(
             "INVITE sip:alice@10.0.0.10:5060 SIP/2.0",
@@ -132,8 +145,8 @@ class TestSipStateTracker:
             ],
             _sdp("10.0.0.66", 46000),
         )
-        self._feed(tracker, reinv, src=ATT, dst=A, t=2.0)
-        call = tracker.calls["c1"]
+        calls.feed(reinv, src=ATT, dst=A, t=2.0)
+        call = calls.calls["c1"]
         assert len(call.redirects) == 1
         redirect = call.redirects[0]
         assert redirect.party == "bob@example.com"
@@ -141,11 +154,15 @@ class TestSipStateTracker:
         assert redirect.new_endpoint == Endpoint(IPv4Address.parse("10.0.0.66"), 46000)
         # Media map updated to the new endpoint.
         assert call.media["bob@example.com"] == redirect.new_endpoint
+        # The re-INVITE's pair is kept beside the role's own.
+        assert call.invited("alice@example.com", "bob@example.com")
+        assert call.invited("bob@example.com", "alice@example.com")
+        assert not call.invited("bob@example.com", "bob@example.com")
 
     def test_reinvite_same_endpoint_not_a_redirect(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
         reinv = _sip(
             "INVITE sip:alice@10.0.0.10:5060 SIP/2.0",
             [
@@ -157,28 +174,41 @@ class TestSipStateTracker:
             ],
             _sdp("10.0.0.20", 40000),  # unchanged media
         )
-        self._feed(tracker, reinv, src=B, dst=A)
-        assert not tracker.calls["c1"].redirects
+        calls.feed(reinv, src=B, dst=A)
+        assert not calls.calls["c1"].redirects
 
     def test_call_for_media(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        assert tracker.call_for_media(Endpoint(A, 40000)).call_id == "c1"
-        assert tracker.call_for_media(Endpoint(A, 40002)) is None
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        assert calls.tracker.call_for_media(Endpoint(A, 40000)).call_id == "c1"
+        assert calls.tracker.call_for_media(Endpoint(A, 40002)) is None
 
     def test_retransmitted_invite_harmless(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        assert len(tracker.calls) == 1
-        assert tracker.calls["c1"].phase == CallPhase.SETUP
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        assert len(calls.calls) == 1
+        assert calls.calls["c1"].phase == CallPhase.SETUP
+        assert calls.calls["c1"]._invites is None
 
     def test_established_calls_listing(self):
-        tracker = SipStateTracker()
-        self._feed(tracker, invite(_sdp("10.0.0.10", 40000)))
-        assert tracker.established_calls() == []
-        self._feed(tracker, ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
-        assert len(tracker.established_calls()) == 1
+        calls = _Calls()
+        calls.feed(invite(_sdp("10.0.0.10", 40000)))
+        assert calls.tracker.call_count == 1
+        assert calls.calls["c1"].phase != CallPhase.ESTABLISHED
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
+        assert calls.calls["c1"].phase == CallPhase.ESTABLISHED
+
+    def test_messages_of_a_call_without_a_role_change_nothing(self):
+        """A call whose INVITE was never seen has a record (its SIP
+        trail) but no role: a 200 or a BYE does not invent one."""
+        calls = _Calls()
+        calls.feed(ok_response(_sdp("10.0.0.20", 40000)), src=B, dst=A)
+        calls.feed(bye(), src=ATT, dst=A)
+        call = calls.calls["c1"]
+        assert call.count == 2 and call.phase is None and call.teardown is None
+        assert not call.media and calls.tracker.call_count == 0
+        assert not call.invited("", "")
 
 
 _CALLS = st.sampled_from(["c1", "c2", "c3", "c4"])
@@ -196,19 +226,23 @@ _STEP = st.one_of(
 
 class TestMediaIndex:
     """``call_for_media`` answers from an index updated in place; it must
-    always equal a scan of ``calls`` in observation order."""
+    always equal a scan of the call table in table order."""
 
     @staticmethod
-    def _media(tracker: SipStateTracker) -> dict:
+    def _engine() -> ScidiveEngine:
+        return ScidiveEngine(forensics=False, generators=[], ruleset=RuleSet([]))
+
+    @staticmethod
+    def _media(engine: ScidiveEngine) -> dict:
         return {
             (call_id, party): endpoint
-            for call_id, call in tracker.calls.items()
+            for call_id, call in engine.trails.calls.items()
             for party, endpoint in call.media.items()
         }
 
     @staticmethod
-    def _scan(tracker: SipStateTracker, endpoint: Endpoint):
-        for call in tracker.calls.values():
+    def _scan(engine: ScidiveEngine, endpoint: Endpoint):
+        for call in engine.trails.calls.values():
             if endpoint in call.media.values():
                 return call
         return None
@@ -216,15 +250,18 @@ class TestMediaIndex:
     @given(steps=st.lists(_STEP, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_lookup_equals_a_scan_after_any_sequence(self, steps):
-        tracker, distiller = SipStateTracker(), Distiller()
+        engine = self._engine()
+        tracker = engine.sip_state
         seen = {Endpoint(IPv4Address.parse("10.9.9.9"), 40000)}
         now = 0.0
         for step in steps:
             now += 0.1
             kind = step[0]
             version = tracker.media_version
+            before = self._media(engine)
             if kind == "expire":
-                tracker.expire_torn_down(now, step[1])
+                engine.state_idle_timeout = step[1]
+                engine.housekeep(now)
             else:
                 call_id, party = step[1], step[2]
                 sdp = _sdp(*step[3]) if kind != "bye" and step[3] else b""
@@ -236,18 +273,16 @@ class TestMediaIndex:
                     payload = invite(sdp, to_tag="b1", cseq=2, from_aor=party, call_id=call_id)
                 else:
                     payload = bye(from_aor=party, call_id=call_id)
-                before = self._media(tracker)
-                tracker.observe(
-                    distiller.distill(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), now)
-                )
-                if self._media(tracker) != before:
-                    assert tracker.media_version > version
-            seen.update(self._media(tracker).values())
+                engine.process_frame(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), now)
+            if self._media(engine) != before:
+                assert tracker.media_version > version
+            seen.update(self._media(engine).values())
             for endpoint in seen:
-                assert tracker.call_for_media(endpoint) is self._scan(tracker, endpoint)
+                assert tracker.call_for_media(endpoint) is self._scan(engine, endpoint)
 
     def test_additions_never_trigger_a_rebuild(self, monkeypatch):
-        tracker, distiller = SipStateTracker(), Distiller()
+        engine = self._engine()
+        tracker = engine.sip_state
         rebuilds = []
         real = tracker._rebuild_media_calls
         monkeypatch.setattr(
@@ -260,9 +295,7 @@ class TestMediaIndex:
                 invite(_sdp(str(A), offer.port), call_id=call_id),
                 ok_response(_sdp(str(B), answer.port), call_id=call_id),
             ):
-                tracker.observe(
-                    distiller.distill(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), n)
-                )
+                engine.process_frame(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), n)
                 assert tracker.call_for_media(offer).call_id == call_id
             assert tracker.call_for_media(answer).call_id == call_id
             assert tracker.call_for_media(Endpoint(A, 19998)) is None

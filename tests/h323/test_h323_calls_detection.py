@@ -106,7 +106,7 @@ class TestForgedRelease:
     def test_h225_trails_linked_to_session(self, h323_testbed):
         ids, attack, call, injection = self._attack_run(h323_testbed)
         session_id = f"h323-crv-{call.call_reference}"
-        session = ids.trails.sessions.get(session_id)
+        session = ids.trails.calls.get(session_id)
         assert session is not None
         protocols = {t.protocol.value for t in session.trails}
         assert "h225" in protocols

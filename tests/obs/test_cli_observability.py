@@ -3,6 +3,8 @@ the `trace` frame-journey audit and the `profile` sampler."""
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro import obs
@@ -82,6 +84,51 @@ def test_stats_table(capsys):
     assert "reassembly oversize" in out
     assert "live trails" in out
     assert "trail footprints retained" not in out
+
+
+def test_state_sizes_on_bye_attack(capsys):
+    """The call state's gauges, ``stats`` rows and housekeeping log keep
+    their names and the values recorded on this trace while a call was
+    four objects in three tables: SIP calls count as trails, every call
+    as a session, calls with a dialog role as dialogs."""
+    assert main(["stats", "bye-attack", "--seed", "7"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) >= 2:
+            rows.setdefault(cells[0], cells[1])
+    assert [rows[name] for name in ("live trails", "live sessions", "tracked dialogs")] == [
+        "7", "3", "1",
+    ]
+    assert main(["stats", "bye-attack", "--seed", "7", "--format", "prom"]) == 0
+    families = parse_prometheus(capsys.readouterr().out)
+    gauges = {
+        name: families[name][f'{name}{{engine="scidive"}}']
+        for name in ("scidive_trails", "scidive_sessions", "scidive_sip_dialogs")
+    }
+    assert gauges == {"scidive_trails": 7, "scidive_sessions": 3, "scidive_sip_dialogs": 1}
+
+    from repro.experiments.harness import run_bye_attack
+
+    engine = run_bye_attack(seed=7).engine
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.core.engine")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        for now in (10.0, 604.003, 10_000.0):
+            engine.housekeep(now)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    logged = [record.fields for record in records if record.msg == "housekeep"]
+    assert [(f["reclaimed_trails"], f["live_trails"]) for f in logged] == [(0, 7), (5, 2), (2, 0)]
+    # The one dialog expires once; since calls live as long as their
+    # linked media, the bye-attack's orphan RTP keeps it to the last sweep.
+    assert sum(f["expired_dialogs"] for f in logged) == 1
 
 
 def test_stats_prometheus_format(capsys):

@@ -83,10 +83,12 @@ class TestRoundtrip:
         _replay(engine, _attack_frames("rtp-attack"))
 
         def view(candidate: ScidiveEngine) -> dict:
+            calls = candidate.trails.calls.values()
             return {
                 key: (trail.count, trail.first_seen, trail.last_seen,
                       trail.src, trail.dst, trail.call_id)
-                for key, trail in candidate.trails.trails.items()
+                for key, trail in [*candidate.trails.trails.items(),
+                                   *((call.key, call) for call in calls)]
             }
 
         before = view(engine)
@@ -127,7 +129,7 @@ class TestRoundtrip:
         _replay(baseline, frames)
         first = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         _replay(first, frames[:reinvite])
-        assert not any(call.redirects for call in first.sip_state.calls.values())
+        assert not any(call.redirects for call in first.trails.calls.values())
         second = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         second.restore(first.checkpoint())
         _replay(second, frames[reinvite:])
@@ -135,17 +137,17 @@ class TestRoundtrip:
         def view(engine: ScidiveEngine) -> dict:
             return {
                 "redirects": {
-                    cid: list(call.redirects) for cid, call in engine.sip_state.calls.items()
+                    cid: list(call.redirects) for cid, call in engine.trails.calls.items()
                 },
-                "media": {cid: dict(call.media) for cid, call in engine.sip_state.calls.items()},
+                "media": {cid: dict(call.media) for cid, call in engine.trails.calls.items()},
                 "call_for_media": {
                     endpoint: engine.sip_state.call_for_media(endpoint).call_id
-                    for call in engine.sip_state.calls.values()
+                    for call in engine.trails.calls.values()
                     for endpoint in call.media.values()
                 },
                 "media_index": dict(engine.trails._media_index),
                 "session_media": {
-                    cid: dict(s.media_endpoints) for cid, s in engine.trails.sessions.items()
+                    cid: dict(c.media_endpoints) for cid, c in engine.trails.calls.items()
                 },
                 "alerts": collections.Counter(engine.alert_log.alerts),
             }
@@ -154,11 +156,19 @@ class TestRoundtrip:
         assert any(expected["redirects"].values()) and expected["alerts"]
         assert view(second) == expected
         # The snapshot's source is untouched by the restored engine's writes.
-        assert not any(call.redirects for call in first.sip_state.calls.values())
-        for cid, call in second.sip_state.calls.items():
-            original = first.sip_state.calls.get(cid)
+        assert not any(call.redirects for call in first.trails.calls.values())
+        for cid, call in second.trails.calls.items():
+            original = first.trails.calls.get(cid)
             if original is not None and call._media is not None:
                 assert call._media is not original._media
+
+    def test_trackers_share_one_call_table_after_restore(self):
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        _replay(engine, _attack_frames("bye-attack"))
+        other = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        other.restore(engine.checkpoint())
+        assert other.trails.calls.keys() == engine.trails.calls.keys()
+        assert other.sip_state._calls is other.trails.calls
 
     def test_alert_log_restored_in_place(self):
         # Subscribers attached before restore must keep seeing the log.
@@ -192,15 +202,16 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v7 changed the slots of ``Trail`` (an index entry: a count and
-        the last endpoints, no footprint tail); v6 dropped the
-        ``rule_history`` slot.  The gate refuses a snapshot of any other
-        shape, v6 included."""
-        assert CHECKPOINT_VERSION == 7
+        """v8 replaced ``Session``, ``ObservedCall`` and a call's SIP
+        ``Trail`` with one ``CallEntry`` per Call-ID; v7 changed the slots
+        of ``Trail`` (an index entry: a count and the last endpoints, no
+        footprint tail).  The gate refuses a snapshot of any other shape,
+        v7 included."""
+        assert CHECKPOINT_VERSION == 8
         payload = pickle.loads(ScidiveEngine().checkpoint()[len(b"SCDV"):])
-        payload.update(version=6)
+        payload.update(version=7)
         blob = b"SCDV" + pickle.dumps(payload)
-        with pytest.raises(CheckpointError, match="version 6"):
+        with pytest.raises(CheckpointError, match="version 7"):
             ScidiveEngine().restore(blob)
 
 
