@@ -104,7 +104,6 @@ def test_event_prefilter_vs_raw_scan(benchmark, workload, emit):
             trail = engine.trails.push(fp)
             if isinstance(fp, SipFootprint):
                 engine.sip_state.observe(fp, trail)
-                engine.registrations.observe(fp)
             history.setdefault(trail.key, []).append(fp)
             if isinstance(fp, RtpFootprint) and trail.call_id:
                 # A call's record is its SIP trail.

@@ -795,7 +795,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             ["live trails", engine.trails.trail_count],
             ["live sessions", engine.trails.session_count],
             ["tracked dialogs", engine.sip_state.call_count],
-            ["tracked registrations", engine.registrations.session_count],
+            ["tracked registrations", engine.sip_state.registration_count],
             ["trails reclaimed", engine.expired_trails],
             *(
                 [name.replace("_", " "), value]

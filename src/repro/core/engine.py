@@ -38,7 +38,7 @@ from repro.core.footprint import AnyFootprint, Protocol, SipFootprint
 from repro.core.hooks import FootprintHook
 from repro.core.rules import RuleSet
 from repro.core.rules_library import paper_ruleset
-from repro.core.state import RegistrationTracker, SipStateTracker
+from repro.core.state import SipStateTracker
 from repro.core.trail import TrailManager
 from repro.net.capture import Sniffer
 from repro.obs.forensics import ForensicsRecorder
@@ -167,7 +167,6 @@ class ScidiveEngine:
         self.distiller = distiller if distiller is not None else Distiller()
         self.trails = TrailManager()
         self.sip_state = SipStateTracker(self.trails.calls)
-        self.registrations = RegistrationTracker()
         self.generators = generators if generators is not None else default_generators()
         self.ruleset = ruleset if ruleset is not None else paper_ruleset()
         # The pack behind self.ruleset (None for a hand-built RuleSet)
@@ -189,7 +188,6 @@ class ScidiveEngine:
         self._ctx = GeneratorContext(
             trails=self.trails,
             sip_state=self.sip_state,
-            registrations=self.registrations,
             vantage_ip=vantage_ip,
             vantage_mac=vantage_mac,
         )
@@ -423,7 +421,6 @@ class ScidiveEngine:
             if hook is not None:
                 t0 = _time.perf_counter()
             self.sip_state.observe(footprint, trail)
-            self.registrations.observe(footprint)
             if hook is not None:
                 hook.state_updated(_time.perf_counter() - t0, frame_no, ts)
         alerts: list[Alert] = []
@@ -593,8 +590,8 @@ class ScidiveEngine:
         a half-installed policy — the new pack applies from the next
         footprint on.
 
-        Nothing outside the ruleset is disturbed: trails, SIP state,
-        registrations, generators and the alert/event logs all carry
+        Nothing outside the ruleset is disturbed: trails, call and
+        registration state, generators and the alert/event logs all carry
         over, and with ``carry_state`` (the default) per-rule detection
         state — cooldowns, threshold buckets, sequence progress,
         conjunction members — transfers to same-id, same-shape rules in
@@ -647,7 +644,9 @@ class ScidiveEngine:
         self.ruleset.reset()
 
     def housekeep(self, now: float) -> int:
-        """Expire idle trails/calls and stale tracker state.
+        """Expire idle state: trails, calls (with their dialog role and
+        registration progress) and every generator's own tables, all by
+        the one ``state_idle_timeout`` rule.
 
         Runs automatically every ``housekeeping_every`` footprints;
         callable explicitly by long-running deployments.  Returns the
@@ -655,13 +654,18 @@ class ScidiveEngine:
         """
         self._since_housekeeping = 0
         timeout = self.state_idle_timeout
-        dialogs = self.trails.expired_dialogs
-        reclaimed = self.trails.expire_idle(now, timeout)
+        trails = self.trails
+        dialogs = trails.expired_dialogs
+        registrations = trails.expired_registrations
+        reclaimed = trails.expire_idle(now, timeout)
         self.expired_trails += reclaimed
-        dialogs = self.trails.expired_dialogs - dialogs
-        if dialogs:
+        dialogs = trails.expired_dialogs - dialogs
+        registrations = trails.expired_registrations - registrations
+        if dialogs or registrations:
             self.sip_state.calls_expired()
-        registrations = self.registrations.expire_succeeded(now, timeout)
+        swept = 0
+        for generator in self.generators:
+            swept += generator.expire_idle(now, timeout, self._ctx)
         if self.forensics is not None:
             self.forensics.expire_idle(now, timeout)
         if self._hook is not None:
@@ -672,8 +676,8 @@ class ScidiveEngine:
             extra={"fields": {
                 "engine": self.name, "now": round(now, 3),
                 "reclaimed_trails": reclaimed, "expired_dialogs": dialogs,
-                "expired_registrations": registrations,
-                "live_trails": self.trails.trail_count,
+                "expired_registrations": registrations, "swept": swept,
+                "live_trails": trails.trail_count,
             }},
         )
         return reclaimed

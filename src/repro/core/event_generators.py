@@ -51,6 +51,8 @@ from repro.core.events import (
     Event,
     EventGenerator,
     GeneratorContext,
+    expire_entries,
+    expire_watches,
 )
 from repro.core.footprint import (
     AccountingFootprint,
@@ -61,9 +63,11 @@ from repro.core.footprint import (
     SipFootprint,
 )
 from repro.core.state import (
+    MARK_AUTH_FAILED,
     MARK_ESTABLISHED,
     MARK_REDIRECTED,
     MARK_TORN_DOWN,
+    MARK_UNAUTH_RETRY,
     CallEntry,
     CallPhase,
 )
@@ -93,7 +97,7 @@ class DialogEventGenerator(EventGenerator):
                 "claimed_by": call.teardown.claimed_by,
                 "source": str(call.teardown.source),
             }
-        else:
+        elif mark == MARK_REDIRECTED:
             redirect = call.redirects[-1]
             name, attrs = EVENT_MEDIA_REDIRECTED, {
                 "party": redirect.party,
@@ -101,6 +105,8 @@ class DialogEventGenerator(EventGenerator):
                 "new": str(redirect.new_endpoint),
                 "source": str(redirect.source),
             }
+        else:
+            return []
         return [
             Event(
                 name=name,
@@ -147,8 +153,8 @@ class OrphanRtpGenerator(EventGenerator):
         self.max_events_per_watch = max_events_per_watch
         self._watches: list[_Watch] = []
 
-    def reset(self) -> None:
-        self._watches.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        return expire_watches(self._watches, now)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
@@ -274,8 +280,9 @@ class RtpStreamGenerator(EventGenerator):
         # Keyed by destination as (packed ip, port): int tuples hash in C.
         self._flows: dict[tuple[int, int], _FlowState] = {}
 
-    def reset(self) -> None:
-        self._flows.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        # A port silent this long starts a new sequence anchor.
+        return expire_entries(self._flows, "last_time", now, idle_timeout)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
@@ -442,8 +449,8 @@ class ImSourceGenerator(EventGenerator):
         self.reregistration_window = reregistration_window
         self._senders: dict[str, _ImSender] = {}
 
-    def reset(self) -> None:
-        self._senders.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        return expire_entries(self._senders, "last_seen", now, idle_timeout)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
@@ -488,7 +495,7 @@ class ImSourceGenerator(EventGenerator):
         known = self._senders.get(sender)
         if known is not None and known.last_ip != src_ip:
             user = sender.partition("@")[0]
-            if ctx.registrations.recent_registration_from(
+            if ctx.sip_state.recent_registration_from(
                 user, src_ip, now, self.reregistration_window
             ):
                 # The registrar knows about the move: legitimate mobility.
@@ -517,63 +524,41 @@ class ImSourceGenerator(EventGenerator):
 
 
 class AuthEventGenerator(EventGenerator):
-    """Registration-auth events from the shared registration tracker."""
+    """Registration-auth events from the transition the state stage marks
+    on the registration's record: one event per unauthenticated retry
+    after a challenge, one per rejected digest response."""
 
     name = "auth"
     protocols = frozenset({Protocol.SIP})
 
-    def __init__(self) -> None:
-        self._unauth_counts: dict[str, int] = {}  # session -> emitted count
-        self._failure_counts: dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._unauth_counts.clear()
-        self._failure_counts.clear()
-
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
     ) -> list[Event]:
-        if not isinstance(footprint, SipFootprint):
+        if trail.__class__ is not CallEntry or not trail.mark:
             return []
-        call_id = trail.call_id  # the record's, for a message with a Call-ID
-        if call_id is None:
+        mark = trail.mark
+        if mark == MARK_UNAUTH_RETRY:
+            name, session = EVENT_REPEATED_UNAUTH_REGISTER, trail.registration
+            attrs = {"user": session.user, "source": str(session.source)}
+        elif mark == MARK_AUTH_FAILED:
+            name, session = EVENT_AUTH_FAILURE, trail.registration
+            attrs = {
+                "user": session.user,
+                "source": str(session.source),
+                "response": session.failed_responses[-1],
+                "distinct_responses": len(set(session.failed_responses)),
+            }
+        else:
             return []
-        session = ctx.registrations.sessions.get(call_id)
-        if session is None:
-            return []
-        events: list[Event] = []
-        emitted = self._unauth_counts.get(call_id, 0)
-        if session.unauth_after_challenge > emitted:
-            for __ in range(session.unauth_after_challenge - emitted):
-                events.append(
-                    Event(
-                        name=EVENT_REPEATED_UNAUTH_REGISTER,
-                        time=footprint.timestamp,
-                        session=call_id,
-                        attrs={"user": session.user, "source": str(session.source)},
-                        evidence=(footprint,),
-                    )
-                )
-            self._unauth_counts[call_id] = session.unauth_after_challenge
-        emitted = self._failure_counts.get(call_id, 0)
-        if len(session.failed_responses) > emitted:
-            for response_value in session.failed_responses[emitted:]:
-                events.append(
-                    Event(
-                        name=EVENT_AUTH_FAILURE,
-                        time=footprint.timestamp,
-                        session=call_id,
-                        attrs={
-                            "user": session.user,
-                            "source": str(session.source),
-                            "response": response_value,
-                            "distinct_responses": len(set(session.failed_responses)),
-                        },
-                        evidence=(footprint,),
-                    )
-                )
-            self._failure_counts[call_id] = len(session.failed_responses)
-        return events
+        return [
+            Event(
+                name=name,
+                time=footprint.timestamp,
+                session=trail.call_id,
+                attrs=attrs,
+                evidence=(footprint,),
+            )
+        ]
 
 
 class MalformedSipGenerator(EventGenerator):

@@ -10,7 +10,12 @@ more footprints imply (``OrphanRtpAfterBye``, ``ImSourceMismatch``, …).
 Generators are stateful objects fed every footprint in arrival order;
 they return zero or more events.  The engine fans footprints out to all
 registered generators and forwards the produced events to the rule
-matching engine.
+matching engine.  Per-call state lives on the call table's records
+(:mod:`repro.core.state`); what a generator keeps of its own — per-flow
+sequence anchors, SSRC owners, IM senders, armed watches, H.323 calls —
+housekeeping drops through :meth:`EventGenerator.expire_idle`: by the
+idle rule the call table follows, once a watch's window has closed, or
+with the call record the state belongs to.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.footprint import AnyFootprint, Protocol
-from repro.core.state import RegistrationTracker, SipStateTracker
+from repro.core.state import SipStateTracker
 from repro.core.trail import Trail, TrailManager
 from repro.net.addr import IPv4Address
 
@@ -91,7 +96,6 @@ class GeneratorContext:
 
     trails: TrailManager
     sip_state: SipStateTracker
-    registrations: RegistrationTracker
     vantage_ip: str | None = None  # IP of the protected endpoint (client A)
     # MAC of the protected endpoint's NIC.  A host-based IDS knows which
     # frames its own host actually transmitted; an IP-spoofed frame from
@@ -138,8 +142,32 @@ class EventGenerator(ABC):
     ) -> list[Event]:
         """Consume one footprint, emit zero or more events."""
 
-    def reset(self) -> None:
-        """Drop accumulated state (between experiment runs)."""
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        """Drop state last touched more than ``idle_timeout`` before
+        ``now``, or whose call record has left ``ctx``'s call table
+        (housekeeping); returns how many entries went."""
+        return 0
+
+
+def expire_entries(table: dict, stamp: str, now: float, idle_timeout: float) -> int:
+    """Drop the entries of ``table`` whose ``stamp`` attribute is more
+    than ``idle_timeout`` before ``now``; returns how many went."""
+    stale = [
+        key for key, entry in table.items()
+        if now - getattr(entry, stamp) > idle_timeout
+    ]
+    for key in stale:
+        del table[key]
+    return len(stale)
+
+
+def expire_watches(watches: list, now: float) -> int:
+    """Drop the watches whose window closed before ``now`` — the rule a
+    generator's per-packet check applies; returns how many went."""
+    live = [watch for watch in watches if watch.expires_at >= now]
+    swept = len(watches) - len(live)
+    watches[:] = live
+    return swept
 
 
 from repro.fastpickle import install_fast_pickle

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.events import Event, EventGenerator, GeneratorContext
+from repro.core.events import Event, EventGenerator, GeneratorContext, expire_watches
 from repro.core.footprint import AnyFootprint, H225Footprint, Protocol, RtpFootprint
 from repro.core.trail import Trail
 from repro.h323.h225 import MessageType
@@ -61,9 +61,14 @@ class H323OrphanGenerator(EventGenerator):
         self._calls: dict[int, _H323CallState] = {}
         self._watches: list[_ReleaseWatch] = []
 
-    def reset(self) -> None:
-        self._calls.clear()
-        self._watches.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        # A CRV's state lives exactly as long as its h323-crv record: H.225
+        # is silent during a call, and the call's media keeps that alive.
+        calls = ctx.trails.calls
+        ended = [crv for crv in self._calls if f"h323-crv-{crv}" not in calls]
+        for crv in ended:
+            del self._calls[crv]
+        return len(ended) + expire_watches(self._watches, now)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext

@@ -19,7 +19,7 @@ RTCP-side of that chain:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.events import (
     EVENT_RTCP_BYE,
@@ -28,6 +28,7 @@ from repro.core.events import (
     Event,
     EventGenerator,
     GeneratorContext,
+    expire_entries,
 )
 from repro.core.footprint import AnyFootprint, Protocol, RtcpFootprint, RtpFootprint
 from repro.core.trail import Trail
@@ -55,8 +56,9 @@ class RtcpByeGenerator(EventGenerator):
         self.max_events_per_watch = max_events_per_watch
         self._watches: dict[int, _ByeWatch] = {}
 
-    def reset(self) -> None:
-        self._watches.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        # Closed windows, as _on_rtp reads them.
+        return expire_entries(self._watches, "expires_at", now, 0.0)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
@@ -153,8 +155,8 @@ class SsrcTrackGenerator(EventGenerator):
         # port, ssrc) int keys hash in C on the per-packet path.
         self._owners: dict[tuple[int, int, int], _SsrcOwner] = {}
 
-    def reset(self) -> None:
-        self._owners.clear()
+    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
+        return expire_entries(self._owners, "last_seen", now, idle_timeout)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext

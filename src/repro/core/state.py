@@ -10,15 +10,16 @@ the state transitions of each session can be easily tracked").
   and carries its dialog role: who called whom, which media endpoints
   were negotiated (SDP), whether the call is established, who tore it
   down and when, any media redirection via re-INVITE, and every
-  (From, To) pair its INVITEs named.  One record, one lifetime: it
-  lives while anything filed under it is live.
-* :class:`SipStateTracker` — writes the role from SIP footprints.  This
-  is the state the orphan-RTP rules (BYE attack, Call Hijack) and the
-  billing check match against.
-* :class:`RegistrationTracker` — per registration-session auth progress:
-  challenges issued, unauthenticated retries after a challenge, and
-  failed digest attempts with their (distinct) response values.  This is
-  the state behind the REGISTER-DoS and password-guessing events.
+  (From, To) pair its INVITEs named.  A REGISTER's Call-ID gets the same
+  record, whose :class:`RegistrationSession` holds the registration's
+  auth progress: challenges issued, unauthenticated retries after a
+  challenge, and failed digest attempts with their response values —
+  the state behind the REGISTER-DoS and password-guessing events.  One
+  record, one lifetime: it lives while anything filed under it is live.
+* :class:`SipStateTracker` — writes the role and the registration
+  progress from SIP footprints.  This is the state the orphan-RTP rules
+  (BYE attack, Call Hijack), the billing check and the auth events
+  match against.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class CallPhase(enum.Enum):
 MARK_ESTABLISHED = 1  # the call's first SETUP -> ESTABLISHED
 MARK_TORN_DOWN = 2  # its first BYE
 MARK_REDIRECTED = 3  # a redirect appended
+MARK_UNAUTH_RETRY = 4  # a REGISTER without credentials after a challenge
+MARK_AUTH_FAILED = 5  # a 401 rejected the registration's digest response
 
 
 @dataclass(slots=True)
@@ -87,6 +90,21 @@ class Teardown:
 
 
 @dataclass(slots=True)
+class RegistrationSession:
+    """Auth progress of one REGISTER session (one Call-ID)."""
+
+    user: str
+    source: Endpoint
+    challenged: bool = False
+    succeeded_at: float | None = None  # the last 200's time
+    registered_contact_ip: str | None = None
+    unauth_after_challenge: int = 0
+    failed_responses: list[str] = field(default_factory=list)  # digest values
+    # The last REGISTER's digest response (None: it carried none).
+    last_response_value: str | None = None
+
+
+@dataclass(slots=True)
 class CallEntry:
     """Everything the engine knows about one Call-ID.
 
@@ -97,7 +115,8 @@ class CallEntry:
     call's media, accounting and H.225 trails.  *The role*: ``phase``
     None means no INVITE was strictly parsed; else ``caller``/``callee``
     are its From/To, the rest follows the dialog, and ``invited`` knows
-    every (From, To) pair the call's INVITEs named.
+    every (From, To) pair the call's INVITEs named.  ``registration`` is
+    set by the call's first REGISTER.
 
     Two media maps, written by different rules and never merged:
     ``media`` (the role's: the first INVITE, a 200 to an INVITE, an
@@ -122,6 +141,7 @@ class CallEntry:
     established_at: float | None = None
     teardown: Teardown | None = None
     mark: int = 0  # the MARK_* of the latest SIP footprint
+    registration: RegistrationSession | None = None
     _trails: list[Trail] | None = field(default=None, init=False, repr=False)
     _media: dict[str, Endpoint] | None = field(default=None, init=False, repr=False)
     _media_endpoints: dict[str, Endpoint] | None = field(
@@ -230,6 +250,10 @@ class SipStateTracker:
         # that negotiated-media state changed without rescanning it.
         self._media_calls: dict[tuple[int, int], CallEntry] | None = {}
         self.media_version = 0
+        # User -> the records whose registration succeeded: a forged-IM
+        # flood costs one user's registrations, not the call table.  Same
+        # invariant; a first 200 to a REGISTER adds its record in place.
+        self._registered: dict[str, list[CallEntry]] | None = {}
 
     def observe(self, footprint: SipFootprint, call: CallEntry | Trail) -> None:
         """Apply one SIP footprint to ``call``, the trail it was filed
@@ -241,11 +265,15 @@ class SipStateTracker:
         message = footprint.message
         if not isinstance(message, SipRequest):
             self._observe_response(footprint, message, call)
-        elif message.method == METHOD_INVITE:
+            return
+        method = message.method
+        if method == METHOD_INVITE:
             self._observe_invite(footprint, message, call)
+        elif method == METHOD_REGISTER:
+            self._observe_register(footprint, message, call)
         elif call.phase is None:
             return
-        elif message.method == METHOD_BYE:
+        elif method == METHOD_BYE:
             try:
                 claimed = message.from_addr.uri.address_of_record
             except Exception:
@@ -256,7 +284,7 @@ class SipStateTracker:
             call.teardown = Teardown(
                 time=footprint.timestamp, claimed_by=claimed, source=footprint.src
             )
-        elif message.method == METHOD_ACK and call.phase == CallPhase.SETUP:
+        elif method == METHOD_ACK and call.phase == CallPhase.SETUP:
             self._establish(call, footprint.timestamp)
 
     # -- requests -----------------------------------------------------------
@@ -298,18 +326,49 @@ class SipStateTracker:
                     call.set_media(from_aor, endpoint)
                     self._media_changed(call, old, endpoint)
 
+    def _observe_register(
+        self, footprint: SipFootprint, message: SipRequest, call: CallEntry
+    ) -> None:
+        try:
+            user = message.to_addr.uri.user
+        except Exception:
+            return
+        registration = call.registration
+        if registration is None:
+            registration = call.registration = RegistrationSession(user, footprint.src)
+        contact = message.contact
+        if contact is not None:
+            registration.registered_contact_ip = contact.uri.host
+        header = message.headers.get("Authorization")
+        registration.last_response_value = None
+        if header is not None:
+            try:
+                registration.last_response_value = DigestCredentials.parse(
+                    header
+                ).response
+            except AuthError:
+                pass
+        elif registration.challenged:
+            registration.unauth_after_challenge += 1
+            call.mark = MARK_UNAUTH_RETRY
+
     # -- responses ------------------------------------------------------------
 
     def _observe_response(
         self, footprint: SipFootprint, message: SipResponse, call: CallEntry
     ) -> None:
-        if call.phase is None:
+        registration = call.registration
+        if call.phase is None and registration is None:
             return
         try:
             method = message.cseq.method
         except Exception:
             return
-        if method != METHOD_INVITE or message.status != STATUS_OK:
+        if method == METHOD_REGISTER:
+            if registration is not None:
+                self._observe_register_response(footprint, message, call)
+            return
+        if method != METHOD_INVITE or message.status != STATUS_OK or call.phase is None:
             return
         try:
             answerer = message.to_addr.uri.address_of_record
@@ -321,6 +380,21 @@ class SipStateTracker:
             self._media_changed(call, old, endpoint)
         if call.phase == CallPhase.SETUP:
             self._establish(call, footprint.timestamp)
+
+    def _observe_register_response(
+        self, footprint: SipFootprint, message: SipResponse, call: CallEntry
+    ) -> None:
+        registration = call.registration
+        if message.status == STATUS_UNAUTHORIZED:
+            if registration.last_response_value is not None:
+                registration.failed_responses.append(registration.last_response_value)
+                call.mark = MARK_AUTH_FAILED
+            registration.challenged = True
+        elif message.status == STATUS_OK:
+            index = self._registered
+            if registration.succeeded_at is None and index is not None:
+                index.setdefault(registration.user, []).append(call)
+            registration.succeeded_at = footprint.timestamp
 
     @staticmethod
     def _establish(call: CallEntry, timestamp: float) -> None:
@@ -335,6 +409,36 @@ class SipStateTracker:
         """Tracked dialogs (the BYE/hijack rules' working-set size): the
         calls with a role."""
         return sum(1 for call in self._calls.values() if call.phase is not None)
+
+    @property
+    def registration_count(self) -> int:
+        """Tracked REGISTER sessions (the DoS/guessing working-set size):
+        the calls with a registration."""
+        return sum(1 for call in self._calls.values() if call.registration is not None)
+
+    def recent_registration_from(self, user: str, ip: str, now: float, window: float) -> bool:
+        """Did ``user`` successfully (re-)register from ``ip`` within
+        ``window`` seconds before ``now``?  The mobility legitimiser the
+        paper sketches: an IM source change is fine when the registrar
+        has been told about the move."""
+        index = self._registered
+        if index is None:
+            index = self._registered = self._rebuild_registered()
+        for call in index.get(user, ()):
+            registration = call.registration
+            if 0.0 <= now - registration.succeeded_at <= window and ip in (
+                str(registration.source.ip), registration.registered_contact_ip
+            ):
+                return True
+        return False
+
+    def _rebuild_registered(self) -> dict[str, list[CallEntry]]:
+        index: dict[str, list[CallEntry]] = {}
+        for call in self._calls.values():
+            registration = call.registration
+            if registration is not None and registration.succeeded_at is not None:
+                index.setdefault(registration.user, []).append(call)
+        return index
 
     def call_for_media(self, endpoint: Endpoint) -> CallEntry | None:
         """Find the call that negotiated ``endpoint`` for either party.
@@ -370,141 +474,7 @@ class SipStateTracker:
             self._media_calls = None
 
     def calls_expired(self) -> None:
-        """Calls with a role left the table (housekeeping): the media
-        index may name one of them."""
-        self._media_calls = None
+        """Calls with a role or a registration left the table
+        (housekeeping): either index may name one of them."""
+        self._media_calls = self._registered = None
         self.media_version += 1
-
-
-# ---------------------------------------------------------------------------
-# Registration tracking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class RegistrationSession:
-    """Auth progress of one REGISTER session (one Call-ID)."""
-
-    call_id: str
-    user: str
-    source: Endpoint
-    challenged: bool = False
-    succeeded: bool = False
-    succeeded_at: float | None = None
-    registered_contact_ip: str | None = None
-    unauth_after_challenge: int = 0
-    failed_responses: list[str] = field(default_factory=list)  # digest values
-    last_had_credentials: bool = False
-    last_response_value: str | None = None
-
-
-class RegistrationTracker:
-    """Tracks every observed REGISTER session."""
-
-    def __init__(self) -> None:
-        self.sessions: dict[str, RegistrationSession] = {}
-
-    def observe(self, footprint: SipFootprint) -> RegistrationSession | None:
-        """Feed one footprint; returns the touched session, if any."""
-        message = footprint.message
-        request = isinstance(message, SipRequest)
-        try:
-            method = message.method if request else message.cseq.method
-        except Exception:
-            return None
-        # The method first: most footprints are not REGISTER traffic, and
-        # the Call-ID is a header lookup.
-        if method != METHOD_REGISTER:
-            return None
-        call_id = footprint.call_id()
-        if call_id is None:
-            return None
-        if request:
-            return self._observe_register(footprint, message, call_id)
-        return self._observe_response(message, call_id, footprint.timestamp)
-
-    def _observe_register(
-        self, footprint: SipFootprint, message: SipRequest, call_id: str
-    ) -> RegistrationSession | None:
-        try:
-            user = message.to_addr.uri.user
-        except Exception:
-            return None
-        session = self.sessions.get(call_id)
-        if session is None:
-            session = RegistrationSession(call_id=call_id, user=user, source=footprint.src)
-            self.sessions[call_id] = session
-        contact = message.contact
-        if contact is not None:
-            session.registered_contact_ip = contact.uri.host
-        header = message.headers.get("Authorization")
-        session.last_had_credentials = header is not None
-        session.last_response_value = None
-        if header is not None:
-            try:
-                session.last_response_value = DigestCredentials.parse(header).response
-            except AuthError:
-                session.last_response_value = None
-        elif session.challenged:
-            session.unauth_after_challenge += 1
-        return session
-
-    def _observe_response(
-        self, message: SipResponse, call_id: str, timestamp: float
-    ) -> RegistrationSession | None:
-        session = self.sessions.get(call_id)
-        if session is None:
-            return None
-        if message.status == STATUS_UNAUTHORIZED:
-            if session.last_had_credentials and session.last_response_value is not None:
-                session.failed_responses.append(session.last_response_value)
-            session.challenged = True
-        elif message.status == STATUS_OK:
-            session.succeeded = True
-            session.succeeded_at = timestamp
-        return session
-
-    def recent_registration_from(self, user: str, ip: str, now: float, window: float) -> bool:
-        """Did ``user`` successfully (re-)register from ``ip`` within
-        ``window`` seconds before ``now``?  The mobility legitimiser the
-        paper sketches: an IM source change is fine when the registrar
-        has been told about the move."""
-        for session in self.sessions.values():
-            if (
-                session.user == user
-                and session.succeeded
-                and session.succeeded_at is not None
-                and 0.0 <= now - session.succeeded_at <= window
-                and (
-                    str(session.source.ip) == ip
-                    or session.registered_contact_ip == ip
-                )
-            ):
-                return True
-        return False
-
-    @property
-    def session_count(self) -> int:
-        """Tracked REGISTER sessions (the DoS/guessing working-set size)."""
-        return len(self.sessions)
-
-    def sessions_for_user(self, user: str) -> list[RegistrationSession]:
-        return [s for s in self.sessions.values() if s.user == user]
-
-    def expire_succeeded(self, now: float, linger: float) -> int:
-        """Forget completed registration sessions older than ``linger``.
-
-        Successful sessions stay around for the mobility legitimiser's
-        window; failed/ongoing ones stay for the DoS/guessing counters
-        (which are window-bounded anyway at the rule level).
-        """
-        stale = [
-            cid
-            for cid, session in self.sessions.items()
-            if session.succeeded
-            and session.succeeded_at is not None
-            and now - session.succeeded_at > linger
-        ]
-        for call_id in stale:
-            del self.sessions[call_id]
-        return len(stale)

@@ -13,8 +13,8 @@ trails keyed by CRV.  The SIP↔RTP linkage is learned passively from SDP
 bodies: whenever a SIP message carries an SDP, its audio endpoint is
 indexed so that the RTP flow arriving there is annotated with the owning
 Call-ID.  A call lives while its own SIP trail or any trail linked to it
-is live; the state tracker's dialog role and the billing check's INVITE
-pairs live and die with it.
+is live; the state tracker's dialog role, the billing check's INVITE
+pairs and a REGISTER's auth progress live and die with it.
 """
 
 from __future__ import annotations
@@ -134,6 +134,7 @@ class TrailManager:
         self.footprints_filed = 0
         self.expired_total = 0
         self.expired_dialogs = 0  # expired calls that had a dialog role
+        self.expired_registrations = 0  # ... and that had a registration
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -229,6 +230,8 @@ class TrailManager:
             call = self.calls.pop(call_id)
             if call.phase is not None:
                 self.expired_dialogs += 1
+            if call.registration is not None:
+                self.expired_registrations += 1
             for endpoint in call.media_endpoints.values():
                 index_key = _media_index_key(endpoint)
                 if self._media_index.get(index_key) == call_id:

@@ -323,7 +323,7 @@ class EngineInstrumentation:
         self._trails.set(sizes["trails"])
         self._sessions.set(sizes["sessions"])
         self._dialogs.set(engine.sip_state.call_count)
-        self._registrations.set(engine.registrations.session_count)
+        self._registrations.set(engine.sip_state.registration_count)
         distiller = engine.distiller
         for counter, value in (distiller.stats.as_dict() | distiller.table_stats()).items():
             self._distiller.labels(engine=self.engine, counter=counter).set(value)

@@ -12,13 +12,13 @@ taken.
 
 What a checkpoint contains (and why):
 
-* ``trails`` / ``sip_state`` / ``registrations`` — the shared protocol
-  state every generator consults.  Captured as whole objects in one
-  pickle, so the one call table (a ``CallEntry`` per Call-ID) that the
-  trail manager and the SIP state tracker share is written once and
-  restored shared.  They are plain dicts of slotted records, addresses
-  and URIs, all of which already cross ``multiprocessing`` queues
-  inside pickled alerts.
+* ``trails`` / ``sip_state`` — the shared protocol state every
+  generator consults.  Captured as whole objects in one pickle, so the
+  one call table (a ``CallEntry`` per Call-ID, with its dialog role and
+  any registration's auth progress) that the trail manager and the SIP
+  state tracker share is written once and restored shared.  They are
+  plain dicts of slotted records, addresses and URIs, all of which
+  already cross ``multiprocessing`` queues inside pickled alerts.
 * per-generator state — generators are stateful by design (armed
   watches, per-flow sequence windows, per-sender IM bindings).
   Captured generically via ``vars()`` keyed by generator name; a
@@ -78,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 # Snapshot bound (see module docstring): archival event depth is
 # truncated to a recent tail, live detection state is captured in full.
@@ -150,7 +150,6 @@ def engine_checkpoint(engine: "ScidiveEngine") -> bytes:
         "event_log": list(engine.event_log)[-CHECKPOINT_EVENT_TAIL:],
         "trails": engine.trails,
         "sip_state": engine.sip_state,
-        "registrations": engine.registrations,
         "generators": {
             generator.name: _generator_state(generator)
             for generator in engine.generators
@@ -229,13 +228,11 @@ def engine_restore(engine: "ScidiveEngine", blob: bytes, force: bool = False) ->
     engine.event_log[:] = payload["event_log"]
     engine.trails = payload["trails"]
     engine.sip_state = payload["sip_state"]
-    engine.registrations = payload["registrations"]
     # The generator context holds direct references to the replaced
     # trackers; rebuild it or generators would keep feeding the old ones.
     engine._ctx = GeneratorContext(
         trails=engine.trails,
         sip_state=engine.sip_state,
-        registrations=engine.registrations,
         vantage_ip=engine.vantage_ip,
         vantage_mac=engine.vantage_mac,
     )

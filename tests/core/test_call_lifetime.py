@@ -3,8 +3,9 @@
 A call's record lives while anything filed under it — its SIP messages,
 its linked media and accounting trails — was seen within the idle
 timeout, and the billing check reads the INVITE pairs off the live
-record.  The state machine below interleaves SIP, RTP and TXN traffic
-with housekeeping and holds the call table to that model.
+record, as the auth events read a REGISTER's progress off it.  The state
+machine below interleaves SIP, RTP and TXN traffic with housekeeping and
+holds the call table to that model.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.engine import ScidiveEngine
-from repro.core.events import EVENT_ACCOUNTING_MISMATCH
+from repro.core.events import (
+    EVENT_ACCOUNTING_MISMATCH,
+    EVENT_AUTH_FAILURE,
+    EVENT_REPEATED_UNAUTH_REGISTER,
+)
 from repro.core.trail import _flow_key
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
 from repro.rtp.packet import RtpPacket
-from tests.core.test_state import _sdp, _sip, bye, invite, ok_response, register
+from tests.core.test_state import _sdp, _sip, bye, invite, ok_response, reg_response, register
 
 MAC1 = MacAddress("02:00:00:00:00:01")
 MAC2 = MacAddress("02:00:00:00:00:02")
@@ -31,6 +36,7 @@ TIMEOUT = 1.5
 CALLS = st.sampled_from(["c1", "c2", "c3"])
 PARTIES = st.sampled_from(["alice", "bob", "carol"])
 STEPS = st.sampled_from([0.1, 0.4, 1.0, 2.0])
+DIGESTS = st.sampled_from([None, "aa" * 16, "bb" * 16])
 
 
 def _port(call_id: str) -> int:
@@ -61,6 +67,15 @@ class CallLifetime(RuleBasedStateMachine):
         # Call-ID -> (last time something was filed under it, the
         # (From, To) pairs its INVITEs named).
         self.model: dict[str, tuple[float, set]] = {}
+        # Call-ID -> the registration's [challenged, last digest response,
+        # last success time], for the calls whose record saw a REGISTER;
+        # and the auth events
+        # a counter over those models expects (one RepeatedUnauthRegister
+        # per credential-less REGISTER after a challenge, one AuthFailure
+        # per 401 to a REGISTER that carried a response).
+        self.registrations: dict[str, list] = {}
+        self.unauth_retries = 0
+        self.auth_failures = 0
 
     def _file(self, call_id: str, pair: tuple[str, str] | None = None) -> None:
         pairs = self.model.get(call_id, (0.0, set()))[1]
@@ -103,10 +118,26 @@ class CallLifetime(RuleBasedStateMachine):
         self._send(bye(call_id=call_id), B, A)
         self._file(call_id)
 
-    @rule(call_id=CALLS)
-    def send_register(self, call_id):
-        self._send(register(call_id, 1), B, PROXY)
+    @rule(call_id=CALLS, digest=DIGESTS)
+    def send_register(self, call_id, digest):
+        self._send(register(call_id, 1, auth=digest), B, PROXY)
         self._file(call_id)
+        registration = self.registrations.setdefault(call_id, [False, None, None])
+        registration[1] = digest
+        if digest is None and registration[0]:
+            self.unauth_retries += 1
+
+    @rule(call_id=CALLS, status=st.sampled_from([401, 200]))
+    def send_register_response(self, call_id, status):
+        self._send(reg_response(call_id, 1, status), PROXY, B)
+        self._file(call_id)
+        registration = self.registrations.get(call_id)
+        if registration is not None and status == 401:
+            if registration[1] is not None:
+                self.auth_failures += 1
+            registration[0] = True
+        elif registration is not None and status == 200:
+            registration[2] = self.now
 
     @rule(call_id=CALLS)
     def send_rtp(self, call_id):
@@ -138,6 +169,10 @@ class CallLifetime(RuleBasedStateMachine):
             call_id: entry for call_id, entry in self.model.items()
             if self.now - entry[0] <= TIMEOUT
         }
+        self.registrations = {
+            call_id: registration for call_id, registration in self.registrations.items()
+            if call_id in self.model
+        }
 
     @invariant()
     def table_matches_the_model(self):
@@ -149,6 +184,25 @@ class CallLifetime(RuleBasedStateMachine):
                 for callee in ("alice", "bob", "carol"):
                     pair = (f"{caller}@example.com", f"{callee}@example.com")
                     assert call.invited(*pair) == (pair in pairs)
+
+    @invariant()
+    def registrations_live_and_count_with_their_record(self):
+        calls = self.engine.trails.calls
+        assert {
+            call_id for call_id, call in calls.items() if call.registration is not None
+        } == self.registrations.keys()
+        for call_id, (challenged, _, _) in self.registrations.items():
+            assert calls[call_id].registration.challenged == challenged
+        # The IM mobility check sees exactly the live records' successes
+        # (a window past the timeout would show a dead one).
+        assert self.engine.sip_state.recent_registration_from(
+            "alice", str(B), self.now, 4 * TIMEOUT
+        ) == any(
+            succeeded is not None and self.now - succeeded <= 4 * TIMEOUT
+            for _, _, succeeded in self.registrations.values()
+        )
+        assert len(self.engine.events_named(EVENT_REPEATED_UNAUTH_REGISTER)) == self.unauth_retries
+        assert len(self.engine.events_named(EVENT_AUTH_FAILURE)) == self.auth_failures
 
 
 CallLifetime.TestCase.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)

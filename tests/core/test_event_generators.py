@@ -32,7 +32,7 @@ from repro.core.events import (
     EVENT_RTP_SOURCE_MISMATCH,
     GeneratorContext,
 )
-from repro.core.state import RegistrationTracker, SipStateTracker
+from repro.core.state import SipStateTracker
 from repro.core.trail import TrailManager
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
@@ -53,12 +53,10 @@ class Pipeline:
         self.distiller = Distiller()
         self.trails = TrailManager()
         self.sip_state = SipStateTracker(self.trails.calls)
-        self.registrations = RegistrationTracker()
         self.generators = generators
         self.ctx = GeneratorContext(
             trails=self.trails,
             sip_state=self.sip_state,
-            registrations=self.registrations,
             vantage_ip=vantage_ip,
         )
         self.events = []
@@ -72,7 +70,6 @@ class Pipeline:
         trail = self.trails.push(fp)
         if isinstance(fp, SipFootprint):
             self.sip_state.observe(fp, trail)
-            self.registrations.observe(fp)
         new = []
         for gen in self.generators:
             new.extend(gen.on_footprint(fp, trail, self.ctx))

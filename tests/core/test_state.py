@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.distiller import Distiller
 from repro.core.engine import ScidiveEngine
 from repro.core.rules import RuleSet
-from repro.core.state import CallPhase, RegistrationTracker, SipStateTracker
+from repro.core.state import CallPhase, SipStateTracker
 from repro.core.trail import TrailManager
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
@@ -334,48 +334,69 @@ def reg_response(call_id: str, cseq: int, status: int) -> bytes:
 
 
 class TestRegistrationTracker:
-    def _feed(self, tracker, payload, src=ATT, dst=B, t=0.0):
-        frame = build_udp_frame(MAC1, MAC2, src, dst, 5060, 5060, payload)
-        return tracker.observe(Distiller().distill(frame, t))
+    """The state tracker keeps a REGISTER's auth progress on its call's
+    record."""
+
+    def _feed(self, calls, payload, src=ATT, dst=B, t=0.0):
+        calls.feed(payload, src=src, dst=dst, t=t)
 
     def test_benign_challenge_flow_is_clean(self):
-        tracker = RegistrationTracker()
-        self._feed(tracker, register("r1", 1))
-        self._feed(tracker, reg_response("r1", 1, 401), src=B, dst=ATT)
-        self._feed(tracker, register("r1", 2, auth="ab" * 16))
-        session = self._feed(tracker, reg_response("r1", 2, 200), src=B, dst=ATT)
-        assert session.succeeded
+        calls = _Calls()
+        self._feed(calls, register("r1", 1))
+        self._feed(calls, reg_response("r1", 1, 401), src=B, dst=ATT)
+        self._feed(calls, register("r1", 2, auth="ab" * 16))
+        self._feed(calls, reg_response("r1", 2, 200), src=B, dst=ATT, t=0.5)
+        session = calls.calls["r1"].registration
+        assert session.succeeded_at == 0.5
         assert session.unauth_after_challenge == 0
         assert session.failed_responses == []
+        assert calls.calls["r1"].phase is None
+        assert calls.tracker.registration_count == 1
 
     def test_flood_counts_unauth_after_challenge(self):
-        tracker = RegistrationTracker()
-        self._feed(tracker, register("dos", 1))
-        self._feed(tracker, reg_response("dos", 1, 401), src=B, dst=ATT)
+        calls = _Calls()
+        self._feed(calls, register("dos", 1))
+        self._feed(calls, reg_response("dos", 1, 401), src=B, dst=ATT)
         for i in range(2, 7):
-            self._feed(tracker, register("dos", i))
-        session = tracker.sessions["dos"]
+            self._feed(calls, register("dos", i))
+        session = calls.calls["dos"].registration
         assert session.unauth_after_challenge == 5
 
     def test_guessing_accumulates_distinct_failed_responses(self):
-        tracker = RegistrationTracker()
-        self._feed(tracker, register("brute", 1))
-        self._feed(tracker, reg_response("brute", 1, 401), src=B, dst=ATT)
+        calls = _Calls()
+        self._feed(calls, register("brute", 1))
+        self._feed(calls, reg_response("brute", 1, 401), src=B, dst=ATT)
         for i, guess in enumerate(["aa" * 16, "bb" * 16, "cc" * 16], start=2):
-            self._feed(tracker, register("brute", i, auth=guess))
-            self._feed(tracker, reg_response("brute", i, 401), src=B, dst=ATT)
-        session = tracker.sessions["brute"]
+            self._feed(calls, register("brute", i, auth=guess))
+            self._feed(calls, reg_response("brute", i, 401), src=B, dst=ATT)
+        session = calls.calls["brute"].registration
         assert len(session.failed_responses) == 3
         assert len(set(session.failed_responses)) == 3
 
-    def test_sessions_for_user(self):
-        tracker = RegistrationTracker()
-        self._feed(tracker, register("s1", 1))
-        self._feed(tracker, register("s2", 1, user="bob"))
-        assert len(tracker.sessions_for_user("alice")) == 1
-        assert len(tracker.sessions_for_user("bob")) == 1
-
     def test_non_register_ignored(self):
-        tracker = RegistrationTracker()
-        assert self._feed(tracker, invite(_sdp("10.0.0.10", 40000))) is None
-        assert tracker.sessions == {}
+        calls = _Calls()
+        self._feed(calls, invite(_sdp("10.0.0.10", 40000)))
+        self._feed(calls, reg_response("c1", 1, 401), src=B, dst=ATT)
+        assert calls.calls["c1"].registration is None
+        assert calls.tracker.registration_count == 0
+
+    def test_a_success_legitimises_moves_while_its_record_lives(self):
+        engine = ScidiveEngine(forensics=False)
+        state = engine.sip_state
+
+        def send(payload, src, dst, t):
+            engine.process_frame(build_udp_frame(MAC1, MAC2, src, dst, 5060, 5060, payload), t)
+
+        send(register("r1", 1), ATT, B, 0.0)
+        assert not state.recent_registration_from("alice", str(ATT), 0.0, 1e9)
+        send(reg_response("r1", 1, 200), B, ATT, 0.1)
+        assert state.recent_registration_from("alice", str(ATT), 0.2, 1e9)
+        assert not state.recent_registration_from("bob", str(ATT), 0.2, 1e9)
+        assert not state.recent_registration_from("alice", str(A), 0.2, 1e9)
+        later = 0.1 + engine.state_idle_timeout + 1
+        engine.housekeep(later)
+        assert engine.trails.calls == {}
+        assert not state.recent_registration_from("alice", str(ATT), later, 1e9)
+        send(register("r2", 1), ATT, B, later)
+        send(reg_response("r2", 1, 200), B, ATT, later)
+        assert state.recent_registration_from("alice", str(ATT), later, 1.0)

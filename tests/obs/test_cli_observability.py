@@ -89,24 +89,30 @@ def test_stats_table(capsys):
 def test_state_sizes_on_bye_attack(capsys):
     """The call state's gauges, ``stats`` rows and housekeeping log keep
     their names and the values recorded on this trace while a call was
-    four objects in three tables: SIP calls count as trails, every call
-    as a session, calls with a dialog role as dialogs."""
+    four objects in three tables and registrations a fourth: SIP calls
+    count as trails, every call as a session, calls with a dialog role as
+    dialogs, calls with a registration as registrations."""
     assert main(["stats", "bye-attack", "--seed", "7"]) == 0
     rows = {}
     for line in capsys.readouterr().out.splitlines():
         cells = [cell.strip() for cell in line.split("|")]
         if len(cells) >= 2:
             rows.setdefault(cells[0], cells[1])
-    assert [rows[name] for name in ("live trails", "live sessions", "tracked dialogs")] == [
-        "7", "3", "1",
-    ]
+    names = ("live trails", "live sessions", "tracked dialogs", "tracked registrations")
+    assert [rows[name] for name in names] == ["7", "3", "1", "2"]
     assert main(["stats", "bye-attack", "--seed", "7", "--format", "prom"]) == 0
     families = parse_prometheus(capsys.readouterr().out)
     gauges = {
         name: families[name][f'{name}{{engine="scidive"}}']
-        for name in ("scidive_trails", "scidive_sessions", "scidive_sip_dialogs")
+        for name in (
+            "scidive_trails", "scidive_sessions", "scidive_sip_dialogs",
+            "scidive_registration_sessions",
+        )
     }
-    assert gauges == {"scidive_trails": 7, "scidive_sessions": 3, "scidive_sip_dialogs": 1}
+    assert gauges == {
+        "scidive_trails": 7, "scidive_sessions": 3, "scidive_sip_dialogs": 1,
+        "scidive_registration_sessions": 2,
+    }
 
     from repro.experiments.harness import run_bye_attack
 
@@ -126,6 +132,13 @@ def test_state_sizes_on_bye_attack(capsys):
         logger.setLevel(level)
     logged = [record.fields for record in records if record.msg == "housekeep"]
     assert [(f["reclaimed_trails"], f["live_trails"]) for f in logged] == [(0, 7), (5, 2), (2, 0)]
+    # Both registrations expire with their records at the second sweep,
+    # as they did when a registration's own rule expired them.
+    assert [f["expired_registrations"] for f in logged] == [0, 2, 0]
+    # Generator state is swept too: the RTCP BYE watch, its window long
+    # closed, at the first sweep; the last RTP flow and its SSRC owner,
+    # idle past the timeout, at the third.
+    assert [f["swept"] for f in logged] == [1, 0, 2]
     # The one dialog expires once; since calls live as long as their
     # linked media, the bye-attack's orphan RTP keeps it to the last sweep.
     assert sum(f["expired_dialogs"] for f in logged) == 1

@@ -110,7 +110,6 @@ class TestRoundtrip:
         other.restore(blob)
         assert other._ctx.trails is other.trails
         assert other._ctx.sip_state is other.sip_state
-        assert other._ctx.registrations is other.registrations
 
     def test_reinvite_after_restore_writes_fresh_containers(self):
         """Checkpoint right before the hijack's re-INVITE: the restored
@@ -202,16 +201,15 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v8 replaced ``Session``, ``ObservedCall`` and a call's SIP
-        ``Trail`` with one ``CallEntry`` per Call-ID; v7 changed the slots
-        of ``Trail`` (an index entry: a count and the last endpoints, no
-        footprint tail).  The gate refuses a snapshot of any other shape,
-        v7 included."""
-        assert CHECKPOINT_VERSION == 8
+        """v9 moved registration progress onto ``CallEntry`` (no
+        ``registrations`` slot); v8 replaced ``Session``, ``ObservedCall``
+        and a call's SIP ``Trail`` with one ``CallEntry`` per Call-ID.  The
+        gate refuses a snapshot of any other shape, v8 included."""
+        assert CHECKPOINT_VERSION == 9
         payload = pickle.loads(ScidiveEngine().checkpoint()[len(b"SCDV"):])
-        payload.update(version=7)
+        payload.update(version=8)
         blob = b"SCDV" + pickle.dumps(payload)
-        with pytest.raises(CheckpointError, match="version 7"):
+        with pytest.raises(CheckpointError, match="version 8"):
             ScidiveEngine().restore(blob)
 
 
