@@ -53,7 +53,7 @@ class MacAddress:
         return self
 
     def to_bytes(self) -> bytes:
-        return bytes(int(part, 16) for part in self.value.split(":"))
+        return bytes.fromhex(self.value.replace(":", ""))
 
     def __str__(self) -> str:
         return self.value

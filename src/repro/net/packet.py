@@ -11,6 +11,14 @@ Header validation lives in :func:`parse_ipv4_header` and
 and return plain fields.  The ``decode`` classmethods wrap them into
 value objects; the Distiller, which keeps none of those objects, calls
 them on the captured frame directly — one set of checks either way.
+
+Encoding mirrors that: :func:`ipv4_header` and :func:`udp_header` are
+the one packer of each header — its field values, its checksum (through
+``internet_checksum(..., initial=)``, so no header is packed twice) and
+its size check.  :meth:`IPv4Packet.encode`, :meth:`UdpDatagram.encode`
+and :func:`build_udp_frame` all serialise what they return;
+:func:`build_udp_frame` packs the whole 42-byte Ethernet/IPv4/UDP header
+with one ``struct`` and builds no value object.
 """
 
 from __future__ import annotations
@@ -26,9 +34,14 @@ IPPROTO_UDP = 17
 IPPROTO_ICMP = 1
 IP_FRAGMENT_MASK = 0x3FFF  # MF flag + 13-bit offset of the flags/offset word
 
-_ETH_HEADER = struct.Struct("!6s6sH")
-_IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
-_UDP_HEADER = struct.Struct("!HHHH")
+_ETH_FIELDS = "6s6sH"
+_IPV4_FIELDS = "BBHHHBBH4s4s"
+_UDP_FIELDS = "HHHH"
+_ETH_HEADER = struct.Struct("!" + _ETH_FIELDS)
+_IPV4_HEADER = struct.Struct("!" + _IPV4_FIELDS)
+_UDP_HEADER = struct.Struct("!" + _UDP_FIELDS)
+# Ethernet + IPv4 (no options) + UDP: the 42 bytes before a UDP payload.
+_UDP_FRAME_HEADER = struct.Struct("!" + _ETH_FIELDS + _IPV4_FIELDS + _UDP_FIELDS)
 
 
 class PacketError(ValueError):
@@ -81,6 +94,80 @@ def _udp_checksum(src_ip: IPv4Address, dst_ip: IPv4Address, segment: bytes) -> i
     return internet_checksum(
         segment, src_ip.packed + dst_ip.packed + IPPROTO_UDP + len(segment)
     )
+
+
+def ipv4_header(
+    src: IPv4Address,
+    dst: IPv4Address,
+    protocol: int,
+    payload_length: int,
+    identification: int = 0,
+    ttl: int = 64,
+    flags_frag: int = 0,
+    tos: int = 0,
+) -> tuple[int, int, int, int, int, int, int, int, bytes, bytes]:
+    """The ten field values of a 20-byte IPv4 header, checksum included.
+
+    ``flags_frag`` is the raw flags/offset word.  The checksum is summed
+    from the field values (their 16-bit words, as
+    :func:`internet_checksum` reads an ``initial`` partial sum), so the
+    header is packed once, with the checksum in place.  Raises
+    :class:`PacketError` when the packet would exceed 65,535 bytes.
+    """
+    total_length = 20 + payload_length
+    if total_length > 0xFFFF:
+        raise PacketError(f"IPv4 packet too large: {total_length} bytes")
+    src_packed, dst_packed = src.packed, dst.packed
+    checksum = internet_checksum(
+        b"",
+        0x4500  # version 4, IHL 5
+        + tos
+        + total_length
+        + identification
+        + flags_frag
+        + (ttl << 8)
+        + protocol
+        + src_packed
+        + dst_packed,
+    )
+    return (
+        0x45,
+        tos,
+        total_length,
+        identification,
+        flags_frag,
+        ttl,
+        protocol,
+        checksum,
+        src_packed.to_bytes(4, "big"),
+        dst_packed.to_bytes(4, "big"),
+    )
+
+
+def udp_header(
+    src_ip: IPv4Address,
+    dst_ip: IPv4Address,
+    src_port: int,
+    dst_port: int,
+    payload: bytes,
+) -> tuple[int, int, int, int]:
+    """The four field values of the UDP header carrying ``payload``.
+
+    The checksum covers the IPv4 pseudo-header, the header's own words
+    and the payload, summed by one :func:`internet_checksum` call over
+    the payload bytes.  A computed zero is sent as 0xFFFF (RFC 768: zero
+    means "no checksum").  Raises :class:`PacketError` when the datagram
+    would exceed 65,535 bytes.
+    """
+    length = 8 + len(payload)
+    if length > 0xFFFF:
+        raise PacketError(f"UDP datagram too large: {length} bytes")
+    checksum = internet_checksum(
+        payload,
+        src_ip.packed + dst_ip.packed + IPPROTO_UDP + length  # pseudo-header
+        + src_port + dst_port + length,  # header, checksum field zero
+    )
+    return src_port, dst_port, length, checksum or 0xFFFF
 
 
 def parse_udp(
@@ -151,25 +238,18 @@ class IPv4Packet:
     tos: int = 0
 
     def encode(self) -> bytes:
-        total_length = 20 + len(self.payload)
-        if total_length > 0xFFFF:
-            raise PacketError(f"IPv4 packet too large: {total_length} bytes")
         flags_frag = (int(self.flags_df) << 14) | (int(self.flags_mf) << 13) | self.fragment_offset
-        header = _IPV4_HEADER.pack(
-            0x45,  # version 4, IHL 5
-            self.tos,
-            total_length,
-            self.identification,
-            flags_frag,
-            self.ttl,
+        header = ipv4_header(
+            self.src,
+            self.dst,
             self.protocol,
-            0,  # checksum placeholder
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            len(self.payload),
+            self.identification,
+            self.ttl,
+            flags_frag,
+            self.tos,
         )
-        checksum = internet_checksum(header)
-        header = header[:10] + checksum.to_bytes(2, "big") + header[12:]
-        return header + self.payload
+        return _IPV4_HEADER.pack(*header) + self.payload
 
     @classmethod
     def decode(cls, raw: bytes, verify: bool = True) -> "IPv4Packet":
@@ -208,15 +288,8 @@ class UdpDatagram:
     checksum: int = field(default=0)
 
     def encode(self, src_ip: IPv4Address, dst_ip: IPv4Address) -> bytes:
-        length = 8 + len(self.payload)
-        if length > 0xFFFF:
-            raise PacketError(f"UDP datagram too large: {length} bytes")
-        header = _UDP_HEADER.pack(self.src_port, self.dst_port, length, 0)
-        checksum = _udp_checksum(src_ip, dst_ip, header + self.payload)
-        if checksum == 0:
-            checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        header = header[:6] + checksum.to_bytes(2, "big")
-        return header + self.payload
+        header = udp_header(src_ip, dst_ip, self.src_port, self.dst_port, self.payload)
+        return _UDP_HEADER.pack(*header) + self.payload
 
     @classmethod
     def decode(
@@ -243,14 +316,17 @@ def build_udp_frame(
     identification: int = 0,
     ttl: int = 64,
 ) -> bytes:
-    """Convenience: wrap an application payload into Ethernet/IPv4/UDP bytes."""
-    udp = UdpDatagram(src_port, dst_port, payload).encode(src_ip, dst_ip)
-    ip = IPv4Packet(
-        src=src_ip,
-        dst=dst_ip,
-        protocol=IPPROTO_UDP,
-        payload=udp,
-        identification=identification,
-        ttl=ttl,
-    ).encode()
-    return EthernetFrame(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip).encode()
+    """Wrap an application payload into Ethernet/IPv4/UDP bytes.
+
+    The same bytes as encoding a :class:`UdpDatagram` inside an
+    :class:`IPv4Packet` inside an :class:`EthernetFrame`, with the same
+    size checks, but the 42 header bytes are packed at once.
+    """
+    udp = udp_header(src_ip, dst_ip, src_port, dst_port, payload)
+    ip = ipv4_header(src_ip, dst_ip, IPPROTO_UDP, udp[2], identification, ttl)
+    return (
+        _UDP_FRAME_HEADER.pack(
+            dst_mac.to_bytes(), src_mac.to_bytes(), ETHERTYPE_IPV4, *ip, *udp
+        )
+        + payload
+    )

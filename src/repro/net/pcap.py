@@ -62,13 +62,15 @@ def write_pcap_frames(
 ) -> None:
     """Write ``(timestamp, frame)`` pairs to ``path`` in little-endian
     pcap format, in the order given."""
+    pack_record = _RECORD_HEADER.pack
     with open(path, "wb") as fh:
-        fh.write(_GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
+        write = fh.write
+        write(_GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET))
         for timestamp, frame in frames:
             seconds, micros = split_timestamp(timestamp)
             data = frame[:snaplen]
-            fh.write(_RECORD_HEADER.pack(seconds, micros, len(data), len(frame)))
-            fh.write(data)
+            write(pack_record(seconds, micros, len(data), len(frame)))
+            write(data)
 
 
 def read_pcap(path: str | Path, name: str | None = None) -> "Trace":

@@ -37,23 +37,24 @@ class RtpPacket:
     extension: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.payload_type <= 0x7F:
-            raise RtpError(f"payload type out of range: {self.payload_type}")
-        if not 0 <= self.sequence <= 0xFFFF:
-            raise RtpError(f"sequence out of range: {self.sequence}")
-        if not 0 <= self.timestamp <= 0xFFFFFFFF:
-            raise RtpError(f"timestamp out of range: {self.timestamp}")
-        if not 0 <= self.ssrc <= 0xFFFFFFFF:
-            raise RtpError(f"SSRC out of range: {self.ssrc}")
-        if len(self.csrcs) > 15:
-            raise RtpError(f"too many CSRCs: {len(self.csrcs)}")
+        _check_fields(
+            self.payload_type, self.sequence, self.timestamp, self.ssrc, self.csrcs
+        )
 
     def encode(self) -> bytes:
-        b0 = (RTP_VERSION << 6) | (int(self.padding) << 5) | (int(self.extension) << 4) | len(self.csrcs)
-        b1 = (int(self.marker) << 7) | self.payload_type
-        header = _RTP_HEADER.pack(b0, b1, self.sequence, self.timestamp, self.ssrc)
-        csrcs = b"".join(c.to_bytes(4, "big") for c in self.csrcs)
-        return header + csrcs + self.payload
+        return (
+            encode_header(
+                self.payload_type,
+                self.sequence,
+                self.timestamp,
+                self.ssrc,
+                self.marker,
+                self.csrcs,
+                self.padding,
+                self.extension,
+            )
+            + self.payload
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "RtpPacket":
@@ -73,6 +74,54 @@ class RtpPacket:
             padding=bool(b0 & 0x20),
             extension=bool(b0 & 0x10),
         )
+
+
+def _check_fields(
+    payload_type: int, sequence: int, timestamp: int, ssrc: int, csrcs: tuple[int, ...]
+) -> None:
+    if not 0 <= payload_type <= 0x7F:
+        raise RtpError(f"payload type out of range: {payload_type}")
+    if not 0 <= sequence <= 0xFFFF:
+        raise RtpError(f"sequence out of range: {sequence}")
+    if not 0 <= timestamp <= 0xFFFFFFFF:
+        raise RtpError(f"timestamp out of range: {timestamp}")
+    if not 0 <= ssrc <= 0xFFFFFFFF:
+        raise RtpError(f"SSRC out of range: {ssrc}")
+    if len(csrcs) > 15:
+        raise RtpError(f"too many CSRCs: {len(csrcs)}")
+
+
+def encode_header(
+    payload_type: int,
+    sequence: int,
+    timestamp: int,
+    ssrc: int,
+    marker: bool = False,
+    csrcs: tuple[int, ...] = (),
+    padding: bool = False,
+    extension: bool = False,
+) -> bytes:
+    """The wire bytes of one RTP header: the fixed 12 bytes and the CSRC list.
+
+    The mirror of :func:`decode_header`, and the one RTP header packer:
+    :meth:`RtpPacket.encode` is built on it, and traffic generators that
+    emit thousands of packets call it directly instead of building an
+    :class:`RtpPacket` per packet.  The payload (and any extension or
+    padding bytes the flags announce) follows it on the wire.  Raises
+    :class:`RtpError` for a field out of its range, as constructing an
+    :class:`RtpPacket` does.
+    """
+    _check_fields(payload_type, sequence, timestamp, ssrc, csrcs)
+    header = _RTP_HEADER.pack(
+        (RTP_VERSION << 6) | (padding << 5) | (extension << 4) | len(csrcs),
+        (marker << 7) | payload_type,
+        sequence,
+        timestamp,
+        ssrc,
+    )
+    if csrcs:
+        header += b"".join(c.to_bytes(4, "big") for c in csrcs)
+    return header
 
 
 def decode_header(raw: bytes) -> tuple[int, int, int, int, int, int, int]:

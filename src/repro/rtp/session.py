@@ -11,6 +11,7 @@ is precisely the behaviour the Call Hijack attack abuses.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -55,7 +56,12 @@ class RtpSession:
         self.stack = stack
         self.loop = loop
         self.local_port = local_port
-        self.rng = rng if rng is not None else random.Random(stack.name.__hash__() & 0xFFFF)
+        if rng is None:
+            # crc32, not hash(): str hashing is salted per process, and the
+            # SSRC, first sequence number and timestamp drawn here must be
+            # the same on every run.
+            rng = random.Random(zlib.crc32(stack.name.encode("utf-8")))
+        self.rng = rng
         self.source: FrameSource = source if source is not None else ToneSource()
         self.payload_type = payload_type
         self.rtcp_interval = rtcp_interval

@@ -24,15 +24,25 @@ not) trip:
 All entropy comes from the caller's ``random.Random``; the forge's own
 serial counter provides collision-free Call-IDs/tags/branches.  Same
 seed + same call order → byte-identical frames.
+
+What is built once and what per frame.  A :class:`Subscriber` derives
+its MAC address and SIP URI when it is built, and the forge keeps one
+per subscriber index, one per attacker index and one registrar stub in
+tables of its own instance, so a subscriber's identity is never
+re-derived for its next frame.  Per frame the forge packs bytes through
+the shared encoders only: ``encode_header`` for an RTP header,
+``build_udp_frame`` for the 42 Ethernet/IPv4/UDP header bytes, and
+``SipRequest``/``SipResponse.encode`` over a header table built in one
+call for a SIP message.  Nothing is kept per frame or per flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
-from repro.rtp.packet import RtpPacket
+from repro.rtp.packet import encode_header
 from repro.sip.auth import compute_response
 from repro.sip.constants import (
     METHOD_ACK,
@@ -44,7 +54,7 @@ from repro.sip.constants import (
     STATUS_RINGING,
     STATUS_UNAUTHORIZED,
 )
-from repro.sip.headers import NameAddr, Via
+from repro.sip.headers import HeaderTable, NameAddr, Via
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.sdp import audio_offer
 from repro.sip.uri import SipUri
@@ -64,25 +74,28 @@ MEDIA_PORT_SLOTS = 27_000  # even ports 10000..63998
 
 @dataclass(frozen=True, slots=True)
 class Subscriber:
-    """One simulated carrier user (or attacker host)."""
+    """One simulated carrier user (or attacker host).
+
+    ``mac`` (``02:00`` then the four address bytes) and ``uri`` are
+    derived from the identity fields when the subscriber is built.
+    """
 
     index: int
     user: str
     domain: str
     ip: IPv4Address
+    mac: MacAddress = field(init=False, repr=False, compare=False)
+    uri: SipUri = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "mac", MacAddress.from_bytes(b"\x02\x00" + self.ip.to_bytes())
+        )
+        object.__setattr__(self, "uri", SipUri(user=self.user, host=self.domain))
 
     @property
     def aor(self) -> str:
         return f"{self.user}@{self.domain}"
-
-    @property
-    def uri(self) -> SipUri:
-        return SipUri(user=self.user, host=self.domain)
-
-    @property
-    def mac(self) -> MacAddress:
-        octets = self.ip.to_bytes()
-        return MacAddress("02:00:" + ":".join(f"{b:02x}" for b in octets))
 
     @property
     def sip_endpoint(self) -> Endpoint:
@@ -120,8 +133,16 @@ class FrameForge:
 
     def __init__(self, domain: str = "carrier.example") -> None:
         self.domain = domain
-        self.registrar_ip = IPv4Address.parse(REGISTRAR_IP)
-        self.registrar_mac = MacAddress("02:00:0a:00:00:0a")
+        # The registrar as a frame endpoint (MAC 02:00:0a:00:00:0a).
+        self._registrar = Subscriber(
+            index=-1,
+            user="registrar",
+            domain=domain,
+            ip=IPv4Address.parse(REGISTRAR_IP),
+        )
+        self._registrar_uri = SipUri(user="", host=domain)
+        self._subscribers: dict[int, Subscriber] = {}
+        self._attackers: dict[int, Subscriber] = {}
         self._serial = 0
         self._ip_id = 0
         self._media_slots: dict[int, int] = {}  # subscriber index -> next slot
@@ -129,20 +150,26 @@ class FrameForge:
     # -- identity -----------------------------------------------------------
 
     def subscriber(self, index: int) -> Subscriber:
-        return Subscriber(
-            index=index,
-            user=f"sub{index:06d}",
-            domain=self.domain,
-            ip=IPv4Address(SUBSCRIBER_IP_BASE + index),
-        )
+        sub = self._subscribers.get(index)
+        if sub is None:
+            sub = self._subscribers[index] = Subscriber(
+                index=index,
+                user=f"sub{index:06d}",
+                domain=self.domain,
+                ip=IPv4Address(SUBSCRIBER_IP_BASE + index),
+            )
+        return sub
 
     def attacker(self, index: int) -> Subscriber:
-        return Subscriber(
-            index=index,
-            user=f"mal{index:04d}",
-            domain="intruder.invalid",
-            ip=IPv4Address(ATTACKER_IP_BASE + index),
-        )
+        sub = self._attackers.get(index)
+        if sub is None:
+            sub = self._attackers[index] = Subscriber(
+                index=index,
+                user=f"mal{index:04d}",
+                domain="intruder.invalid",
+                ip=IPv4Address(ATTACKER_IP_BASE + index),
+            )
+        return sub
 
     def next_media_port(self, sub: Subscriber) -> int:
         slot = self._media_slots.get(sub.index, 0)
@@ -173,36 +200,11 @@ class FrameForge:
         dst_port: int,
         payload: bytes,
     ) -> TimedFrame:
-        self._ip_id = (self._ip_id + 1) & 0xFFFF
+        self._ip_id = ip_id = (self._ip_id + 1) & 0xFFFF
         return TimedFrame(
-            time=time,
-            frame=build_udp_frame(
-                src.mac,
-                dst.mac,
-                src.ip,
-                dst.ip,
-                src_port,
-                dst_port,
-                payload,
-                identification=self._ip_id,
-            ),
-        )
-
-    def _registrar_udp(
-        self, time: float, to: Subscriber, payload: bytes
-    ) -> TimedFrame:
-        self._ip_id = (self._ip_id + 1) & 0xFFFF
-        return TimedFrame(
-            time=time,
-            frame=build_udp_frame(
-                self.registrar_mac,
-                to.mac,
-                self.registrar_ip,
-                to.ip,
-                SIP_PORT,
-                SIP_PORT,
-                payload,
-                identification=self._ip_id,
+            time,
+            build_udp_frame(
+                src.mac, dst.mac, src.ip, dst.ip, src_port, dst_port, payload, ip_id
             ),
         )
 
@@ -219,21 +221,21 @@ class FrameForge:
         content_type: str | None = None,
         extra: tuple[tuple[str, str], ...] = (),
     ) -> bytes:
-        request = SipRequest(method=method, uri=uri)
         via = Via("UDP", str(sender.ip), SIP_PORT, params=(("branch", self._branch()),))
-        request.headers.add("Via", str(via))
-        request.headers.add("Max-Forwards", "70")
-        request.headers.add("From", str(from_addr))
-        request.headers.add("To", str(to_addr))
-        request.headers.add("Call-ID", call_id)
-        request.headers.add("CSeq", f"{cseq} {method}")
-        request.headers.add("Contact", f"<sip:{sender.user}@{sender.ip}:{SIP_PORT}>")
-        for name, value in extra:
-            request.headers.add(name, value)
-        if body:
-            request.headers.set("Content-Type", content_type or "text/plain")
-        request.body = body
-        return request.encode()
+        items = [
+            ("Via", str(via)),
+            ("Max-Forwards", "70"),
+            ("From", str(from_addr)),
+            ("To", str(to_addr)),
+            ("Call-ID", call_id),
+            ("CSeq", f"{cseq} {method}"),
+            ("Contact", f"<sip:{sender.user}@{sender.ip}:{SIP_PORT}>"),
+            *extra,
+        ]
+        _close_headers(items, body, content_type)
+        return SipRequest(
+            headers=HeaderTable(items), body=body, method=method, uri=uri
+        ).encode()
 
     def _response(
         self,
@@ -248,20 +250,18 @@ class FrameForge:
         content_type: str | None = None,
         extra: tuple[tuple[str, str], ...] = (),
     ) -> bytes:
-        response = SipResponse(status=status)
-        host = str(responder.ip) if responder is not None else str(self.registrar_ip)
+        host = str((responder or self._registrar).ip)
         via = Via("UDP", host, SIP_PORT, params=(("branch", self._branch()),))
-        response.headers.add("Via", str(via))
-        response.headers.add("From", str(from_addr))
-        response.headers.add("To", str(to_addr))
-        response.headers.add("Call-ID", call_id)
-        response.headers.add("CSeq", f"{cseq} {cseq_method}")
-        for name, value in extra:
-            response.headers.add(name, value)
-        if body:
-            response.headers.set("Content-Type", content_type or "text/plain")
-        response.body = body
-        return response.encode()
+        items = [
+            ("Via", str(via)),
+            ("From", str(from_addr)),
+            ("To", str(to_addr)),
+            ("Call-ID", call_id),
+            ("CSeq", f"{cseq} {cseq_method}"),
+            *extra,
+        ]
+        _close_headers(items, body, content_type)
+        return SipResponse(headers=HeaderTable(items), body=body, status=status).encode()
 
     def _rtp_stream(
         self,
@@ -275,27 +275,22 @@ class FrameForge:
         first_seq: int,
         ssrc: int,
     ) -> list[TimedFrame]:
-        frames: list[TimedFrame] = []
-        for i in range(count):
-            packet = RtpPacket(
-                payload_type=0,
-                sequence=(first_seq + i) & 0xFFFF,
-                timestamp=(i * 160) & 0xFFFFFFFF,
-                ssrc=ssrc,
-                payload=b"\x00" * 24,
-                marker=(i == 0),
-            )
-            frames.append(
-                self._udp(
-                    start + i * interval,
-                    sender,
-                    receiver,
-                    src_port,
-                    dst_port,
-                    packet.encode(),
+        udp = self._udp
+        payload = b"\x00" * 24
+        return [
+            udp(
+                start + i * interval,
+                sender,
+                receiver,
+                src_port,
+                dst_port,
+                encode_header(
+                    0, (first_seq + i) & 0xFFFF, (i * 160) & 0xFFFFFFFF, ssrc, i == 0
                 )
+                + payload,
             )
-        return frames
+            for i in range(count)
+        ]
 
     # -- benign ladders --------------------------------------------------------
 
@@ -456,7 +451,7 @@ class FrameForge:
         tag = self._tag()
         from_addr = NameAddr(sub.uri).with_tag(tag)
         to_addr = NameAddr(sub.uri)
-        registrar_uri = SipUri(user="", host=self.domain)
+        registrar_uri = self._registrar_uri
         frames: list[TimedFrame] = []
         cseq = 1
         if auth_churn:
@@ -480,9 +475,13 @@ class FrameForge:
                 ),
             )
             frames.append(
-                self._udp(start, sub, self._registrar_stub(), SIP_PORT, SIP_PORT, bare)
+                self._udp(start, sub, self._registrar, SIP_PORT, SIP_PORT, bare)
             )
-            frames.append(self._registrar_udp(start + 0.05, sub, challenge))
+            frames.append(
+                self._udp(
+                    start + 0.05, self._registrar, sub, SIP_PORT, SIP_PORT, challenge
+                )
+            )
             cseq += 1
             start += 0.10
             digest = compute_response(
@@ -523,15 +522,12 @@ class FrameForge:
             extra=(("Contact", f"<sip:{sub.user}@{sub.ip}:{SIP_PORT}>"),),
         )
         frames.append(
-            self._udp(start, sub, self._registrar_stub(), SIP_PORT, SIP_PORT, register)
+            self._udp(start, sub, self._registrar, SIP_PORT, SIP_PORT, register)
         )
-        frames.append(self._registrar_udp(start + 0.05, sub, ok))
+        frames.append(
+            self._udp(start + 0.05, self._registrar, sub, SIP_PORT, SIP_PORT, ok)
+        )
         return frames, call_id
-
-    def _registrar_stub(self) -> Subscriber:
-        return Subscriber(
-            index=-1, user="registrar", domain=self.domain, ip=self.registrar_ip
-        )
 
     def im_conversation(
         self,
@@ -704,12 +700,11 @@ class FrameForge:
                 )
             )
         for i in range(wild_count):
-            packet = RtpPacket(
-                payload_type=0,
-                sequence=rng.randrange(0x9000, 0xF000),
-                timestamp=rng.getrandbits(32),
-                ssrc=rng.getrandbits(32),
-                payload=b"\xde" * 24,
+            header = encode_header(
+                0,
+                rng.randrange(0x9000, 0xF000),
+                rng.getrandbits(32),
+                rng.getrandbits(32),
             )
             frames.append(
                 self._udp(
@@ -718,7 +713,7 @@ class FrameForge:
                     handle.callee,
                     attacker_port,
                     dst.port,
-                    packet.encode(),
+                    header + b"\xde" * 24,
                 )
             )
         return frames, handle.call_id, when
@@ -731,7 +726,7 @@ class FrameForge:
         tag = self._tag()
         from_addr = NameAddr(victim.uri).with_tag(tag)
         to_addr = NameAddr(victim.uri)
-        registrar_uri = SipUri(user="", host=self.domain)
+        registrar_uri = self._registrar_uri
         frames: list[TimedFrame] = []
         nonce = f"{self._next_serial():032x}"
         challenge_extra = (
@@ -762,11 +757,13 @@ class FrameForge:
             )
             t = when + i * 0.30
             frames.append(
+                self._udp(t, attacker, self._registrar, SIP_PORT, SIP_PORT, register)
+            )
+            frames.append(
                 self._udp(
-                    t, attacker, self._registrar_stub(), SIP_PORT, SIP_PORT, register
+                    t + 0.05, self._registrar, attacker, SIP_PORT, SIP_PORT, challenge
                 )
             )
-            frames.append(self._registrar_udp(t + 0.05, attacker, challenge))
         return frames, call_id, when
 
     # -- volumetric flood ladders ---------------------------------------------
@@ -822,7 +819,7 @@ class FrameForge:
         the shape of a credential-stuffing registrar flood (the §3.3
         register-dos ladder at volumetric rate, no 401s answered)."""
         interval = 1.0 / pps
-        registrar_uri = SipUri(user="", host=self.domain)
+        registrar_uri = self._registrar_uri
         to_addr = NameAddr(victim.uri)
         frames: list[TimedFrame] = []
         call_id = self.new_call_id()
@@ -844,7 +841,7 @@ class FrameForge:
                 self._udp(
                     when + i * interval,
                     attacker,
-                    self._registrar_stub(),
+                    self._registrar,
                     SIP_PORT,
                     SIP_PORT,
                     register,
@@ -868,25 +865,20 @@ class FrameForge:
         victim_port = self.next_media_port(victim)
         ssrc = rng.getrandbits(32)
         first_seq = rng.randrange(0, 0x8000)
-        frames: list[TimedFrame] = []
-        for i in range(packets):
-            packet = RtpPacket(
-                payload_type=0,
-                sequence=(first_seq + i) & 0xFFFF,
-                timestamp=(i * 160) & 0xFFFFFFFF,
-                ssrc=ssrc,
-                payload=b"\xad" * 24,
+        udp = self._udp
+        payload = b"\xad" * 24
+        frames = [
+            udp(
+                when + i * interval,
+                attacker,
+                victim,
+                attacker_port,
+                victim_port,
+                encode_header(0, (first_seq + i) & 0xFFFF, (i * 160) & 0xFFFFFFFF, ssrc)
+                + payload,
             )
-            frames.append(
-                self._udp(
-                    when + i * interval,
-                    attacker,
-                    victim,
-                    attacker_port,
-                    victim_port,
-                    packet.encode(),
-                )
-            )
+            for i in range(packets)
+        ]
         return frames, "", when
 
     # -- attack-carrier calls --------------------------------------------------
@@ -962,6 +954,16 @@ class FrameForge:
             ssrc=rng.getrandbits(32),
         )
         return frames, handle, attack_time
+
+
+def _close_headers(
+    items: list[tuple[str, str]], body: bytes, content_type: str | None
+) -> None:
+    """Append what ``encode`` would add last: Content-Type for a body,
+    then Content-Length."""
+    if body:
+        items.append(("Content-Type", content_type or "text/plain"))
+    items.append(("Content-Length", str(len(body))))
 
 
 def garbage_is_undecodable(payload: bytes) -> bool:

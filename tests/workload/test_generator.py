@@ -17,6 +17,20 @@ from repro.workload import (
 from .conftest import SMALL_SPEC
 
 
+# SMALL_SPEC's bytes and labels, recorded when the forge built every
+# frame through value objects.  The spec holds every attack kind, so this
+# also pins the register-flood and rtp-flood ladders, which no ledger
+# workload carries.
+SMALL_SPEC_TRACE_DIGEST = "0b497c3d4d652c1d0b48b3d686c9b161d7eea0c4dc0ecb4024f879dcde5ff3c0"
+SMALL_SPEC_TRUTH_DIGEST = "4bb7a4cf8fbe9b87aaf3b5dc23008ddb232135f5cc273870a7845bd984352212"
+
+
+def test_small_spec_bytes_are_pinned(small_workload):
+    assert len(small_workload.trace) == 60_745
+    assert trace_digest(small_workload.trace) == SMALL_SPEC_TRACE_DIGEST
+    assert small_workload.truth.digest() == SMALL_SPEC_TRUTH_DIGEST
+
+
 def test_seed_determinism_byte_identical(small_workload):
     again = generate_workload(SMALL_SPEC)
     assert trace_digest(again.trace) == trace_digest(small_workload.trace)
