@@ -18,7 +18,9 @@ The headline metric is chosen by the ``bench`` field:
 ``scaling_at_gate`` (modeled shard scaling) or ``throughput_ratio``
 (forensics on vs off; checkpointing on vs off for the resilience bench;
 summaries+cost-sampling on vs metrics-only for the observability bench;
-``frames_per_second`` for the workload-generator bench;
+``frames_per_second`` for the workload-generator bench, which also
+fails when its trace/truth digests or frame count differ from the
+baseline;
 ``shed_precision`` — the adjudicated-heavy source's share of shed
 frames — for the overload bench).  A fresh value below
 ``baseline * (1 - tolerance)`` fails, as does a fresh run whose own
@@ -163,6 +165,16 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
                 f"sampled cluster tracing throughput ratio {trace_ratio:.3f} "
                 f"< {CLUSTER_TRACE_RATIO_FLOOR:.2f} of the untraced cluster"
             )
+    if bench == "workload":
+        # The generator bench pins what it generates: a trace that moved
+        # is a different workload, whatever its throughput.
+        for key in ("trace_digest", "truth_digest", "frames"):
+            print(f"workload: {key} baseline={baseline.get(key)} fresh={fresh.get(key)}")
+            if fresh.get(key) != baseline.get(key):
+                failures.append(
+                    f"workload {key} drifted: {fresh.get(key)} != "
+                    f"baseline {baseline.get(key)}"
+                )
     if bench == "overload":
         # Spelled out on top of the `equivalent` roll-up so a failure
         # names the broken guarantee, not just "equivalence failed".

@@ -716,6 +716,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"replayed {len(trace)} frames ({mode}): "
               f"{engine.stats.footprints} footprints, "
               f"{engine.stats.events} events, {len(engine.alerts)} alerts")
+        print(f"media fast path: {engine.media_fast.served} frames served, "
+              f"table emptied {engine.media_fast.emptied} times")
         if overload is not None:
             status = overload.as_dict()
             print(f"overload: state={status['state']} "

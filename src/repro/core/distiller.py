@@ -21,8 +21,9 @@ datagram without producing a footprint (H.225 RAS replies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.fastpath import FLOW_KEY_END, FLOW_KEY_OFFSET
 from repro.core.footprint import (
     AccountingFootprint,
     AnyFootprint,
@@ -51,9 +52,16 @@ from repro.rtp.rtcp import RtcpError, decode_compound, looks_like_rtcp
 from repro.sip.message import SipParseError, looks_like_sip, parse_message
 from repro.sip.uri import URI_TABLE
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fastpath import MediaFastPath, MediaProfile
+
 ACCOUNTING_PORT = 9090
 
 _ETH_HEADER_LEN = 14  # dst MAC, src MAC, ethertype
+_IPV4_MIN_HEADER_LEN = 20
+# Where an option-less IPv4/UDP frame's payload starts: the first byte
+# of an RTP header, whose top two bits are the version.
+MEDIA_PAYLOAD_OFFSET = _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + 8
 
 # Returned by a decoder that consumed the datagram without producing a
 # footprint: the chain stops, the frame counts as ignored.
@@ -321,6 +329,62 @@ class Distiller:
             stats.malformed += 1
         stats.footprints += 1
         return footprint
+
+    def media_profile(
+        self, frame: bytes, profiles: "MediaFastPath"
+    ) -> "tuple[MediaProfile, int] | None":
+        """The profile of the flow ``frame`` is an in-profile RTP frame
+        of, with the frame's RTP sequence number — or None when the frame
+        is not provably one, and then :meth:`distill` decodes it.
+        Writes nothing (the media fast path, :mod:`repro.core.fastpath`).
+
+        The frame must decode as :meth:`distill` would decode it into an
+        ``RtpFootprint`` of that flow: an unfragmented option-less
+        IPv4/UDP datagram with no partials pending, both checksums
+        verified, an RTP header ``decode_header`` accepts carrying the
+        profile's SSRC, and classified by the same chain.  The profile
+        was learned under this very chain from a footprint of the flow,
+        so the port-steered decoders passed its ports over; of the
+        payload sniffs, SIP and RTCP run before RTP, and H.225's cannot
+        match a first byte with RTP's version bits.
+        """
+        if self.decoders is not profiles.decoders or self._reassembler.pending:
+            return None
+        # Version 4 with a 20-byte header puts the flow key at its offset;
+        # a frame of no learned flow leaves before any checksum is summed.
+        if frame[_ETH_HEADER_LEN] != 0x45:
+            return None
+        profile = profiles.get(frame[FLOW_KEY_OFFSET:FLOW_KEY_END])
+        if profile is None or frame[12] << 8 | frame[13] != ETHERTYPE_IPV4:
+            return None
+        try:
+            _ihl, total_length, _tos, _ident, flags_frag, _ttl, protocol, _src, _dst = (
+                parse_ipv4_header(frame, _ETH_HEADER_LEN)
+            )
+        except PacketError:
+            return None
+        if protocol != IPPROTO_UDP or flags_frag & IP_FRAGMENT_MASK:
+            return None
+        learned = profile.footprint
+        try:
+            _sport, _dport, _checksum, payload = parse_udp(
+                frame,
+                _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN,
+                _ETH_HEADER_LEN + total_length,
+                learned.src.ip,
+                learned.dst.ip,
+            )
+        except PacketError:
+            return None
+        if looks_like_sip(payload) or looks_like_rtcp(payload):
+            return None
+        try:
+            _b0, _b1, sequence, _rtp_timestamp, ssrc, _start, _end = decode_header(payload)
+        except RtpError:
+            return None
+        if ssrc != learned.ssrc:
+            return None
+        return profile, sequence
 
     # -- classification -----------------------------------------------------
 

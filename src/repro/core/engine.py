@@ -13,6 +13,16 @@ engine builds per-protocol dispatch tables lazily), and each event
 visits only the rules whose ``trigger_events`` include its name (the
 RuleSet maintains that index).
 
+A frame first meets the media fast path (:mod:`repro.core.fastpath`):
+an RTP frame of a flow the full pipeline has already left in profile —
+its header bytes prove it, and every generator the flow's footprints
+visit vouched that such a frame raises no event — gets exactly the
+state effects the full pipeline would give it (counters, trail, the
+flow's sequence anchor and SSRC owner, the flight-recorder ring),
+through the same methods, without becoming a footprint.  Any write that
+can change such a verdict empties the table; every other frame, and
+every frame while a hook is attached, takes the full pipeline.
+
 There is exactly one footprint-processing code path.  Instrumentation
 is a :class:`~repro.core.hooks.FootprintHook` object — ``None`` when
 dark, so the metrics-off hot path pays only cheap ``is not None``
@@ -31,10 +41,11 @@ from typing import TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.core.alerts import Alert, AlertLog
-from repro.core.distiller import Distiller
+from repro.core.distiller import DEFAULT_DECODERS, MEDIA_PAYLOAD_OFFSET, Distiller
 from repro.core.event_generators import default_generators
 from repro.core.events import Event, EventGenerator, GeneratorContext
-from repro.core.footprint import AnyFootprint, Protocol, SipFootprint
+from repro.core.fastpath import NO_HOLD, MediaFastPath, MediaProfile, flow_key
+from repro.core.footprint import AnyFootprint, Protocol, RtpFootprint, SipFootprint
 from repro.core.hooks import FootprintHook
 from repro.core.rules import RuleSet
 from repro.core.rules_library import paper_ruleset
@@ -205,6 +216,9 @@ class ScidiveEngine:
         # invalidated whenever self.generators is rebound.
         self._dispatch: dict[Protocol, tuple[EventGenerator, ...]] = {}
         self._dispatch_source: list[EventGenerator] = self.generators
+        # The media fast path (repro.core.fastpath): in-profile RTP flows
+        # the full pipeline vouched for.  Derived, never checkpointed.
+        self.media_fast = MediaFastPath()
         # -- observability wiring --------------------------------------------
         # metrics_enabled=False forces dark even under a global context;
         # True builds a private context; None follows obs.current().
@@ -300,6 +314,7 @@ class ScidiveEngine:
         if self._dispatch_source is not self.generators:
             self._dispatch_source = self.generators
             self._dispatch = {}
+            self.media_fast.empty()
         entry = self._dispatch.get(protocol)
         if entry is None:
             entry = tuple(
@@ -312,35 +327,50 @@ class ScidiveEngine:
     # -- ingestion ------------------------------------------------------------
 
     def process_frame(self, frame: bytes, timestamp: float) -> list[Alert]:
-        """The online entry point: one captured frame in, alerts out."""
+        """The online entry point: one captured frame in, alerts out.
+
+        A frame whose payload starts with RTP's version bits, on a dark
+        engine with media profiles learned, first tries the media fast
+        path (:meth:`_serve_media`); every other frame, and every frame
+        it declines, is distilled and runs the footprint pipeline.
+        """
         hook = self._hook
         started = _time.perf_counter()
         self.stats.frames += 1
-        try:
-            footprint = self.distiller.distill(frame, timestamp)
-        except Exception as exc:
-            # Backstop behind the distiller's own per-decoder quarantine:
-            # a crash in frame/IP/UDP decode itself must degrade to "no
-            # footprint", never abort the frame path.
-            if self.firewall is None:
-                raise
-            self.firewall.record_error("decoder", "distill", exc, timestamp)
-            footprint = None
-        if footprint is not None and self.forensics is not None:
-            # Record before the footprint pipeline runs, so an alert
-            # raised by this very frame can already resolve it.
-            self.forensics.record_frame(
-                self.stats.frames, frame, timestamp, footprint
-            )
-        if hook is not None:
-            hook.frame_distilled(
-                self.stats.frames, timestamp, footprint,
-                _time.perf_counter() - started,
-            )
-        if footprint is None:
+        if (
+            hook is None
+            and len(frame) > MEDIA_PAYLOAD_OFFSET
+            and frame[MEDIA_PAYLOAD_OFFSET] >> 6 == 2
+            and self.media_fast
+            and self._serve_media(frame, timestamp)
+        ):
             alerts: list[Alert] = []
         else:
-            alerts = self.process_footprint(footprint, self.stats.frames)
+            try:
+                footprint = self.distiller.distill(frame, timestamp)
+            except Exception as exc:
+                # Backstop behind the distiller's own per-decoder quarantine:
+                # a crash in frame/IP/UDP decode itself must degrade to "no
+                # footprint", never abort the frame path.
+                if self.firewall is None:
+                    raise
+                self.firewall.record_error("decoder", "distill", exc, timestamp)
+                footprint = None
+            if footprint is not None and self.forensics is not None:
+                # Record before the footprint pipeline runs, so an alert
+                # raised by this very frame can already resolve it.
+                self.forensics.record_frame(
+                    self.stats.frames, frame, timestamp, footprint
+                )
+            if hook is not None:
+                hook.frame_distilled(
+                    self.stats.frames, timestamp, footprint,
+                    _time.perf_counter() - started,
+                )
+            if footprint is None:
+                alerts = []
+            else:
+                alerts = self._footprint_path(footprint, self.stats.frames, True)
         elapsed = _time.perf_counter() - started
         self.stats.cpu_seconds += elapsed
         if hook is not None:
@@ -384,6 +414,89 @@ class ScidiveEngine:
             self._shadow_alert_log.clear()
             self._shadow_event_log.clear()
 
+    def _serve_media(self, frame: bytes, timestamp: float) -> bool:
+        """The media fast path: apply an in-profile RTP frame's effects
+        without distilling it, or return False having written nothing.
+
+        Check, then commit.  The Distiller proves the frame an in-profile
+        frame of a learned flow (:meth:`Distiller.media_profile`); every
+        hold must admit it, and no housekeeping may be due.  Then exactly
+        what the full pipeline would do to that frame is applied, each
+        through the method the full pipeline calls: the frame and
+        footprint counters, the trail's count, endpoints and time, each
+        hold's advance, and the recorder's ring push.
+        """
+        if self._dispatch_source is not self.generators:
+            return False
+        found = self.distiller.media_profile(frame, self.media_fast)
+        if found is None:
+            return False
+        profile, sequence = found
+        holds = profile.holds
+        if holds is None:
+            holds = profile.holds = self._media_holds(profile)
+            if holds is None:
+                return False
+        for hold in holds:
+            if not hold.admits(sequence, timestamp):
+                return False
+        every = self.housekeeping_every
+        if every and self._since_housekeeping + 1 >= every:
+            return False
+        counts = self.distiller.stats
+        counts.frames += 1
+        counts.footprints += 1
+        self.stats.footprints += 1
+        self._since_housekeeping += 1
+        footprint = profile.footprint
+        self.trails.refile(profile.trail, footprint.src, footprint.dst, timestamp)
+        for hold in holds:
+            hold.advance(sequence, timestamp)
+        if self.forensics is not None:
+            self.forensics.record(
+                profile.ring_key, self.stats.frames, frame, timestamp, None
+            )
+        self.media_fast.served += 1
+        return True
+
+    def _learn_media(self, footprint: RtpFootprint, trail) -> None:
+        """After ``footprint`` raised no event: file its flow's profile,
+        its holds still unasked (:meth:`_media_holds`)."""
+        key = flow_key(footprint.src, footprint.dst)
+        table = self.media_fast
+        decoders = self.distiller.decoders
+        if decoders is not table.decoders and decoders != DEFAULT_DECODERS:
+            # The fast path's classification is the stock chain's.
+            table.pop(key, None)
+            return
+        table.learn(key, MediaProfile(footprint, trail), decoders)
+
+    def _media_holds(self, profile: MediaProfile) -> "tuple | None":
+        """Ask every generator an RTP footprint visits for its hold on
+        the profile's flow, when the flow's first frame after learning
+        arrives (a flow the table is emptied under never pays for it);
+        None when one cannot vouch for the frame."""
+        footprint, trail, ctx = profile.footprint, profile.trail, self._ctx
+        holds = []
+        for generator in self.generators_for(Protocol.RTP):
+            hold = generator.media_hold(footprint, trail, ctx)
+            if hold is None:
+                return None
+            if hold is not NO_HOLD:
+                holds.append(hold)
+        if self.forensics is not None:
+            profile.ring_key = self.forensics.session_key(footprint)
+        return tuple(holds)
+
+    def _media_epoch(self) -> int:
+        """The sum of the counters every write that can change a media
+        fast-path verdict bumps: it moves exactly when one happened."""
+        return (
+            self.trails.media_writes
+            + self.sip_state.media_version
+            + self._ctx.media_writes
+        )
+
     def process_footprint(
         self, footprint: AnyFootprint, frame_no: int = 0
     ) -> list[Alert]:
@@ -398,9 +511,18 @@ class ScidiveEngine:
         the common case) pays only those guards — no timer reads, no
         no-op calls.
         """
+        return self._footprint_path(footprint, frame_no, False)
+
+    def _footprint_path(
+        self, footprint: AnyFootprint, frame_no: int, from_frame: bool
+    ) -> list[Alert]:
+        """:meth:`process_footprint`'s body.  ``from_frame``: the
+        footprint was distilled from a frame here, so an eventless RTP
+        footprint may teach the media fast path its flow."""
         hook = self._hook
         ts = footprint.timestamp
         stats = self.stats
+        epoch = self._media_epoch()
         stats.footprints += 1
         self._since_housekeeping += 1
         if self.housekeeping_every and self._since_housekeeping >= self.housekeeping_every:
@@ -446,10 +568,12 @@ class ScidiveEngine:
             generators = None
         if generators is None:
             generators = self.generators_for(footprint.protocol)
+        clean = True
         for generator in generators:
             try:
                 events = generator.on_footprint(footprint, trail, ctx)
             except Exception as exc:
+                clean = False
                 # Quarantine the throwing generator's output, keep the
                 # rest of the fan-out alive.  On breaker trip the
                 # generator leaves the list — rebinding invalidates the
@@ -484,6 +608,13 @@ class ScidiveEngine:
                 # Rule matching must not be attributed to the next generator.
                 mark = perf()
         stats.events += events_produced
+        if self._media_epoch() != epoch:
+            self.media_fast.empty()
+        if from_frame and hook is None and footprint.__class__ is RtpFootprint:
+            if clean and not events_produced:
+                self._learn_media(footprint, trail)
+            else:
+                self.media_fast.pop(flow_key(footprint.src, footprint.dst), None)
         if hook is not None:
             hook.footprint_done(
                 footprint,
@@ -617,6 +748,7 @@ class ScidiveEngine:
         self.ruleset = new_set
         self.rulepack = pack
         self.rulepack_reloads += 1
+        self.media_fast.empty()
         if self._instr is not None:
             self._instr.rulepack_reloaded()
         _log.info(
@@ -653,6 +785,7 @@ class ScidiveEngine:
         number of trails reclaimed.
         """
         self._since_housekeeping = 0
+        self.media_fast.empty()
         timeout = self.state_idle_timeout
         trails = self.trails
         dialogs = trails.expired_dialogs

@@ -54,6 +54,7 @@ from repro.core.events import (
     expire_entries,
     expire_watches,
 )
+from repro.core.fastpath import NO_HOLD, MediaHold, watch_hold
 from repro.core.footprint import (
     AccountingFootprint,
     AnyFootprint,
@@ -167,6 +168,17 @@ class OrphanRtpGenerator(EventGenerator):
             return self._check_watches(footprint)
         return []
 
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> MediaHold | None:
+        return watch_hold(self._watches, footprint.src, self.drop_closed)
+
+    def drop_closed(self, now: float) -> None:
+        """Drop the watches whose window closed before ``now`` — the
+        first thing every RTP frame does here."""
+        if self._watches:
+            self._watches = [w for w in self._watches if w.expires_at >= now]
+
     # -- arming ---------------------------------------------------------------
 
     def _maybe_arm(
@@ -189,6 +201,7 @@ class OrphanRtpGenerator(EventGenerator):
         else:
             return
         if endpoint is not None:
+            ctx.media_changed()
             self._watches.append(
                 _Watch(
                     call_id=call.call_id,
@@ -207,7 +220,7 @@ class OrphanRtpGenerator(EventGenerator):
         if not self._watches:
             return []
         now = footprint.timestamp
-        self._watches = [w for w in self._watches if w.expires_at >= now]
+        self.drop_closed(now)
         events: list[Event] = []
         for watch in self._watches:
             if watch.fired >= self.max_events_per_watch:
@@ -258,6 +271,37 @@ class _FlowState:
     rogue_verdicts: dict[tuple[int, int], tuple[int, dict | None]] = field(
         default_factory=dict
     )
+
+    def advance(self, sequence: int, now: float) -> None:
+        """An in-order packet within the jump threshold: the new anchor."""
+        self.last_seq = sequence
+        self.last_time = now
+        self.reorder_streak = 0
+
+
+class _FlowHold:
+    """The media fast path's view of one flow: an in-order packet within
+    the threshold raises nothing and only advances the anchor — while the
+    call gating the rogue-source check (if any) keeps the phase it had."""
+
+    __slots__ = ("flow", "threshold", "call", "phase")
+
+    def __init__(
+        self, flow: _FlowState, threshold: int, call: CallEntry | None
+    ) -> None:
+        self.flow = flow
+        self.threshold = threshold
+        self.call = call
+        self.phase = call.phase if call is not None else None
+
+    def admits(self, sequence: int, now: float) -> bool:
+        call = self.call
+        return (call is None or call.phase is self.phase) and (
+            0 < seq_delta(sequence, self.flow.last_seq) <= self.threshold
+        )
+
+    def advance(self, sequence: int, now: float) -> None:
+        self.flow.advance(sequence, now)
 
 
 class RtpStreamGenerator(EventGenerator):
@@ -341,6 +385,7 @@ class RtpStreamGenerator(EventGenerator):
                     # A spoofer cycling source ports must not grow this
                     # per-flow memo unboundedly.
                     flow.rogue_verdicts.clear()
+                    ctx.media_changed()
                 flow.rogue_verdicts[src_key] = (version, attrs)
             if attrs is not None:
                 events.append(
@@ -377,48 +422,82 @@ class RtpStreamGenerator(EventGenerator):
                         )
                     )
         # -- sequence continuity ---------------------------------------------
-        if flow.last_seq is not None:
-            delta = seq_delta(footprint.sequence, flow.last_seq)
-            if abs(delta) > self.seq_jump_threshold:
+        # Only forward motion within the threshold advances the expected
+        # sequence; a single wild packet must not re-anchor the stream
+        # (else the *return* of legitimate traffic would alarm a second
+        # time).
+        if flow.last_seq is None:
+            flow.last_seq = footprint.sequence
+            flow.last_time = footprint.timestamp
+            return events
+        delta = seq_delta(footprint.sequence, flow.last_seq)
+        if 0 < delta <= self.seq_jump_threshold:
+            flow.advance(footprint.sequence, footprint.timestamp)
+            return events
+        if abs(delta) > self.seq_jump_threshold:
+            events.append(
+                Event(
+                    name=EVENT_RTP_SEQ_ANOMALY,
+                    time=footprint.timestamp,
+                    session=session,
+                    attrs={
+                        "delta": delta,
+                        "src": footprint.src,
+                        "dst": footprint.dst,
+                        "seq": footprint.sequence,
+                    },
+                    evidence=(footprint,),
+                )
+            )
+            flow.reorder_streak = 0
+        elif delta < 0:
+            # The paper's §3.1 example: two out-of-order RTP
+            # footprints map to an RtpJitter event.
+            flow.reorder_streak += 1
+            if flow.reorder_streak >= self.jitter_reorder_threshold:
                 events.append(
                     Event(
-                        name=EVENT_RTP_SEQ_ANOMALY,
+                        name=EVENT_RTP_JITTER,
                         time=footprint.timestamp,
                         session=session,
-                        attrs={
-                            "delta": delta,
-                            "src": footprint.src,
-                            "dst": footprint.dst,
-                            "seq": footprint.sequence,
-                        },
+                        attrs={"dst": str(footprint.dst), "streak": flow.reorder_streak},
                         evidence=(footprint,),
                     )
                 )
                 flow.reorder_streak = 0
-            elif delta < 0:
-                # The paper's §3.1 example: two out-of-order RTP
-                # footprints map to an RtpJitter event.
-                flow.reorder_streak += 1
-                if flow.reorder_streak >= self.jitter_reorder_threshold:
-                    events.append(
-                        Event(
-                            name=EVENT_RTP_JITTER,
-                            time=footprint.timestamp,
-                            session=session,
-                            attrs={"dst": str(footprint.dst), "streak": flow.reorder_streak},
-                            evidence=(footprint,),
-                        )
-                    )
-                    flow.reorder_streak = 0
-            else:
-                flow.reorder_streak = 0
-        # Only advance the expected sequence for forward motion; a single
-        # wild packet must not re-anchor the stream (else the *return* of
-        # legitimate traffic would alarm a second time).
-        if flow.last_seq is None or 0 < seq_delta(footprint.sequence, flow.last_seq) <= self.seq_jump_threshold:
-            flow.last_seq = footprint.sequence
+        else:
+            flow.reorder_streak = 0
         flow.last_time = footprint.timestamp
         return events
+
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> MediaHold | None:
+        # Asked after an eventless footprint of the flow, possibly some
+        # frames later.  The rogue-source verdict for its source must be
+        # settled: memoized clean under the current media_version when a
+        # negotiated call gates the flow, else unchanged since that
+        # footprint (what it reads moves only with media_version or a
+        # media-index write, which empty the fast path) — until the
+        # gating call changes phase, which the hold checks.  What is left
+        # is the sequence anchor.
+        if not ctx.is_inbound(footprint):
+            return None
+        dst = footprint.dst
+        flow = self._flows.get((dst.ip.packed, dst.port))
+        if flow is None or flow.last_seq is None:
+            return None
+        call = ctx.sip_state.call_for_media(dst)
+        if call is not None and call.phase != CallPhase.SETUP and call.media:
+            src = footprint.src
+            cached = flow.rogue_verdicts.get((src.ip.packed, src.port))
+            if (
+                cached is None
+                or cached[0] != ctx.sip_state.media_version
+                or cached[1] is not None
+            ):
+                return None
+        return _FlowHold(flow, self.seq_jump_threshold, call)
 
 
 @dataclass(slots=True)

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.footprint import AnyFootprint, Protocol
 from repro.core.state import SipStateTracker
 from repro.core.trail import Trail, TrailManager
 from repro.net.addr import IPv4Address
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fastpath import MediaHold
 
 
 def _plain(value: Any) -> Any:
@@ -105,6 +108,10 @@ class GeneratorContext:
     # Parsed once at construction: direction checks run per footprint on
     # the hot path, so they compare packed ints, not formatted strings.
     _vantage_packed: int | None = field(default=None, repr=False)
+    # Generator writes that can change an in-profile media frame's
+    # verdict (repro.core.fastpath): the engine empties its fast-path
+    # table when this moves during a footprint.
+    media_writes: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self._vantage_packed = (
@@ -117,6 +124,11 @@ class GeneratorContext:
         """Does this footprint arrive at the protected endpoint?"""
         packed = self._vantage_packed
         return packed is None or footprint.dst.ip.packed == packed
+
+    def media_changed(self) -> None:
+        """A generator armed a watch or re-keyed per-flow state that an
+        in-profile media frame's verdict reads."""
+        self.media_writes += 1
 
     def is_outbound(self, footprint: AnyFootprint) -> bool:
         packed = self._vantage_packed
@@ -147,6 +159,17 @@ class EventGenerator(ABC):
         ``now``, or whose call record has left ``ctx``'s call table
         (housekeeping); returns how many entries went."""
         return 0
+
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> "MediaHold | None":
+        """What the next in-profile frame of ``footprint``'s flow changes
+        here, asked after ``footprint`` raised no event (the media fast
+        path, :mod:`repro.core.fastpath`): a hold, ``NO_HOLD`` when such
+        a frame changes nothing here, or None when this generator cannot
+        vouch that it raises no event — the default, so a generator that
+        does not answer keeps every frame on the full path."""
+        return None
 
 
 def expire_entries(table: dict, stamp: str, now: float, idle_timeout: float) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.events import Event, EventGenerator, GeneratorContext, expire_watches
+from repro.core.fastpath import MediaHold, watch_hold
 from repro.core.footprint import AnyFootprint, H225Footprint, Protocol, RtpFootprint
 from repro.core.trail import Trail
 from repro.h323.h225 import MessageType
@@ -79,6 +80,17 @@ class H323OrphanGenerator(EventGenerator):
             return self._check_watches(footprint)
         return []
 
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> MediaHold | None:
+        return watch_hold(self._watches, footprint.src, self.drop_closed)
+
+    def drop_closed(self, now: float) -> None:
+        """Drop the watches whose window closed before ``now`` — the
+        first thing every RTP frame does here."""
+        if self._watches:
+            self._watches = [w for w in self._watches if w.expires_at >= now]
+
     # -- signalling state -------------------------------------------------
 
     def _on_h225(self, footprint: H225Footprint, ctx: GeneratorContext) -> list[Event]:
@@ -127,6 +139,7 @@ class H323OrphanGenerator(EventGenerator):
             if inbound:
                 for endpoint in call.media.values():
                     if str(endpoint.ip) != str(footprint.dst.ip):
+                        ctx.media_changed()
                         self._watches.append(
                             _ReleaseWatch(
                                 session=session,
@@ -143,7 +156,7 @@ class H323OrphanGenerator(EventGenerator):
         if not self._watches:
             return []
         now = footprint.timestamp
-        self._watches = [w for w in self._watches if w.expires_at >= now]
+        self.drop_closed(now)
         events: list[Event] = []
         for watch in self._watches:
             if watch.fired >= self.max_events_per_watch:

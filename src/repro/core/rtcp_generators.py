@@ -30,6 +30,7 @@ from repro.core.events import (
     GeneratorContext,
     expire_entries,
 )
+from repro.core.fastpath import NO_HOLD, MediaHold
 from repro.core.footprint import AnyFootprint, Protocol, RtcpFootprint, RtpFootprint
 from repro.core.trail import Trail
 from repro.net.addr import Endpoint
@@ -64,17 +65,27 @@ class RtcpByeGenerator(EventGenerator):
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
     ) -> list[Event]:
         if isinstance(footprint, RtcpFootprint):
-            return self._on_rtcp(footprint, trail)
+            return self._on_rtcp(footprint, trail, ctx)
         if isinstance(footprint, RtpFootprint):
             return self._on_rtp(footprint)
         return []
 
-    def _on_rtcp(self, footprint: RtcpFootprint, trail: Trail) -> list[Event]:
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> MediaHold | None:
+        # No watch on this SSRC: its RTP is untouched here until an RTCP
+        # BYE (a media_changed write) arms one.
+        return None if footprint.ssrc in self._watches else NO_HOLD
+
+    def _on_rtcp(
+        self, footprint: RtcpFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> list[Event]:
         events: list[Event] = []
         for packet in footprint.packets:
             if not isinstance(packet, Bye):
                 continue
             for ssrc in packet.ssrcs:
+                ctx.media_changed()
                 self._watches[ssrc] = _ByeWatch(
                     ssrc=ssrc,
                     session=trail.call_id or "",
@@ -124,6 +135,28 @@ class _SsrcOwner:
     last_seen: float
     packets: int = 1
 
+    def touch(self, now: float) -> None:
+        """Another packet from the owning source."""
+        self.last_seen = now
+        self.packets += 1
+
+
+class _OwnerHold:
+    """The media fast path's view of one SSRC owner: its own packets
+    within ``forget_after`` raise nothing and only touch it."""
+
+    __slots__ = ("owner", "forget_after")
+
+    def __init__(self, owner: _SsrcOwner, forget_after: float) -> None:
+        self.owner = owner
+        self.forget_after = forget_after
+
+    def admits(self, sequence: int, now: float) -> bool:
+        return now - self.owner.last_seen <= self.forget_after
+
+    def advance(self, sequence: int, now: float) -> None:
+        self.owner.touch(now)
+
 
 # Endpoint -> "ip:port" render memo.  The collision branch runs once per
 # spoofed packet and its attrs are string-typed (consumers slice and
@@ -167,11 +200,13 @@ class SsrcTrackGenerator(EventGenerator):
         owner = self._owners.get(key)
         now = footprint.timestamp
         if owner is None or now - owner.last_seen > self.forget_after:
+            if owner is not None:
+                # Re-anchoring: a fast-path profile may hold the old owner.
+                ctx.media_changed()
             self._owners[key] = _SsrcOwner(source=footprint.src, last_seen=now)
             return []
         if owner.source == footprint.src:
-            owner.last_seen = now
-            owner.packets += 1
+            owner.touch(now)
             return []
         # Collision: do NOT re-anchor — keep trusting the incumbent.
         event = Event(
@@ -187,3 +222,16 @@ class SsrcTrackGenerator(EventGenerator):
             evidence=(footprint,),
         )
         return [event]
+
+    def media_hold(
+        self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
+    ) -> MediaHold | None:
+        if not ctx.is_inbound(footprint):
+            return None
+        dst = footprint.dst
+        owner = self._owners.get((dst.ip.packed, dst.port, footprint.ssrc))
+        if owner is None or (
+            owner.source is not footprint.src and owner.source != footprint.src
+        ):
+            return None
+        return _OwnerHold(owner, self.forget_after)

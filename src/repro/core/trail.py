@@ -94,9 +94,13 @@ class Trail:
     last_seen: float = 0.0
 
     def append(self, footprint: AnyFootprint) -> None:
-        self.src = footprint.src
-        self.dst = footprint.dst
-        self.last_seen = footprint.timestamp
+        self.touch(footprint.src, footprint.dst, footprint.timestamp)
+
+    def touch(self, src: Endpoint, dst: Endpoint, timestamp: float) -> None:
+        """File one more footprint, given its endpoints and time."""
+        self.src = src
+        self.dst = dst
+        self.last_seen = timestamp
         self.count += 1
 
 
@@ -130,6 +134,10 @@ class TrailManager:
             tuple[int, int], dict[TrailKey, tuple[int, Trail]]
         ] = {}
         self._media_serial = count()
+        # Writes to the two media indexes above, counted so the engine
+        # can tell when a media fast-path verdict may have changed
+        # (repro.core.fastpath).  Derived: never pickled.
+        self.media_writes = 0
         # Lifetime accounting, exported by repro.obs.
         self.footprints_filed = 0
         self.expired_total = 0
@@ -138,13 +146,14 @@ class TrailManager:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_unlinked_media"], state["_media_serial"]
+        del state["_unlinked_media"], state["_media_serial"], state["media_writes"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._unlinked_media = {}
         self._media_serial = count()
+        self.media_writes = 0
         for trail in self.trails.values():
             if trail.call_id is None and trail.protocol in _MEDIA_PROTOCOLS:
                 self._file_unlinked(trail, next(self._media_serial))
@@ -182,12 +191,20 @@ class TrailManager:
             # its destination can move.
             if trail.dst != footprint.dst or trail.src != footprint.src:
                 serial = self._unfile_unlinked(trail)
-        trail.append(footprint)
+        self.refile(trail, footprint.src, footprint.dst, footprint.timestamp)
         link(self, footprint, trail)
         if serial is not None and trail.call_id is None:
             self._file_unlinked(trail, serial)
-        self.footprints_filed += 1
         return trail
+
+    def refile(
+        self, trail: Trail, src: Endpoint, dst: Endpoint, timestamp: float
+    ) -> None:
+        """File one footprint in ``trail``, an existing trail of its flow
+        (the media fast path files its frames here, ``push`` every other
+        footprint's)."""
+        trail.touch(src, dst, timestamp)
+        self.footprints_filed += 1
 
     def media_owner(self, endpoint: Endpoint) -> str | None:
         """Which call (if any) negotiated this media endpoint via SDP."""
@@ -236,6 +253,7 @@ class TrailManager:
                 index_key = _media_index_key(endpoint)
                 if self._media_index.get(index_key) == call_id:
                     del self._media_index[index_key]
+                    self.media_writes += 1
         self.expired_total += reclaimed
         return reclaimed
 
@@ -281,6 +299,7 @@ class TrailManager:
             party = message.calling_party or message.called_party or ""
             call.set_media_endpoint(party, message.media)
             self._media_index[_media_index_key(message.media)] = call_id
+            self.media_writes += 1
 
     def _link_media(self, footprint: AnyFootprint, trail: Trail) -> None:
         if trail.call_id is None:
@@ -297,6 +316,7 @@ class TrailManager:
     # -- the unlinked-media index ------------------------------------------------
 
     def _file_unlinked(self, trail: Trail, serial: int) -> None:
+        self.media_writes += 1
         entry = (serial, trail)
         for index_key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
             self._unlinked_media.setdefault(index_key, {})[trail.key] = entry
@@ -310,6 +330,7 @@ class TrailManager:
             if bucket is not None:
                 entry = bucket.pop(trail.key, None)
                 if entry is not None:
+                    self.media_writes += 1
                     serial = entry[0]
                     if not bucket:
                         del self._unlinked_media[index_key]
@@ -332,6 +353,7 @@ class TrailManager:
         call.set_media_endpoint(party, endpoint)
         index_key = _media_index_key(endpoint)
         self._media_index[index_key] = call.call_id
+        self.media_writes += 1
         # Retroactively adopt any flow trail already touching the
         # endpoint, oldest first.  The index holds session (even) ports
         # only, so an SDP advertising an odd port adopts nothing.

@@ -486,14 +486,25 @@ class ForensicsRecorder:
 
     # -- recording (hot path) --------------------------------------------------
 
+    # The ring a footprint's frame is filed in.
+    session_key = staticmethod(_session_key)
+
     def record_frame(
         self, frame_no: int, frame: bytes, timestamp: float, footprint: AnyFootprint
     ) -> None:
         """Append one frame to its session ring (called once per frame)."""
+        self.record(_session_key(footprint), frame_no, frame, timestamp, footprint)
+
+    def record(
+        self, key: tuple, frame_no: int, frame: bytes, timestamp: float,
+        footprint: AnyFootprint | None,
+    ) -> None:
+        """Append one frame to the ring ``key`` names.  The media fast
+        path records its frames here with no footprint: the token it
+        files is ``id(None)``, which no footprint can hold."""
         self.last_frame_monotonic = _time.monotonic()
         self.frames_recorded += 1
         sessions = self._sessions
-        key = _session_key(footprint)
         ring = sessions.get(key)
         if ring is None:
             if len(sessions) >= self.max_sessions:

@@ -228,6 +228,8 @@ def engine_restore(engine: "ScidiveEngine", blob: bytes, force: bool = False) ->
     engine.event_log[:] = payload["event_log"]
     engine.trails = payload["trails"]
     engine.sip_state = payload["sip_state"]
+    # Media fast-path profiles point into the replaced state.
+    engine.media_fast.empty()
     # The generator context holds direct references to the replaced
     # trackers; rebuild it or generators would keep feeding the old ones.
     engine._ctx = GeneratorContext(

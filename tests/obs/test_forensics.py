@@ -262,10 +262,9 @@ class FootprintRingRecorder(ForensicsRecorder):
             self.records: list[FrameRecord] = []
             self.last_seen = 0.0
 
-    def record_frame(self, frame_no, frame, timestamp, footprint):
+    def record(self, key, frame_no, frame, timestamp, footprint):
         self.frames_recorded += 1
         sessions = self._sessions
-        key = _session_key(footprint)
         ring = sessions.get(key)
         if ring is None:
             if len(sessions) >= self.max_sessions:
