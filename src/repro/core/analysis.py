@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from repro.sim.distributions import Constant, Distribution
 
@@ -253,19 +252,3 @@ def _finite_support(dist: Distribution, tail_mass: float = 1e-9) -> tuple[float,
                 break
     return lo, hi
 
-
-@dataclass(frozen=True, slots=True)
-class PaperDefaults:
-    """The paper's 'simplest assumptions' parameterisation."""
-
-    @staticmethod
-    def g_sip() -> Distribution:
-        from repro.sim.distributions import Uniform
-
-        return Uniform(0.0, RTP_PERIOD)
-
-    @staticmethod
-    def network_delay(mean: float = 0.005) -> Distribution:
-        from repro.sim.distributions import Exponential
-
-        return Exponential(scale=mean)

@@ -177,7 +177,7 @@ class ScidiveEngine:
                 ruleset = ruleset_from(modules)
         self.distiller = distiller if distiller is not None else Distiller()
         self.trails = TrailManager()
-        self.sip_state = SipStateTracker(self.trails.calls)
+        self.sip_state = SipStateTracker(self.trails)
         self.generators = generators if generators is not None else default_generators()
         self.ruleset = ruleset if ruleset is not None else paper_ruleset()
         # The pack behind self.ruleset (None for a hand-built RuleSet)
@@ -488,15 +488,6 @@ class ScidiveEngine:
             profile.ring_key = self.forensics.session_key(footprint)
         return tuple(holds)
 
-    def _media_epoch(self) -> int:
-        """The sum of the counters every write that can change a media
-        fast-path verdict bumps: it moves exactly when one happened."""
-        return (
-            self.trails.media_writes
-            + self.sip_state.media_version
-            + self._ctx.media_writes
-        )
-
     def process_footprint(
         self, footprint: AnyFootprint, frame_no: int = 0
     ) -> list[Alert]:
@@ -522,7 +513,7 @@ class ScidiveEngine:
         hook = self._hook
         ts = footprint.timestamp
         stats = self.stats
-        epoch = self._media_epoch()
+        epoch = self.trails.media.writes
         stats.footprints += 1
         self._since_housekeeping += 1
         if self.housekeeping_every and self._since_housekeeping >= self.housekeeping_every:
@@ -608,7 +599,7 @@ class ScidiveEngine:
                 # Rule matching must not be attributed to the next generator.
                 mark = perf()
         stats.events += events_produced
-        if self._media_epoch() != epoch:
+        if self.trails.media.writes != epoch:
             self.media_fast.empty()
         if from_frame and hook is None and footprint.__class__ is RtpFootprint:
             if clean and not events_produced:
@@ -794,8 +785,8 @@ class ScidiveEngine:
         self.expired_trails += reclaimed
         dialogs = trails.expired_dialogs - dialogs
         registrations = trails.expired_registrations - registrations
-        if dialogs or registrations:
-            self.sip_state.calls_expired()
+        if registrations:
+            self.sip_state.registrations_expired()
         swept = 0
         for generator in self.generators:
             swept += generator.expire_idle(now, timeout, self._ctx)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.events import (
     EVENT_ACCOUNTING_MISMATCH,
@@ -72,7 +72,7 @@ from repro.core.state import (
     CallEntry,
     CallPhase,
 )
-from repro.core.trail import Trail
+from repro.core.trail import MediaEntry, Trail
 from repro.net.addr import Endpoint
 from repro.rtp.packet import seq_delta
 from repro.sip.constants import METHOD_MESSAGE
@@ -257,26 +257,8 @@ class OrphanRtpGenerator(EventGenerator):
         return events
 
 
-@dataclass(slots=True)
-class _FlowState:
-    last_seq: int | None = None
-    last_time: float = 0.0
-    reorder_streak: int = 0
-    # Rogue-source verdicts memoized per source endpoint:
-    # (src packed ip, src port) -> (media_version, attrs-or-None).
-    # attrs None = source was negotiated; a dict = the mismatch event
-    # attrs to re-emit.  Entries are only trusted while the tracker's
-    # media_version is unchanged, so any SDP/phase-driven media change
-    # invalidates every cached verdict at the cost of one int compare.
-    rogue_verdicts: dict[tuple[int, int], tuple[int, dict | None]] = field(
-        default_factory=dict
-    )
-
-    def advance(self, sequence: int, now: float) -> None:
-        """An in-order packet within the jump threshold: the new anchor."""
-        self.last_seq = sequence
-        self.last_time = now
-        self.reorder_streak = 0
+# What a source absent from a flow's verdict memo reads as.
+_UNSEEN = object()
 
 
 class _FlowHold:
@@ -287,7 +269,7 @@ class _FlowHold:
     __slots__ = ("flow", "threshold", "call", "phase")
 
     def __init__(
-        self, flow: _FlowState, threshold: int, call: CallEntry | None
+        self, flow: MediaEntry, threshold: int, call: CallEntry | None
     ) -> None:
         self.flow = flow
         self.threshold = threshold
@@ -321,12 +303,6 @@ class RtpStreamGenerator(EventGenerator):
     def __init__(self, seq_jump_threshold: int = 100, jitter_reorder_threshold: int = 2) -> None:
         self.seq_jump_threshold = seq_jump_threshold
         self.jitter_reorder_threshold = jitter_reorder_threshold
-        # Keyed by destination as (packed ip, port): int tuples hash in C.
-        self._flows: dict[tuple[int, int], _FlowState] = {}
-
-    def expire_idle(self, now: float, idle_timeout: float, ctx: GeneratorContext) -> int:
-        # A port silent this long starts a new sequence anchor.
-        return expire_entries(self._flows, "last_time", now, idle_timeout)
 
     def on_footprint(
         self, footprint: AnyFootprint, trail: Trail, ctx: GeneratorContext
@@ -350,27 +326,26 @@ class RtpStreamGenerator(EventGenerator):
             return []
         events: list[Event] = []
         dst = footprint.dst
-        session = trail.call_id or ctx.trails.media_owner(dst) or ""
-        flow = self._flows.get((dst.ip.packed, dst.port))
-        if flow is None:
-            flow = _FlowState()
-            self._flows[(dst.ip.packed, dst.port)] = flow
+        # The flow is the destination's media entry (repro.core.trail).
+        flow = ctx.trails.media.entry((dst.ip.packed, dst.port))
+        session = trail.call_id or flow.linked or ""
         # -- rogue source check (cross-protocol via SDP state) -------------
-        call = ctx.sip_state.call_for_media(dst)
+        call = flow.role
         if call is not None and call.phase != CallPhase.SETUP and call.media:
             # Media negotiated (call established or already torn down):
             # any source outside the negotiated set is rogue — including
             # strays arriving at a dead session's port.  The verdict for
-            # a given source only changes when negotiated media does, so
-            # it is memoized against the tracker's media_version instead
-            # of rescanning call.media per packet.
+            # a given source only changes with the entry's role or that
+            # call's media, which drop the entry's memo, so it is
+            # memoized per entry instead of rescanning call.media per
+            # packet.
             src = footprint.src
             src_key = (src.ip.packed, src.port)
-            version = ctx.sip_state.media_version
-            cached = flow.rogue_verdicts.get(src_key)
-            if cached is not None and cached[0] == version:
-                attrs = cached[1]
-            else:
+            verdicts = flow.verdicts
+            if verdicts is None:
+                verdicts = flow.verdicts = {}
+            attrs = verdicts.get(src_key, _UNSEEN)
+            if attrs is _UNSEEN:
                 # A tuple, not a set: the negotiated party count is tiny
                 # (2), so linear membership beats building a set.
                 legitimate = tuple(call.media.values())
@@ -381,12 +356,12 @@ class RtpStreamGenerator(EventGenerator):
                     }
                 else:
                     attrs = None
-                if len(flow.rogue_verdicts) >= 64:
+                if len(verdicts) >= 64:
                     # A spoofer cycling source ports must not grow this
                     # per-flow memo unboundedly.
-                    flow.rogue_verdicts.clear()
+                    verdicts.clear()
                     ctx.media_changed()
-                flow.rogue_verdicts[src_key] = (version, attrs)
+                verdicts[src_key] = attrs
             if attrs is not None:
                 events.append(
                     Event(
@@ -475,27 +450,21 @@ class RtpStreamGenerator(EventGenerator):
     ) -> MediaHold | None:
         # Asked after an eventless footprint of the flow, possibly some
         # frames later.  The rogue-source verdict for its source must be
-        # settled: memoized clean under the current media_version when a
-        # negotiated call gates the flow, else unchanged since that
-        # footprint (what it reads moves only with media_version or a
-        # media-index write, which empty the fast path) — until the
-        # gating call changes phase, which the hold checks.  What is left
-        # is the sequence anchor.
+        # settled: memoized clean when a negotiated call gates the flow,
+        # else unchanged since that footprint (what it reads moves only
+        # with a media-table write, which empties the fast path) — until
+        # the gating call changes phase, which the hold checks.  What is
+        # left is the sequence anchor.
         if not ctx.is_inbound(footprint):
             return None
         dst = footprint.dst
-        flow = self._flows.get((dst.ip.packed, dst.port))
+        flow = ctx.trails.media.get((dst.ip.packed, dst.port))
         if flow is None or flow.last_seq is None:
             return None
-        call = ctx.sip_state.call_for_media(dst)
+        call = flow.role
         if call is not None and call.phase != CallPhase.SETUP and call.media:
             src = footprint.src
-            cached = flow.rogue_verdicts.get((src.ip.packed, src.port))
-            if (
-                cached is None
-                or cached[0] != ctx.sip_state.media_version
-                or cached[1] is not None
-            ):
+            if (flow.verdicts or {}).get((src.ip.packed, src.port), _UNSEEN) is not None:
                 return None
         return _FlowHold(flow, self.seq_jump_threshold, call)
 

@@ -108,10 +108,6 @@ class GeneratorContext:
     # Parsed once at construction: direction checks run per footprint on
     # the hot path, so they compare packed ints, not formatted strings.
     _vantage_packed: int | None = field(default=None, repr=False)
-    # Generator writes that can change an in-profile media frame's
-    # verdict (repro.core.fastpath): the engine empties its fast-path
-    # table when this moves during a footprint.
-    media_writes: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self._vantage_packed = (
@@ -127,8 +123,8 @@ class GeneratorContext:
 
     def media_changed(self) -> None:
         """A generator armed a watch or re-keyed per-flow state that an
-        in-profile media frame's verdict reads."""
-        self.media_writes += 1
+        in-profile media frame's verdict reads: a media-table write."""
+        self.trails.media.writes += 1
 
     def is_outbound(self, footprint: AnyFootprint) -> bool:
         packed = self._vantage_packed

@@ -45,7 +45,7 @@ from repro.sip.constants import (
 from repro.sip.message import SipRequest, SipResponse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.trail import Trail
+    from repro.core.trail import Trail, TrailManager
 
 
 # What a never-written per-call container reads as: read-only, so a
@@ -131,6 +131,7 @@ class CallEntry:
 
     call_id: str
     last_seen: float
+    serial: int = 0  # creation order in the call table
     first_seen: float = 0.0
     count: int = 0
     src: Endpoint | None = None
@@ -236,23 +237,12 @@ class SipStateTracker:
     """Reconstructs each call's role from SIP footprints, on the records
     of the call table it shares with the trail manager."""
 
-    def __init__(self, calls: dict[str, CallEntry]) -> None:
-        self._calls = calls
-        # Reverse index media endpoint -> call, consulted by the RTP
-        # generator once per media packet.  Invariant: it is either None
-        # (stale; rebuilt on the next call_for_media()) or exactly what
-        # that rebuild would produce — each endpoint maps to the
-        # earliest-observed call holding it, in table order.  A call
-        # gaining an endpoint nobody else holds is added in place
-        # (_media_changed); anything that removes an entry or contests
-        # one sets it to None.  Every media change also bumps
-        # media_version, which lets downstream per-flow caches detect
-        # that negotiated-media state changed without rescanning it.
-        self._media_calls: dict[tuple[int, int], CallEntry] | None = {}
-        self.media_version = 0
+    def __init__(self, trails: TrailManager) -> None:
+        self._calls = trails.calls
+        self._media = trails.media  # this tracker writes the role owners
         # User -> the records whose registration succeeded: a forged-IM
-        # flood costs one user's registrations, not the call table.  Same
-        # invariant; a first 200 to a REGISTER adds its record in place.
+        # flood costs one user's registrations, not the call table.  None
+        # (stale) or exactly a rebuild; a first 200 adds its record.
         self._registered: dict[str, list[CallEntry]] | None = {}
 
     def observe(self, footprint: SipFootprint, call: CallEntry | Trail) -> None:
@@ -447,34 +437,27 @@ class SipStateTracker:
         earliest-observed call (first in the call table) wins — the
         answer a linear scan of the table gives.
         """
-        index = self._media_calls
-        if index is None:
-            index = self._media_calls = self._rebuild_media_calls()
-        return index.get((endpoint.ip.packed, endpoint.port))
-
-    def _rebuild_media_calls(self) -> dict[tuple[int, int], CallEntry]:
-        index: dict[tuple[int, int], CallEntry] = {}
-        for call in self._calls.values():
-            for media in call.media.values():
-                index.setdefault((media.ip.packed, media.port), call)
-        return index
+        entry = self._media.get((endpoint.ip.packed, endpoint.port))
+        return entry.role if entry is not None else None
 
     def _media_changed(
         self, call: CallEntry, old: Endpoint | None, new: Endpoint
     ) -> None:
-        """``call`` now advertises ``new`` where it advertised ``old``."""
-        self.media_version += 1
-        index = self._media_calls
-        if index is None or old == new:
+        """``call`` now advertises ``new`` where it advertised ``old``: it
+        holds ``new``'s media entry and, unless another party still
+        advertises ``old``, releases that one.  The rogue-source verdicts
+        memoized at the call's endpoints read its media, so they go."""
+        if old == new:
             return
-        key = (new.ip.packed, new.port)
-        if old is not None or index.setdefault(key, call) is not call:
-            # An entry went away, or two calls hold one endpoint: only the
-            # rebuild knows which call was observed first.
-            self._media_calls = None
+        media = self._media
+        held = call.media.values()
+        if old is not None and old not in held:
+            media.release(old, call)
+        media.hold(new, call)
+        for endpoint in held:
+            media[(endpoint.ip.packed, endpoint.port)].verdicts = None
 
-    def calls_expired(self) -> None:
-        """Calls with a role or a registration left the table
-        (housekeeping): either index may name one of them."""
-        self._media_calls = self._registered = None
-        self.media_version += 1
+    def registrations_expired(self) -> None:
+        """Records with a registration left the table (housekeeping): the
+        registered-user index may name one of them."""
+        self._registered = None

@@ -10,17 +10,19 @@ Call-ID has one :class:`~repro.core.state.CallEntry`, which is the
 call's SIP trail and holds the call's other trails — RTP/RTCP trails
 keyed by flow, accounting trails keyed by the billed Call-ID, H.225
 trails keyed by CRV.  The SIP↔RTP linkage is learned passively from SDP
-bodies: whenever a SIP message carries an SDP, its audio endpoint is
-indexed so that the RTP flow arriving there is annotated with the owning
-Call-ID.  A call lives while its own SIP trail or any trail linked to it
-is live; the state tracker's dialog role, the billing check's INVITE
-pairs and a REGISTER's auth progress live and die with it.
+bodies: whenever a SIP message carries an SDP, its audio endpoint's
+:class:`MediaEntry` names the call, so that the RTP flow arriving there
+is annotated with the owning Call-ID.  A call lives while its own SIP
+trail or any trail linked to it is live; the state tracker's dialog
+role, the billing check's INVITE pairs and a REGISTER's auth progress
+live and die with it.  One media table holds everything known about a
+media endpoint — its owners, the RTP flow toward it and the media trails
+waiting for an SDP — with the same lifetime rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from repro.core.footprint import (
     AccountingFootprint,
@@ -55,15 +57,11 @@ def _flow_key(src: Endpoint, dst: Endpoint) -> tuple[int, int, int, int]:
 _MALFORMED_TAGS: dict[str, str] = {}
 
 
-def _media_index_key(endpoint: Endpoint) -> tuple[int, int]:
-    """SDP media endpoints index as packed ints (C-speed dict hashing)."""
-    return (endpoint.ip.packed, endpoint.port)
-
-
 def _session_port_key(endpoint: Endpoint) -> tuple[int, int]:
-    """_media_index_key with RTCP's odd port normalised down to the RTP
-    session port — the form an SDP-advertised (even) port is matched in.
-    Runs per media packet of an unlinked trail, so no Endpoint is built."""
+    """An endpoint's media-table key with RTCP's odd port normalised down
+    to the RTP session port — the form an SDP-advertised (even) port is
+    matched in.  Runs per media packet of an unlinked trail, so no
+    Endpoint is built."""
     port = endpoint.port
     return (endpoint.ip.packed, port - 1 if port % 2 else port)
 
@@ -72,6 +70,7 @@ def _session_port_key(endpoint: Endpoint) -> tuple[int, int]:
 # endpoint rather than by an identifier of their own.  (A tuple: enum
 # members hash in Python but compare by identity.)
 _MEDIA_PROTOCOLS = (Protocol.RTP, Protocol.RTCP)
+
 
 @dataclass(slots=True)
 class Trail:
@@ -109,6 +108,127 @@ class Trail:
 install_fast_pickle(Trail)
 
 
+@dataclass(slots=True)
+class MediaEntry:
+    """Everything the engine knows about one media endpoint.
+
+    Two owners, kept apart as :class:`~repro.core.state.CallEntry` keeps
+    ``media_endpoints`` and ``media``: ``linked``, the Call-ID whose SDP
+    (or H.225 fast-connect media) last advertised the endpoint, which
+    trail linkage follows; ``role``, the earliest call in table order
+    whose dialog role negotiated it, which the rogue-source check gates
+    on (``contenders``: the later ones, in table order).  The RTP flow
+    toward it: the sequence anchor, and ``verdicts``, the rogue-source
+    verdict per source ``(packed ip, port)`` (None: negotiated; else the
+    mismatch attrs), dropped whenever ``role`` or its call's media
+    changes.  ``unlinked``: the media trails no call owns yet whose last
+    footprint touched this session port (RTCP's odd port files under the
+    even one), as trail key -> (creation serial, trail).
+    """
+
+    linked: str | None = None
+    role: CallEntry | None = None
+    contenders: list[CallEntry] | None = None
+    last_seq: int | None = None
+    last_time: float = 0.0
+    reorder_streak: int = 0
+    verdicts: dict[tuple[int, int], dict | None] | None = None
+    unlinked: dict[TrailKey, tuple[int, Trail]] | None = None
+
+    def advance(self, sequence: int, now: float) -> None:
+        """An in-order packet within the jump threshold: the new anchor."""
+        self.last_seq = sequence
+        self.last_time = now
+        self.reorder_streak = 0
+
+
+install_fast_pickle(MediaEntry)
+
+
+def _holders(entry: MediaEntry) -> list[CallEntry]:
+    """The calls whose role negotiated ``entry``'s endpoint, in table order."""
+    return [entry.role, *(entry.contenders or ())] if entry.role is not None else []
+
+
+class MediaTable(dict):
+    """``(packed ip, port)`` -> :class:`MediaEntry`.
+
+    An entry lives while an owner record lives or something filed under
+    it — a flow anchor, an unlinked trail — is younger than the idle
+    timeout: the write that leaves it holding none deletes it, and
+    :meth:`sweep` resets idle anchors.  ``writes`` counts the writes that
+    can change a media fast-path verdict (:mod:`repro.core.fastpath`):
+    the owner and unlinked-trail writes, and
+    :meth:`~repro.core.events.GeneratorContext.media_changed`.
+    """
+
+    __slots__ = ("writes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def entry(self, key: tuple[int, int]) -> MediaEntry:
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = MediaEntry()
+        return entry
+
+    def linked(self, key: tuple[int, int]) -> str | None:
+        entry = self.get(key)
+        return entry.linked if entry is not None else None
+
+    def link(self, endpoint: Endpoint, call_id: str) -> MediaEntry:
+        """An SDP of ``call_id`` advertised ``endpoint``."""
+        entry = self.entry((endpoint.ip.packed, endpoint.port))
+        entry.linked = call_id
+        self.writes += 1
+        return entry
+
+    def hold(self, endpoint: Endpoint, call: CallEntry) -> None:
+        """``call``'s dialog role negotiated ``endpoint``."""
+        entry = self.entry((endpoint.ip.packed, endpoint.port))
+        holders = _holders(entry)
+        if not any(holder is call for holder in holders):
+            self._set_holders(entry, sorted([*holders, call], key=lambda c: c.serial))
+
+    def release(self, endpoint: Endpoint, call: CallEntry) -> None:
+        """``call``'s role no longer negotiates ``endpoint`` (a party's
+        media moved)."""
+        key = (endpoint.ip.packed, endpoint.port)
+        entry = self.get(key)
+        if entry is not None and any(holder is call for holder in _holders(entry)):
+            self._set_holders(entry, [c for c in _holders(entry) if c is not call])
+            self.drop_unused(key, entry)
+
+    def _set_holders(self, entry: MediaEntry, holders: list[CallEntry]) -> None:
+        entry.role = holders[0] if holders else None
+        entry.contenders = holders[1:] or None
+        entry.verdicts = None
+        self.writes += 1
+
+    def drop_unused(self, key: tuple[int, int], entry: MediaEntry) -> None:
+        """Delete ``entry`` if it holds no owner, anchor or trail."""
+        if entry.linked is entry.role is entry.unlinked is entry.last_seq is None:
+            del self[key]
+
+    def sweep(self, now: float, idle_timeout: float, calls: dict[str, CallEntry]) -> None:
+        """Forget the owners that left ``calls``, reset the flow anchors
+        idle past ``idle_timeout`` — a port silent that long starts a new
+        sequence anchor — and drop the entries that leaves unused."""
+        for key, entry in list(self.items()):
+            if entry.linked is not None and entry.linked not in calls:
+                entry.linked = None
+            holders = _holders(entry)
+            live = [call for call in holders if calls.get(call.call_id) is call]
+            if len(live) != len(holders):
+                self._set_holders(entry, live)
+            if entry.last_seq is not None and now - entry.last_time > idle_timeout:
+                entry.last_seq = entry.verdicts = None
+                entry.reorder_streak = 0
+            self.drop_unused(key, entry)
+
+
 class TrailManager:
     """Groups footprints into trails and links trails into calls."""
 
@@ -119,44 +239,18 @@ class TrailManager:
         # The call table: Call-ID (or H.323 "h323-crv-<CRV>") -> record.
         # The SIP state tracker reads and writes the same records.
         self.calls: dict[str, CallEntry] = {}
-        # SDP-learned media endpoint -> call id, keyed by
-        # _media_index_key (packed address ints, hashed in C).
-        self._media_index: dict[tuple[int, int], str] = {}
-        # Media trails no call owns yet, findable by endpoint so an SDP
-        # that arrives after its media adopts them without a walk over
-        # every trail.  Invariant: a live trail is filed here iff its
-        # protocol is RTP/RTCP and its call_id is None, under the
-        # _session_port_key of its src and dst (its last footprint's), as
-        # trail key -> (creation serial, trail); serials order a bucket's
-        # trails as self.trails orders them.  Derived from self.trails:
-        # rebuilt on unpickling, never pickled.
-        self._unlinked_media: dict[
-            tuple[int, int], dict[TrailKey, tuple[int, Trail]]
-        ] = {}
-        self._media_serial = count()
-        # Writes to the two media indexes above, counted so the engine
-        # can tell when a media fast-path verdict may have changed
-        # (repro.core.fastpath).  Derived: never pickled.
-        self.media_writes = 0
+        # The media table: SDP linkage and unlinked trails are written
+        # here, role owners by the SIP state tracker, flows by the RTP
+        # generator.
+        self.media = MediaTable()
+        # Creation serials of calls and media trails: they order role
+        # owners as self.calls does, unlinked trails as self.trails does.
+        self._serial = 0
         # Lifetime accounting, exported by repro.obs.
         self.footprints_filed = 0
         self.expired_total = 0
         self.expired_dialogs = 0  # expired calls that had a dialog role
         self.expired_registrations = 0  # ... and that had a registration
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_unlinked_media"], state["_media_serial"], state["media_writes"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._unlinked_media = {}
-        self._media_serial = count()
-        self.media_writes = 0
-        for trail in self.trails.values():
-            if trail.call_id is None and trail.protocol in _MEDIA_PROTOCOLS:
-                self._file_unlinked(trail, next(self._media_serial))
 
     # -- public API ---------------------------------------------------------
 
@@ -177,14 +271,14 @@ class TrailManager:
         key_for, link = route
         key = key_for(footprint)
         trail = self.trails.get(key)
-        # The serial to (re)file the trail under in _unlinked_media, when
-        # this footprint creates it or moves its last endpoints.
+        # The serial to (re)file the trail under as unlinked, when this
+        # footprint creates it or moves its last endpoints.
         serial = None
         if trail is None:
             trail = Trail(key, footprint.protocol, footprint.timestamp)
             self.trails[key] = trail
             if trail.protocol in _MEDIA_PROTOCOLS:
-                serial = next(self._media_serial)
+                serial = self._serial = self._serial + 1
         elif trail.call_id is None and trail.protocol in _MEDIA_PROTOCOLS:
             # Flow-keyed trails never get here with new endpoints; a
             # malformed-on-media-port trail is keyed by source only, so
@@ -206,19 +300,17 @@ class TrailManager:
         trail.touch(src, dst, timestamp)
         self.footprints_filed += 1
 
-    def media_owner(self, endpoint: Endpoint) -> str | None:
-        """Which call (if any) negotiated this media endpoint via SDP."""
-        return self._media_index.get(_media_index_key(endpoint))
-
     def expire_idle(self, now: float, idle_timeout: float) -> int:
-        """Drop trails and calls idle for ``idle_timeout``.
+        """Drop trails, calls and media entries idle for ``idle_timeout``.
 
         The paper notes state is "constrained in practice by the amount
         of memory available"; a long-running IDS must garbage-collect
         dead sessions.  A call dies when its own ``last_seen`` and every
         trail linked to it are idle; its SIP trail alone expires earlier
         (``count`` back to 0) when a live linked trail keeps the call.
-        Returns the number of trails removed, SIP trails included.
+        A media entry goes with the last owner, anchor and trail it
+        holds (:class:`MediaTable`).  Returns the number of trails
+        removed, SIP trails included.
         """
         stale_keys = [
             key
@@ -242,18 +334,14 @@ class TrailManager:
                     reclaimed += 1
                 if not call.trails:
                     dead_calls.append(call_id)
-        # Dead calls take their media index entries with them.
         for call_id in dead_calls:
             call = self.calls.pop(call_id)
             if call.phase is not None:
                 self.expired_dialogs += 1
             if call.registration is not None:
                 self.expired_registrations += 1
-            for endpoint in call.media_endpoints.values():
-                index_key = _media_index_key(endpoint)
-                if self._media_index.get(index_key) == call_id:
-                    del self._media_index[index_key]
-                    self.media_writes += 1
+        # Dead calls take their media owner fields with them.
+        self.media.sweep(now, idle_timeout, self.calls)
         self.expired_total += reclaimed
         return reclaimed
 
@@ -270,8 +358,7 @@ class TrailManager:
         return {
             "trails": self.trail_count,
             "sessions": len(self.calls),
-            "media_index": len(self._media_index),
-            "unlinked_media_index": len(self._unlinked_media),
+            "media_entries": len(self.media),
             "footprints_filed": self.footprints_filed,
             "expired_total": self.expired_total,
         }
@@ -281,7 +368,8 @@ class TrailManager:
     def _call(self, call_id: str, timestamp: float) -> CallEntry:
         call = self.calls.get(call_id)
         if call is None:
-            call = self.calls[call_id] = CallEntry(call_id, timestamp)
+            self._serial += 1
+            call = self.calls[call_id] = CallEntry(call_id, timestamp, self._serial)
         return call
 
     def _link_accounting(self, footprint: AccountingFootprint, trail: Trail) -> None:
@@ -298,14 +386,14 @@ class TrailManager:
         if message.media is not None:
             party = message.calling_party or message.called_party or ""
             call.set_media_endpoint(party, message.media)
-            self._media_index[_media_index_key(message.media)] = call_id
-            self.media_writes += 1
+            self.media.link(message.media, call_id)
 
     def _link_media(self, footprint: AnyFootprint, trail: Trail) -> None:
         if trail.call_id is None:
-            owner = self._media_index.get(
-                _session_port_key(footprint.dst)
-            ) or self._media_index.get(_session_port_key(footprint.src))
+            media = self.media
+            owner = media.linked(_session_port_key(footprint.dst)) or media.linked(
+                _session_port_key(footprint.src)
+            )
             if owner is not None:
                 self._unfile_unlinked(trail)
                 self._call(owner, footprint.timestamp).attach(trail)
@@ -313,27 +401,34 @@ class TrailManager:
     def _link_noop(self, footprint: AnyFootprint, trail: Trail) -> None:
         return None
 
-    # -- the unlinked-media index ------------------------------------------------
+    # -- unlinked media trails ----------------------------------------------------
 
     def _file_unlinked(self, trail: Trail, serial: int) -> None:
-        self.media_writes += 1
-        entry = (serial, trail)
-        for index_key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
-            self._unlinked_media.setdefault(index_key, {})[trail.key] = entry
+        media = self.media
+        media.writes += 1
+        filed = (serial, trail)
+        for key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
+            entry = media.entry(key)
+            if entry.unlinked is None:
+                entry.unlinked = {}
+            entry.unlinked[trail.key] = filed
 
     def _unfile_unlinked(self, trail: Trail) -> int | None:
-        """Take ``trail`` out of the index (a no-op when it is not filed);
-        returns the serial it was filed under."""
+        """Take ``trail`` out of the media table (a no-op when it is not
+        filed); returns the serial it was filed under."""
+        media = self.media
         serial = None
-        for index_key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
-            bucket = self._unlinked_media.get(index_key)
-            if bucket is not None:
-                entry = bucket.pop(trail.key, None)
-                if entry is not None:
-                    self.media_writes += 1
-                    serial = entry[0]
-                    if not bucket:
-                        del self._unlinked_media[index_key]
+        for key in (_session_port_key(trail.src), _session_port_key(trail.dst)):
+            entry = media.get(key)
+            if entry is None or entry.unlinked is None:
+                continue
+            filed = entry.unlinked.pop(trail.key, None)
+            if filed is not None:
+                media.writes += 1
+                serial = filed[0]
+                if not entry.unlinked:
+                    entry.unlinked = None
+                    media.drop_unused(key, entry)
         return serial
 
     def _learn_sdp(self, footprint: SipFootprint, call: CallEntry) -> None:
@@ -351,15 +446,12 @@ class TrailManager:
         except Exception:
             party = ""
         call.set_media_endpoint(party, endpoint)
-        index_key = _media_index_key(endpoint)
-        self._media_index[index_key] = call.call_id
-        self.media_writes += 1
+        entry = self.media.link(endpoint, call.call_id)
         # Retroactively adopt any flow trail already touching the
-        # endpoint, oldest first.  The index holds session (even) ports
-        # only, so an SDP advertising an odd port adopts nothing.
-        bucket = self._unlinked_media.get(index_key)
-        if bucket is not None:
-            for _serial, trail in sorted(bucket.values()):
+        # endpoint, oldest first.  Trails file under session (even)
+        # ports only, so an SDP advertising an odd port adopts nothing.
+        if entry.unlinked is not None:
+            for _serial, trail in sorted(entry.unlinked.values()):
                 self._unfile_unlinked(trail)
                 call.attach(trail)
 

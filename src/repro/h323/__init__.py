@@ -2,7 +2,6 @@
 fast-connect terminals — the second call-management protocol class the
 paper says SCIDIVE handles."""
 
-from repro.h323.endpoint import H323Call, H323CallState, H323Endpoint
 from repro.h323.h225 import H225_PORT, H225Error, H225Message, IE, MessageType, looks_like_h225
 from repro.h323.ras import RAS_PORT, Gatekeeper, RasMessage, RasType
 
@@ -11,9 +10,6 @@ __all__ = [
     "H225Error",
     "H225Message",
     "H225_PORT",
-    "H323Call",
-    "H323CallState",
-    "H323Endpoint",
     "IE",
     "MessageType",
     "RAS_PORT",

@@ -78,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("resilience.checkpoint")
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 # Snapshot bound (see module docstring): archival event depth is
 # truncated to a recent tail, live detection state is captured in full.

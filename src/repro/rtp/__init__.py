@@ -22,7 +22,6 @@ from repro.rtp.rtcp import (
     decode_compound,
     looks_like_rtcp,
 )
-from repro.rtp.session import RtpSession
 from repro.rtp.stats import StreamStats
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "RtcpError",
     "RtpError",
     "RtpPacket",
-    "RtpSession",
     "SAMPLE_RATE",
     "SAMPLES_PER_FRAME",
     "SenderReport",

@@ -2,7 +2,8 @@
 
 Layers: URI/headers/message codecs, SDP bodies, digest authentication,
 UDP transport + transaction state machines, dialogs, a full user agent,
-and the proxy/registrar pair standing in for SIP Express Router.
+and the proxy/registrar pair standing in for SIP Express Router (the
+testbed's, imported from their modules: an engine never loads them).
 """
 
 from repro.sip.auth import (
@@ -13,7 +14,6 @@ from repro.sip.auth import (
     verify_credentials,
 )
 from repro.sip.constants import DEFAULT_SIP_PORT, SIP_VERSION, reason_phrase
-from repro.sip.dialog import Dialog, DialogState, DialogStore
 from repro.sip.headers import CSeq, HeaderError, HeaderTable, NameAddr, Via
 from repro.sip.message import (
     SipMessage,
@@ -23,28 +23,18 @@ from repro.sip.message import (
     looks_like_sip,
     parse_message,
 )
-from repro.sip.proxy import Proxy
-from repro.sip.registrar import Binding, Registrar
 from repro.sip.sdp import MediaDescription, SdpError, SessionDescription, audio_offer
-from repro.sip.transaction import SipTransport, TransactionLayer
-from repro.sip.ua import UaConfig, UserAgent, resolve_uri
 from repro.sip.uri import SipUri, UriError
 
 __all__ = [
-    "Binding",
     "CSeq",
     "DEFAULT_SIP_PORT",
-    "Dialog",
-    "DialogState",
-    "DialogStore",
     "DigestChallenge",
     "DigestCredentials",
     "HeaderError",
     "HeaderTable",
     "MediaDescription",
     "NameAddr",
-    "Proxy",
-    "Registrar",
     "SIP_VERSION",
     "SdpError",
     "SessionDescription",
@@ -52,12 +42,8 @@ __all__ = [
     "SipParseError",
     "SipRequest",
     "SipResponse",
-    "SipTransport",
     "SipUri",
-    "TransactionLayer",
-    "UaConfig",
     "UriError",
-    "UserAgent",
     "Via",
     "answer_challenge",
     "audio_offer",
@@ -65,6 +51,5 @@ __all__ = [
     "looks_like_sip",
     "parse_message",
     "reason_phrase",
-    "resolve_uri",
     "verify_credentials",
 ]

@@ -14,9 +14,10 @@ not) trip:
 * benign calls stop the hangup party's RTP strictly before its BYE, so
   the orphan-RTP watch (armed on the BYE sender's own endpoint under a
   network-wide vantage) never fires;
-* every call negotiates a *fresh* media port per party, so the RTP
-  flow tracker never sees a port reused across calls (which would fake
-  a sequence jump) and ``call_for_media`` never resolves a stale call;
+* every call negotiates a *fresh* media port per party, so a port's
+  media entry never carries one call's sequence anchor into another
+  (which would fake a sequence jump) nor names a stale call as its role
+  owner;
 * attack ladders reproduce the paper's four attacks byte-for-byte the
   way the canned attack modules do, but against arbitrary subscribers
   at arbitrary times.

@@ -1,11 +1,14 @@
-"""One call record per Call-ID, with one lifetime.
+"""One call record per Call-ID, one media entry per endpoint, one lifetime.
 
 A call's record lives while anything filed under it — its SIP messages,
 its linked media and accounting trails — was seen within the idle
 timeout, and the billing check reads the INVITE pairs off the live
-record, as the auth events read a REGISTER's progress off it.  The state
-machine below interleaves SIP, RTP and TXN traffic with housekeeping and
-holds the call table to that model.
+record, as the auth events read a REGISTER's progress off it.  A media
+endpoint's entry lives while a live record advertised it, or an RTP
+flow toward it or an unlinked media trail on its session port was seen
+within the timeout.  The state machine below interleaves SIP, RTP, RTCP
+and TXN traffic with housekeeping and holds the call and media tables to
+that model.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core.trail import _flow_key
 from repro.net.addr import Endpoint, IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
 from repro.rtp.packet import RtpPacket
+from repro.rtp.rtcp import Bye
 from tests.core.test_state import _sdp, _sip, bye, invite, ok_response, reg_response, register
 
 MAC1 = MacAddress("02:00:00:00:00:01")
@@ -40,8 +44,14 @@ DIGESTS = st.sampled_from([None, "aa" * 16, "bb" * 16])
 
 
 def _port(call_id: str) -> int:
-    """Each call advertises its own media port on A."""
+    """Each call advertises its own media port on A (and on B)."""
     return 40000 + 2 * int(call_id[1:])
+
+
+# Media ports on A that no call advertises.
+UNNEGOTIATED = st.sampled_from([41000, 41002])
+# Every media flow comes from B's one RTP session (RTCP on the odd port).
+PEER_SESSION = (B.packed, 50000)
 
 
 def _ack(call_id: str) -> bytes:
@@ -76,6 +86,12 @@ class CallLifetime(RuleBasedStateMachine):
         self.registrations: dict[str, list] = {}
         self.unauth_retries = 0
         self.auth_failures = 0
+        # The media model.  Call-ID -> the endpoints its SDP advertised;
+        # RTP destination -> the time its flow was last seen; media trail
+        # (protocol, session port on A) -> [last seen, owning Call-ID].
+        self.advertised: dict[str, set] = {}
+        self.anchors: dict[tuple[int, int], float] = {}
+        self.media_trails: dict[tuple[str, int], list] = {}
 
     def _file(self, call_id: str, pair: tuple[str, str] | None = None) -> None:
         pairs = self.model.get(call_id, (0.0, set()))[1]
@@ -92,6 +108,31 @@ class CallLifetime(RuleBasedStateMachine):
     def wait(self, step):
         self.now += step
 
+    def _advertise(self, call_id: str, ip: IPv4Address) -> None:
+        port = _port(call_id)
+        self.advertised.setdefault(call_id, set()).add((ip.packed, port))
+        if ip == A:
+            # Media already waiting on the port is adopted.
+            for session, trail in self.media_trails.items():
+                if session[1] == port and trail[1] is None:
+                    trail[1] = call_id
+
+    def _owner(self, port: int) -> str | None:
+        """The call whose SDP advertised A's session ``port``, if any."""
+        for call_id, endpoints in self.advertised.items():
+            if (A.packed, port) in endpoints:
+                return call_id
+        return None
+
+    def _media(self, protocol: str, port: int) -> None:
+        """A media footprint from B's session to A's session ``port``."""
+        trail = self.media_trails.get((protocol, port))
+        if trail is None or trail[1] is None:
+            trail = self.media_trails[(protocol, port)] = [self.now, self._owner(port)]
+        trail[0] = self.now
+        if trail[1] is not None:
+            self._file(trail[1])
+
     @rule(call_id=CALLS, caller=PARTIES, callee=PARTIES, sdp=st.booleans(),
           in_dialog=st.booleans())
     def send_invite(self, call_id, caller, callee, sdp, in_dialog):
@@ -102,11 +143,14 @@ class CallLifetime(RuleBasedStateMachine):
         )
         self._send(payload, A, B)
         self._file(call_id, (f"{caller}@example.com", f"{callee}@example.com"))
+        if sdp:
+            self._advertise(call_id, A)
 
     @rule(call_id=CALLS)
     def send_ok(self, call_id):
         self._send(ok_response(_sdp(str(B), _port(call_id)), call_id=call_id), B, A)
         self._file(call_id)
+        self._advertise(call_id, B)
 
     @rule(call_id=CALLS)
     def send_ack(self, call_id):
@@ -139,17 +183,29 @@ class CallLifetime(RuleBasedStateMachine):
         elif registration is not None and status == 200:
             registration[2] = self.now
 
-    @rule(call_id=CALLS)
-    def send_rtp(self, call_id):
+    def _rtp(self, port: int) -> None:
         self.seq += 1
         packet = RtpPacket(payload_type=0, sequence=self.seq, timestamp=160 * self.seq,
                            ssrc=7, payload=b"x" * 20)
-        src, dst = Endpoint(B, 50000), Endpoint(A, _port(call_id))
-        self._send(packet.encode(), B, A, src.port, dst.port)
-        # Media is filed under the call its endpoint's SDP named, if any.
-        trail = self.engine.trails.trails[("rtp", _flow_key(src, dst))]
-        if trail.call_id is not None:
-            self._file(trail.call_id)
+        self._send(packet.encode(), B, A, PEER_SESSION[1], port)
+        self.anchors[(A.packed, port)] = self.now
+        self._media("rtp", port)
+
+    @rule(call_id=CALLS)
+    def send_rtp(self, call_id):
+        self._rtp(_port(call_id))
+
+    @rule(port=UNNEGOTIATED)
+    def send_rtp_unnegotiated(self, port):
+        self._rtp(port)
+
+    @rule(call_id=CALLS)
+    def send_rtcp(self, call_id):
+        """RTCP on the odd port: no flow anchor (RTP only), and its trail
+        files under, and links through, the even session port."""
+        port = _port(call_id)
+        self._send(Bye(ssrcs=(7,)).encode(), B, A, PEER_SESSION[1] + 1, port + 1)
+        self._media("rtcp", port)
 
     @rule(call_id=CALLS, caller=PARTIES, callee=PARTIES)
     def send_txn(self, call_id, caller, callee):
@@ -173,6 +229,24 @@ class CallLifetime(RuleBasedStateMachine):
             call_id: registration for call_id, registration in self.registrations.items()
             if call_id in self.model
         }
+        self.advertised = {
+            call_id: endpoints for call_id, endpoints in self.advertised.items()
+            if call_id in self.model
+        }
+        self.anchors = {
+            key: seen for key, seen in self.anchors.items() if self.now - seen <= TIMEOUT
+        }
+        self.media_trails = {
+            session: trail for session, trail in self.media_trails.items()
+            if self.now - trail[0] <= TIMEOUT
+        }
+
+    @rule()
+    def housekeep_all_idle(self):
+        self.now += TIMEOUT + 0.5
+        self.housekeep()
+        assert self.engine.trails.calls == {}
+        assert self.engine.trails.media == {}
 
     @invariant()
     def table_matches_the_model(self):
@@ -184,6 +258,16 @@ class CallLifetime(RuleBasedStateMachine):
                 for callee in ("alice", "bob", "carol"):
                     pair = (f"{caller}@example.com", f"{callee}@example.com")
                     assert call.invited(*pair) == (pair in pairs)
+
+    @invariant()
+    def media_table_matches_the_model(self):
+        expected = set(self.anchors)
+        for endpoints in self.advertised.values():
+            expected |= endpoints
+        for (_, port), (_, owner) in self.media_trails.items():
+            if owner is None:
+                expected |= {(A.packed, port), PEER_SESSION}
+        assert set(self.engine.trails.media) == expected
 
     @invariant()
     def registrations_live_and_count_with_their_record(self):

@@ -60,10 +60,10 @@ class TestHousekeeping:
         assert engine.alerts_for_rule(RULE_BYE_ATTACK)
 
     def test_media_index_cleaned(self):
-        from repro.net.addr import Endpoint
+        from repro.net.addr import IPv4Address
 
         testbed, engine = self._engine_after_calls(1, housekeep_at=0.1)
-        assert engine.trails.media_owner(Endpoint.parse("10.0.0.10:40000")) is None
+        assert engine.trails.media.linked((IPv4Address.parse("10.0.0.10").packed, 40000)) is None
 
 
 class TestOptionsHandling:

@@ -19,7 +19,7 @@ from repro.core.footprint import (
     SipFootprint,
 )
 from repro.core.state import CallEntry
-from repro.core.trail import TrailManager, _media_index_key
+from repro.core.trail import TrailManager
 from repro.h323.h225 import H225_PORT, H225Message, MessageType
 from repro.net.addr import VALUE_TABLE_CAP, Endpoint, IPv4Address, MacAddress
 from repro.net.fragmentation import fragment
@@ -228,8 +228,18 @@ class TestTrailManager:
 
     def test_media_owner_lookup(self):
         manager, __ = self._distill([(sip_frame(), 0.0)])
-        assert manager.media_owner(Endpoint(A, 40000)) == "call-7"
-        assert manager.media_owner(Endpoint(A, 49998)) is None
+        assert manager.media.linked((A.packed, 40000)) == "call-7"
+        assert manager.media.linked((A.packed, 49998)) is None
+
+    def test_a_dead_calls_every_endpoint_is_forgotten(self):
+        """Also one its party re-advertised away from: media toward it
+        after the call died must not re-create the call's record."""
+        manager, __ = self._distill([(sdp_frame(port=40000), 0.0), (sdp_frame(port=40002), 0.1)])
+        assert manager.calls["call-7"].media_endpoints == {"alice@example.com": Endpoint(A, 40002)}
+        manager.expire_idle(now=100.0, idle_timeout=10.0)
+        assert manager.calls == {} and manager.media == {}
+        manager.push(Distiller().distill(rtp_frame(dst=A, dst_port=40000), 100.1))
+        assert manager.calls == {}
 
     def test_rtcp_port_normalised_to_rtp_session(self):
         payload = Bye(ssrcs=(1,)).encode()
@@ -386,8 +396,9 @@ class TestAddressTables:
 
 
 class FullScanTrailManager(TrailManager):
-    """The TrailManager before the unlinked-media index: an SDP adopts
-    earlier media by walking every live trail.  Kept as the oracle."""
+    """The TrailManager before media entries held unlinked trails: an SDP
+    adopts earlier media by walking every live trail.  Kept as the
+    oracle."""
 
     def _learn_sdp(self, footprint: SipFootprint, call: CallEntry) -> None:
         message = footprint.message
@@ -406,7 +417,7 @@ class FullScanTrailManager(TrailManager):
         except Exception:
             party = ""
         call.set_media_endpoint(party, endpoint)
-        self._media_index[_media_index_key(endpoint)] = call.call_id
+        self.media.link(endpoint, call.call_id)
         for trail in self.trails.values():
             if trail.protocol in (Protocol.RTP, Protocol.RTCP) and trail.call_id is None:
                 if any(
@@ -417,11 +428,18 @@ class FullScanTrailManager(TrailManager):
 
 
 def assert_index_invariant(manager: TrailManager) -> None:
-    """Filed == exactly the live unlinked media trails, each under the
-    even-port keys of its last endpoints, serials in creation order."""
-    filed: dict[tuple, tuple[set, set]] = {}  # trail key -> (index keys, serials)
-    for index_key, bucket in manager._unlinked_media.items():
-        assert bucket, "empty buckets are deleted"
+    """Filed == exactly the live unlinked media trails, each in the
+    entries of the even-port keys of its last endpoints, serials in
+    creation order; and no media entry is kept that holds nothing."""
+    filed: dict[tuple, tuple[set, set]] = {}  # trail key -> (entry keys, serials)
+    for index_key, entry in manager.media.items():
+        assert (entry.linked, entry.role, entry.unlinked, entry.last_seq) != (
+            None, None, None, None,
+        ), "unused entries are deleted"
+        bucket = entry.unlinked
+        if bucket is None:
+            continue
+        assert bucket, "an emptied bucket is None"
         for trail_key, (serial, trail) in bucket.items():
             assert manager.trails.get(trail_key) is trail
             index_keys, serials = filed.setdefault(trail_key, (set(), set()))
@@ -437,6 +455,11 @@ def assert_index_invariant(manager: TrailManager) -> None:
     assert all(len(serials) == 1 for _, serials in filed.values())
     in_creation_order = [min(filed[key][1]) for key in manager.trails if key in filed]
     assert in_creation_order == sorted(set(in_creation_order))
+
+
+def _unlinked_ports(manager: TrailManager) -> int:
+    """Media entries holding unlinked trails."""
+    return sum(1 for entry in manager.media.values() if entry.unlinked)
 
 
 class TestRetroAdoption:
@@ -459,7 +482,7 @@ class TestRetroAdoption:
         assert trails[0].call_id == "call-7"
         assert trails[1] is manager.calls["call-7"]
         assert manager.calls["call-7"].trails == [trails[0]]
-        assert manager.size_stats()["unlinked_media_index"] == 0
+        assert _unlinked_ports(manager) == 0
 
     def test_rtcp_on_the_odd_port_is_adopted_under_the_even_one(self):
         manager, trails = self._run([rtcp_frame(dst=A, dst_port=40001), sdp_frame()])
@@ -475,7 +498,7 @@ class TestRetroAdoption:
         ])
         assert [t.call_id for t in trails[:3]] == [None, None, None]
         assert trails[3] is manager.calls["call-7"] and not trails[3].trails
-        assert manager.size_stats()["unlinked_media_index"] > 0
+        assert _unlinked_ports(manager) > 0
 
     def test_malformed_media_trail_follows_its_last_destination(self):
         adopted, trails = self._run([garbage_frame(dst_port=40000), sdp_frame()])
@@ -526,7 +549,7 @@ class TestRetroAdoption:
             rtp_frame(seq=2, dst=A, dst_port=40000),
         ])
         assert trails[0] is trails[2] and trails[0].call_id == "h323-crv-7"
-        assert manager.size_stats()["unlinked_media_index"] == 0
+        assert _unlinked_ports(manager) == 0
 
     def test_restored_manager_finds_its_trails(self):
         manager, trails = self._run([
@@ -534,10 +557,15 @@ class TestRetroAdoption:
         ])
         restored = pickle.loads(pickle.dumps(manager))
         assert_index_invariant(restored)
-        assert not {"_unlinked_media", "_media_serial"} & manager.__getstate__().keys()
+        # The creation serials survive: a trail created after the restore
+        # is adopted after the restored ones.
+        late = restored.push(Distiller().distill(
+            rtp_frame(src_port=40010, dst=A, dst_port=40000), 0.9
+        ))
+        assert_index_invariant(restored)
         restored.push(Distiller().distill(sdp_frame(), 1.0))
         assert [t.key for t in restored.calls["call-7"].trails] == [
-            trails[0].key, trails[1].key,
+            trails[0].key, trails[1].key, late.key,
         ]
 
 
@@ -561,7 +589,10 @@ def _linkage(manager: TrailManager) -> dict:
             call_id: ([t.key for t in call.trails], call.media_endpoints, call.count)
             for call_id, call in manager.calls.items()
         },
-        "media_index": manager._media_index,
+        "linked": {
+            key: entry.linked for key, entry in manager.media.items()
+            if entry.linked is not None
+        },
     }
 
 

@@ -52,7 +52,7 @@ class Pipeline:
     def __init__(self, generators, vantage_ip="10.0.0.10"):
         self.distiller = Distiller()
         self.trails = TrailManager()
-        self.sip_state = SipStateTracker(self.trails.calls)
+        self.sip_state = SipStateTracker(self.trails)
         self.generators = generators
         self.ctx = GeneratorContext(
             trails=self.trails,

@@ -3,7 +3,7 @@
 Each test feeds N distinct inputs of one kind — the kind a flood varies
 to grow a table — then runs one housekeeping sweep past the idle
 timeout, after which the table the inputs grew must be empty, as must
-the call table.
+the call and media tables.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ def _sweep(engine: ScidiveEngine, last: float) -> None:
     engine.housekeep(last + engine.state_idle_timeout + 1)
     assert engine.trails.calls == {}
     assert engine.trails.trails == {}
+    assert engine.trails.media == {}
+
+
+def _anchors(engine: ScidiveEngine) -> int:
+    """RTP flows with a sequence anchor (media entries with a flow)."""
+    return sum(1 for entry in engine.trails.media.values() if entry.last_seq is not None)
 
 
 def _generator(engine: ScidiveEngine, name: str):
@@ -80,10 +86,8 @@ class TestEveryTableIsSwept:
     def test_rtp_flows_per_destination_port(self):
         engine = _engine()
         last = _feed(engine, [_rtp(40000 + 2 * n) for n in range(N)])
-        flows = _generator(engine, "rtp-stream")._flows
-        assert len(flows) == N
+        assert _anchors(engine) == N
         _sweep(engine, last)
-        assert flows == {}
 
     def test_ssrc_owners_per_ssrc(self):
         engine = _engine()
@@ -164,18 +168,32 @@ class TestSweepKeepsLiveState:
         engine = _engine()
         last = _feed(engine, [_rtp(40000 + 2 * n) for n in range(N)] + [_im("bob")])
         engine.housekeep(last + idle)
-        assert len(_generator(engine, "rtp-stream")._flows) == N
+        assert _anchors(engine) == N
         assert len(_generator(engine, "ssrc-track")._owners) == N
         assert len(_generator(engine, "im-source")._senders) == 1
 
-    def test_a_port_silent_past_the_timeout_starts_a_new_anchor(self):
+    @pytest.mark.parametrize("negotiated", [False, True])
+    def test_a_port_silent_past_the_timeout_starts_a_new_anchor(self, negotiated):
+        """Also when the port's media entry outlives the sweep: a call
+        that negotiated it is kept alive by its SIP traffic."""
         from repro.core.events import EVENT_RTP_SEQ_ANOMALY
 
         engine = _engine()
-        engine.process_frame(_rtp(40000, seq=1), 0.0)
-        engine.housekeep(engine.state_idle_timeout + 1)
-        engine.process_frame(_rtp(40000, seq=5000), engine.state_idle_timeout + 2)
-        engine.process_frame(_rtp(40000, seq=5001), engine.state_idle_timeout + 2.02)
+        timeout = engine.state_idle_timeout
+        setup = [
+            build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, invite(_sdp(str(A), 40000))),
+            build_udp_frame(MAC1, MAC2, B, A, 5060, 5060, ok_response(_sdp(str(B), 50000))),
+        ]
+        if negotiated:
+            _feed(engine, setup)
+        engine.process_frame(_rtp(40000, seq=1), 0.02)
+        if negotiated:
+            engine.process_frame(setup[1], timeout - 1)  # a retransmitted 200
+        engine.housekeep(timeout + 1)
+        entry = engine.trails.media.get((A.packed, 40000))
+        assert (entry is not None and entry.role is not None) == negotiated
+        engine.process_frame(_rtp(40000, seq=5000), timeout + 2)
+        engine.process_frame(_rtp(40000, seq=5001), timeout + 2.02)
         assert engine.events_named(EVENT_RTP_SEQ_ANOMALY) == []
 
     def test_h323_call_outlives_its_silent_signalling(self):

@@ -88,7 +88,7 @@ class _Calls:
 
     def __init__(self) -> None:
         self.trails = TrailManager()
-        self.tracker = SipStateTracker(self.trails.calls)
+        self.tracker = SipStateTracker(self.trails)
         self.calls = self.trails.calls
 
     def feed(self, payload: bytes, src=A, dst=B, t=0.0):
@@ -225,8 +225,9 @@ _STEP = st.one_of(
 
 
 class TestMediaIndex:
-    """``call_for_media`` answers from an index updated in place; it must
-    always equal a scan of the call table in table order."""
+    """``call_for_media`` answers from the media table's role owners,
+    updated in place; it must always equal a scan of the call table in
+    table order."""
 
     @staticmethod
     def _engine() -> ScidiveEngine:
@@ -257,7 +258,7 @@ class TestMediaIndex:
         for step in steps:
             now += 0.1
             kind = step[0]
-            version = tracker.media_version
+            writes = engine.trails.media.writes
             before = self._media(engine)
             if kind == "expire":
                 engine.state_idle_timeout = step[1]
@@ -275,19 +276,31 @@ class TestMediaIndex:
                     payload = bye(from_aor=party, call_id=call_id)
                 engine.process_frame(build_udp_frame(MAC1, MAC2, A, B, 5060, 5060, payload), now)
             if self._media(engine) != before:
-                assert tracker.media_version > version
+                assert engine.trails.media.writes > writes
             seen.update(self._media(engine).values())
             for endpoint in seen:
                 assert tracker.call_for_media(endpoint) is self._scan(engine, endpoint)
 
-    def test_additions_never_trigger_a_rebuild(self, monkeypatch):
+    def test_additions_never_scan_the_call_table(self):
+        class ScanCountingTable(dict):
+            scans = 0
+
+            def _scan(self, view):
+                ScanCountingTable.scans += 1
+                return view
+
+            def __iter__(self):
+                return self._scan(super().__iter__())
+
+            def values(self):
+                return self._scan(super().values())
+
+            def items(self):
+                return self._scan(super().items())
+
         engine = self._engine()
+        engine.trails.calls = engine.sip_state._calls = ScanCountingTable()
         tracker = engine.sip_state
-        rebuilds = []
-        real = tracker._rebuild_media_calls
-        monkeypatch.setattr(
-            tracker, "_rebuild_media_calls", lambda: rebuilds.append(1) or real()
-        )
         for n in range(1000):
             call_id = f"call-{n}"
             offer, answer = Endpoint(A, 20000 + 2 * n), Endpoint(B, 20000 + 2 * n)
@@ -299,8 +312,9 @@ class TestMediaIndex:
                 assert tracker.call_for_media(offer).call_id == call_id
             assert tracker.call_for_media(answer).call_id == call_id
             assert tracker.call_for_media(Endpoint(A, 19998)) is None
-        assert tracker.media_version == 2000
-        assert rebuilds == []
+        # Each SDP wrote its endpoint's linked owner and its role owner.
+        assert engine.trails.media.writes == 4000
+        assert ScanCountingTable.scans == 0
 
 
 def register(call_id: str, cseq: int, auth: str | None = None, user="alice") -> bytes:

@@ -136,9 +136,11 @@ def test_state_sizes_on_bye_attack(capsys):
     # as they did when a registration's own rule expired them.
     assert [f["expired_registrations"] for f in logged] == [0, 2, 0]
     # Generator state is swept too: the RTCP BYE watch, its window long
-    # closed, at the first sweep; the last RTP flow and its SSRC owner,
-    # idle past the timeout, at the third.
-    assert [f["swept"] for f in logged] == [1, 0, 2]
+    # closed, at the first sweep; the last SSRC owner, idle past the
+    # timeout, at the third — when the trail sweep also empties the media
+    # table, which holds the last RTP flow's anchor.
+    assert [f["swept"] for f in logged] == [1, 0, 1]
+    assert engine.trails.media == {}
     # The one dialog expires once; since calls live as long as their
     # linked media, the bye-attack's orphan RTP keeps it to the last sweep.
     assert sum(f["expired_dialogs"] for f in logged) == 1

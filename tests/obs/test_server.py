@@ -39,12 +39,16 @@ def bye_run():
 ROOT = Path(__file__).resolve().parents[2]
 
 # The import budget, as CI's smoke job runs it: an engine process or a
-# cluster worker never loads the HTTP stack; the sidecar's names resolve
-# (and load it) on first use.
+# cluster worker never loads the HTTP stack or the testbed's SIP, H.323
+# and RTP endpoints; the sidecar's names resolve (and load it) on first
+# use.
 IMPORT_BUDGET = (
     "import sys, repro.core.engine, repro.cluster; "
     "heavy = ('http.server', 'http.client', 'ssl', 'email', 'socketserver'); "
     "early = [m for m in heavy if m in sys.modules]; assert not early, early; "
+    "testbed = ('repro.sip.ua', 'repro.sip.proxy', 'repro.sip.registrar', "
+    "'repro.sip.transaction', 'repro.sip.dialog', 'repro.h323.endpoint', 'repro.rtp.session'); "
+    "loaded = [m for m in testbed if m in sys.modules]; assert not loaded, loaded; "
     "import repro.obs; "
     "assert {'ObsServer', 'StatusSource'} <= set(dir(repro.obs)) & set(repro.obs.__all__); "
     "assert repro.obs.ObsServer.__module__ == repro.obs.StatusSource.__module__ == 'repro.obs.server'; "

@@ -144,7 +144,10 @@ class TestRoundtrip:
                     for call in engine.trails.calls.values()
                     for endpoint in call.media.values()
                 },
-                "media_index": dict(engine.trails._media_index),
+                "media_owners": {
+                    key: (entry.linked, entry.role and entry.role.call_id)
+                    for key, entry in engine.trails.media.items()
+                },
                 "session_media": {
                     cid: dict(c.media_endpoints) for cid, c in engine.trails.calls.items()
                 },
@@ -201,15 +204,15 @@ class TestVersionGate:
 
 
     def test_previous_version_blob_is_refused(self):
-        """v9 moved registration progress onto ``CallEntry`` (no
-        ``registrations`` slot); v8 replaced ``Session``, ``ObservedCall``
-        and a call's SIP ``Trail`` with one ``CallEntry`` per Call-ID.  The
-        gate refuses a snapshot of any other shape, v8 included."""
-        assert CHECKPOINT_VERSION == 9
+        """v10 moved the RTP flows from the ``rtp-stream`` generator's
+        state into the trail manager's media table; v9 moved registration
+        progress onto ``CallEntry`` (no ``registrations`` slot).  The gate
+        refuses a snapshot of any other shape, v9 included."""
+        assert CHECKPOINT_VERSION == 10
         payload = pickle.loads(ScidiveEngine().checkpoint()[len(b"SCDV"):])
-        payload.update(version=8)
+        payload.update(version=9)
         blob = b"SCDV" + pickle.dumps(payload)
-        with pytest.raises(CheckpointError, match="version 8"):
+        with pytest.raises(CheckpointError, match="version 9"):
             ScidiveEngine().restore(blob)
 
 
